@@ -1,51 +1,36 @@
-"""Hot numeric kernels, with optional numba acceleration.
+"""Hot numeric kernels, one numpy implementation each.
 
-Every kernel here has a pure-numpy implementation and, when numba imports
-successfully, a compiled twin.  Which path runs is decided per call:
-
-1. an explicit ``use_numba=`` argument wins,
-2. otherwise the ``POWERLIMITS_PURE_NUMPY`` environment variable (any value
-   other than empty/``0`` forces the numpy paths),
-3. otherwise the numba path is used whenever numba is available.
+The two lattice kernels, :func:`fourier_sums` and :func:`trig_poly_values`,
+never loop over lattice points.  Over the bounding box of the lattice,
+``exp(-i p.theta)`` factors into per-coordinate power tables
+``exp(-i k theta_j)``; the Khatri-Rao products (Kronecker per sample) of
+the tables for the first and the second half of the coordinates turn the
+sum over samples into one matrix product per chunk of sample rows.  This
+is a type-1 non-uniform DFT evaluated exactly on the box (Dutt & Rokhlin,
+SIAM J. Sci. Comput. 14, 1993, give the gridding route should a much
+larger degree ever need it).  The cost follows the box, not the number of
+lattice points: callers pass dense coefficient balls or single points.
 
 Matrix factorizations (QR, eigendecompositions, batched matmul) are *not*
-here on purpose: they are LAPACK/BLAS bound and gain nothing from jitting.
-``benchmarks/bench_kernels.py`` times the two paths side by side.
+here on purpose: they are LAPACK/BLAS bound already.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
-import os
 
 import numpy as np
 
 TAU = 2.0 * math.pi
 
-try:
-    from numba import njit
+# No kernel uses numba.  The flag only records, for the benchmark's
+# environment line, whether the interpreter could import it.
+NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled(use_numba=None):
-    """Resolve which path to take (see module docstring for the order)."""
-    if use_numba is not None:
-        return bool(use_numba) and NUMBA_AVAILABLE
-    flag = os.environ.get("POWERLIMITS_PURE_NUMPY", "")
-    if flag and flag != "0":
-        return False
-    return NUMBA_AVAILABLE
+# Complex entries per Khatri-Rao factor of one row chunk (4 MB each), which
+# bounds the kernels' working memory independently of the sample count.
+CHUNK_ENTRIES = 1 << 18
 
 
 def wrap_angles(x):
@@ -59,45 +44,85 @@ def wrap_angles(x):
 
 
 # ---------------------------------------------------------------------------
+# power tables: the shared factorization of exp(+-i p.theta) over the
+# bounding box of a lattice.
+# ---------------------------------------------------------------------------
+
+
+def _layout(lattice):
+    """The lattice's bounding box: lowest corner, extent per coordinate, and
+    the C-order flat index of every lattice row inside the box."""
+    if lattice.shape[0] == 0:
+        return (np.zeros(lattice.shape[1], dtype=np.int64), (1,) * lattice.shape[1],
+                np.zeros(0, dtype=np.intp))
+    lo = lattice.min(axis=0)
+    shape = tuple(int(w) for w in lattice.max(axis=0) - lo + 1)
+    return lo, shape, np.ravel_multi_index(tuple((lattice - lo).T), shape)
+
+
+def _split(shape):
+    """Column counts of the left and right factors: the first ceil(n/2)
+    coordinates go left, the rest right."""
+    h = (len(shape) + 1) // 2
+    return math.prod(shape[:h]), math.prod(shape[h:])
+
+
+def _power_table(theta, lo, width, sign):
+    """exp(sign*i*k*theta) for k = lo .. lo+width-1, one row per power.
+
+    One ``exp`` gives the step z = exp(sign*i*theta); the first row is
+    z**lo by repeated squaring and each later row is the one before times z.
+    """
+    z = np.exp(sign * 1j * theta)
+    table = np.empty((width, theta.shape[0]), dtype=np.complex128)
+    np.power(z, lo, out=table[0])
+    for k in range(1, width):
+        np.multiply(table[k - 1], z, out=table[k])
+    return table
+
+
+def _khatri_rao(angles, lo, shape, sign):
+    """Column-wise Kronecker product of the power tables of the given
+    coordinates, rows in C order over ``shape`` and one column per angle
+    row; a single row of ones when there are no coordinates."""
+    out = np.ones((1, angles.shape[0]), dtype=np.complex128)
+    for j, width in enumerate(shape):
+        table = _power_table(angles[:, j], lo[j], width, sign)
+        out = (out[:, None, :] * table[None, :, :]).reshape(-1, angles.shape[0])
+    return out
+
+
+def _factors(angles, lo, shape, sign):
+    """Yield (left, right) Khatri-Rao factors for consecutive row chunks.
+
+    The box entry at flat index (l, r) is the chunk's sum over angle rows s
+    of left[l, s] * right[r, s] = exp(sign*i*p.theta_s).
+    """
+    h = (len(shape) + 1) // 2
+    rows = max(1, CHUNK_ENTRIES // max(_split(shape)))
+    for start in range(0, angles.shape[0], rows):
+        chunk = angles[start:start + rows]
+        yield (_khatri_rao(chunk[:, :h], lo[:h], shape[:h], sign),
+               _khatri_rao(chunk[:, h:], lo[h:], shape[h:], sign))
+
+
+# ---------------------------------------------------------------------------
 # empirical Fourier sums: sum_s exp(-i p . theta_s) for a batch of lattice
 # points p; this is the workhorse of every statistical suite.
 # ---------------------------------------------------------------------------
 
 
-def _fourier_sums_numpy(angles, lattice):
-    out = np.empty(lattice.shape[0], dtype=np.complex128)
-    for k, p in enumerate(lattice):
-        out[k] = np.exp(-1j * (angles @ p.astype(np.float64))).sum()
-    return out
-
-
-@njit(cache=True)
-def _fourier_sums_numba(angles, lattice):  # pragma: no cover - jitted
-    S, n = angles.shape
-    K = lattice.shape[0]
-    out = np.empty(K, dtype=np.complex128)
-    for k in range(K):
-        acc_re = 0.0
-        acc_im = 0.0
-        for s in range(S):
-            phase = 0.0
-            for j in range(n):
-                phase += lattice[k, j] * angles[s, j]
-            acc_re += math.cos(phase)
-            acc_im -= math.sin(phase)
-        out[k] = complex(acc_re, acc_im)
-    return out
-
-
-def fourier_sums(angles, lattice, use_numba=None):
+def fourier_sums(angles, lattice):
     """Sums of exp(-i p.theta) over sample rows, one per lattice row."""
     angles = np.ascontiguousarray(angles, dtype=np.float64)
     lattice = np.ascontiguousarray(lattice, dtype=np.int64)
     if angles.ndim != 2 or lattice.ndim != 2 or angles.shape[1] != lattice.shape[1]:
         raise ValueError("angles must be (S, n) and lattice (K, n)")
-    if numba_enabled(use_numba):
-        return _fourier_sums_numba(angles, lattice)
-    return _fourier_sums_numpy(angles, lattice)
+    lo, shape, flat = _layout(lattice)
+    box = np.zeros(_split(shape), dtype=np.complex128)
+    for left, right in _factors(angles, lo, shape, -1.0):
+        box += left @ right.T
+    return box.ravel()[flat]
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +131,23 @@ def fourier_sums(angles, lattice, use_numba=None):
 # ---------------------------------------------------------------------------
 
 
-def _trig_poly_numpy(lattice, coeffs, points):
-    phases = points @ lattice.T.astype(np.float64)
-    return np.real(np.exp(1j * phases) @ coeffs)
-
-
-@njit(cache=True)
-def _trig_poly_numba(lattice, coeffs, points):  # pragma: no cover - jitted
-    S, n = points.shape
-    K = lattice.shape[0]
-    out = np.empty(S, dtype=np.float64)
-    for s in range(S):
-        acc = 0.0
-        for k in range(K):
-            phase = 0.0
-            for j in range(n):
-                phase += lattice[k, j] * points[s, j]
-            acc += coeffs[k].real * math.cos(phase) - coeffs[k].imag * math.sin(phase)
-        out[s] = acc
-    return out
-
-
-def trig_poly_values(lattice, coeffs, points, use_numba=None):
+def trig_poly_values(lattice, coeffs, points):
     """Real part of sum_p a_p exp(+i p.theta) at each point row."""
     lattice = np.ascontiguousarray(lattice, dtype=np.int64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != lattice.shape[1]:
         raise ValueError("points must be (S, n) matching the lattice width")
-    if numba_enabled(use_numba):
-        return _trig_poly_numba(lattice, coeffs, points)
-    return _trig_poly_numpy(lattice, coeffs, points)
+    lo, shape, flat = _layout(lattice)
+    box = np.zeros(_split(shape), dtype=np.complex128)
+    np.add.at(box.reshape(-1), flat, coeffs)
+    out = np.empty(points.shape[0], dtype=np.float64)
+    start = 0
+    for left, right in _factors(points, lo, shape, 1.0):
+        stop = start + left.shape[1]
+        out[start:stop] = np.sum((box.T @ left) * right, axis=0).real
+        start = stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,42 +157,7 @@ def trig_poly_values(lattice, coeffs, points, use_numba=None):
 # ---------------------------------------------------------------------------
 
 
-def _fold_grid_numpy(values, m):
-    n = values.ndim
-    g = values.shape[0]
-    coarse = g // m
-    shaped = values.reshape(tuple(x for _ in range(n) for x in (m, coarse)))
-    return shaped.mean(axis=tuple(range(0, 2 * n, 2)))
-
-
-@njit(cache=True)
-def _fold_grid_1d(values, m):  # pragma: no cover - jitted
-    g = values.shape[0]
-    coarse = g // m
-    out = np.zeros(coarse, dtype=np.float64)
-    for l in range(m):
-        base = l * coarse
-        for q in range(coarse):
-            out[q] += values[base + q]
-    return out / m
-
-
-@njit(cache=True)
-def _fold_grid_2d(values, m):  # pragma: no cover - jitted
-    g = values.shape[0]
-    coarse = g // m
-    out = np.zeros((coarse, coarse), dtype=np.float64)
-    for l1 in range(m):
-        for l2 in range(m):
-            b1 = l1 * coarse
-            b2 = l2 * coarse
-            for q1 in range(coarse):
-                for q2 in range(coarse):
-                    out[q1, q2] += values[b1 + q1, b2 + q2]
-    return out / (m * m)
-
-
-def fold_grid(values, m, use_numba=None):
+def fold_grid(values, m):
     """Branch-average a (G,)*n value grid down to (G/m,)*n.
 
     Requires m | G on every axis.  Works on arbitrary signed grids (the
@@ -197,12 +173,9 @@ def fold_grid(values, m, use_numba=None):
         raise ValueError(f"m={m} must divide the grid size {g}")
     if m == 1:
         return values.copy()
-    if numba_enabled(use_numba):
-        if values.ndim == 1:
-            return _fold_grid_1d(values, m)
-        if values.ndim == 2:
-            return _fold_grid_2d(values, m)
-    return _fold_grid_numpy(values, m)
+    n = values.ndim
+    shaped = values.reshape(tuple(x for _ in range(n) for x in (m, g // m)))
+    return shaped.mean(axis=tuple(range(0, 2 * n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +183,11 @@ def fold_grid(values, m, use_numba=None):
 # ---------------------------------------------------------------------------
 
 
-def _power_mod_numpy(rows, m):
-    return wrap_angles(m * rows)
-
-
-@njit(cache=True)
-def _power_mod_numba(rows, m):  # pragma: no cover - jitted
-    S, n = rows.shape
-    out = np.empty((S, n), dtype=np.float64)
-    for s in range(S):
-        for j in range(n):
-            t = (m * rows[s, j]) % TAU
-            if t >= TAU:
-                t = 0.0
-            out[s, j] = t
-    return out
-
-
-def power_mod(rows, m, use_numba=None):
+def power_mod(rows, m):
     """Entrywise m*theta reduced to [0, 2*pi) on an (S, n) angle array."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-D angle array")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if numba_enabled(use_numba):
-        return _power_mod_numba(rows, float(m))
-    return _power_mod_numpy(rows, m)
+    return wrap_angles(m * rows)

@@ -85,7 +85,10 @@ def empirical_fourier_many(sample, lattice) -> list[MomentReport]:
     """Reports for E exp(-i p.theta) at every lattice row.
 
     The values have unit modulus, so the sample variance collapses to
-    1 - |mean|^2 and no second pass over the data is needed.
+    1 - |mean|^2 and no second pass over the data is needed.  For real
+    angles the estimate at -p is the conjugate of the one at p, with the
+    same standard error, so callers pass one point of each +-p pair (as
+    :func:`lattice_ball` does) and lose nothing.
     """
     rows = np.asarray(getattr(sample, "rows", sample), dtype=np.float64)
     lattice = np.atleast_2d(np.asarray(lattice, dtype=np.int64))
@@ -109,10 +112,17 @@ def empirical_fourier(sample, p) -> MomentReport:
 
 
 def lattice_ball(rank: int, max_degree: int) -> np.ndarray:
-    """All nonzero lattice points with every |p_j| <= max_degree."""
+    """Nonzero lattice points with every |p_j| <= max_degree, one of each
+    +-p pair: the one whose first nonzero coordinate is positive.
+
+    Angles are real, so the empirical coefficient at -p is the conjugate of
+    the one at p, and the bound and match tests give the same z at both;
+    the dropped half would only repeat every statistic and verdict.
+    """
     grids = np.meshgrid(*[np.arange(-max_degree, max_degree + 1)] * rank, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[np.any(pts != 0, axis=1)].astype(np.int64)
+    first = pts[np.arange(pts.shape[0]), np.argmax(pts != 0, axis=1)]
+    return pts[first > 0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

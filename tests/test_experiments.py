@@ -1,11 +1,12 @@
 """Experiment configs, runners, reports, and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from powerlimits import cli
+from powerlimits import cli, stats
 from powerlimits.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -166,6 +167,35 @@ class TestReports:
     def test_summary_matches_rows(self):
         rep = run_experiment(small_config(samples=2000))
         assert rep.raw_pass == all(r.passed for r in rep.rows)
+
+
+def _negated_point(statistic):
+    """The row id with its Fourier lattice point negated."""
+    return re.sub(r"fourier\[([^\]]*)\]",
+                  lambda m: "fourier[" + ",".join(str(-int(x)) for x in m.group(1).split(",")) + "]",
+                  statistic)
+
+
+class TestHalfLattice:
+    @pytest.mark.parametrize("overrides", [
+        dict(experiment="exact_threshold", law={"type": "perturbed_haar", "strength": 0.5}),
+        dict(experiment="torus_suite", powers=[2, 3], density_count=2),
+    ])
+    def test_dropped_rows_are_twins_of_kept_rows(self, monkeypatch, overrides):
+        kept = run_experiment(small_config(**overrides))
+        half_ball = stats.lattice_ball
+        monkeypatch.setattr(stats, "lattice_ball",
+                            lambda rank, d: np.concatenate([half_ball(rank, d), -half_ball(rank, d)]))
+        full = run_experiment(small_config(**overrides))
+        assert len(full.rows) > len(kept.rows)
+        by_id = {(r.m, r.statistic): r for r in kept.rows}
+        full_ids = {(r.m, r.statistic) for r in full.rows}
+        assert set(by_id) <= full_ids
+        for row in full.rows:
+            twin = by_id.get((row.m, row.statistic)) or by_id[(row.m, _negated_point(row.statistic))]
+            assert twin.z == pytest.approx(row.z, rel=1e-9, abs=1e-9)
+            assert twin.passed == row.passed
+        assert kept.summary_pass == full.summary_pass
 
 
 class TestCli:

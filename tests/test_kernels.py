@@ -1,4 +1,7 @@
-"""Numba and numpy kernel paths must agree; the env flag must be honored."""
+"""The lattice kernels against direct exp-sum oracles, plus grid and angle
+helpers."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,6 +10,20 @@ from powerlimits import _kernels as K
 
 
 rng = np.random.default_rng(2024)
+
+
+def oracle_sums(angles, lattice):
+    """sum_s exp(-i p.theta_s), one lattice point at a time."""
+    return np.array([np.exp(-1j * angles @ p).sum() for p in np.asarray(lattice, float)])
+
+
+def oracle_trig_poly(lattice, coeffs, points):
+    return np.real(np.exp(1j * points @ np.asarray(lattice, float).T) @ coeffs)
+
+
+def full_box(rank, degree):
+    """Every lattice point with |p_j| <= degree, both of each +-p pair and 0."""
+    return np.array(list(itertools.product(range(-degree, degree + 1), repeat=rank)))
 
 
 def test_wrap_angles_half_open_range():
@@ -18,48 +35,66 @@ def test_wrap_angles_half_open_range():
     assert np.isclose(w[2], np.pi)
 
 
-@pytest.mark.skipif(not K.NUMBA_AVAILABLE, reason="numba not importable")
-class TestPathAgreement:
-    def test_fourier_sums(self):
-        angles = rng.uniform(0, 2 * np.pi, size=(500, 2))
-        lattice = np.array([[1, 0], [0, -2], [3, 3], [-1, 2]], dtype=np.int64)
-        a = K.fourier_sums(angles, lattice, use_numba=False)
-        b = K.fourier_sums(angles, lattice, use_numba=True)
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_trig_poly_values(self):
-        lattice = np.array([[0, 0], [1, 0], [-1, 0], [2, -1], [-2, 1]], dtype=np.int64)
-        coeffs = np.array([1.0, 0.2 + 0.1j, 0.2 - 0.1j, 0.05j, -0.05j])
-        pts = rng.uniform(0, 2 * np.pi, size=(300, 2))
-        a = K.trig_poly_values(lattice, coeffs, pts, use_numba=False)
-        b = K.trig_poly_values(lattice, coeffs, pts, use_numba=True)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    @pytest.mark.parametrize("shape,m", [((360,), 4), ((60, 60), 3)])
-    def test_fold_grid(self, shape, m):
-        vals = rng.normal(size=shape)
-        a = K.fold_grid(vals, m, use_numba=False)
-        b = K.fold_grid(vals, m, use_numba=True)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_power_mod(self):
-        rows = rng.uniform(0, 2 * np.pi, size=(400, 3))
-        a = K.power_mod(rows, 7, use_numba=False)
-        b = K.power_mod(rows, 7, use_numba=True)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-        assert np.all(b >= 0) and np.all(b < 2 * np.pi)
+@pytest.mark.parametrize("rank,degree", [(1, 6), (2, 3), (3, 3), (4, 2)])
+def test_fourier_sums_full_ball(rank, degree):
+    angles = rng.uniform(0, 2 * np.pi, size=(700, rank))
+    lattice = full_box(rank, degree)
+    np.testing.assert_allclose(K.fourier_sums(angles, lattice),
+                               oracle_sums(angles, lattice), rtol=0, atol=1e-9)
 
 
-def test_env_flag_forces_numpy(monkeypatch):
-    monkeypatch.setenv("POWERLIMITS_PURE_NUMPY", "1")
-    assert not K.numba_enabled()
-    monkeypatch.setenv("POWERLIMITS_PURE_NUMPY", "0")
-    assert K.numba_enabled() == K.NUMBA_AVAILABLE
-    monkeypatch.delenv("POWERLIMITS_PURE_NUMPY")
-    assert K.numba_enabled() == K.NUMBA_AVAILABLE
-    # explicit argument beats the environment
-    monkeypatch.setenv("POWERLIMITS_PURE_NUMPY", "1")
-    assert K.numba_enabled(use_numba=True) == K.NUMBA_AVAILABLE
+@pytest.mark.parametrize("lattice", [
+    [[7, -5]],
+    [[3, -1], [-2, 4], [0, -3], [3, -1]],
+    [[-4, 0, 2], [1, -1, 1], [0, 0, -5]],
+    [[-2], [9]],
+])
+def test_fourier_sums_sparse_lattice(lattice):
+    angles = rng.uniform(0, 2 * np.pi, size=(500, len(lattice[0])))
+    np.testing.assert_allclose(K.fourier_sums(angles, lattice),
+                               oracle_sums(angles, lattice), rtol=0, atol=1e-9)
+
+
+def test_kernels_across_row_chunks():
+    """An 81 x 81 box makes the row chunk small enough that S spans two
+    full chunks and a partial third."""
+    lattice = np.array([[-40, 40], [40, -40], [3, 1]])
+    rows = K.CHUNK_ENTRIES // 81
+    s = 2 * rows + 17
+    assert s % rows
+    angles = rng.uniform(0, 2 * np.pi, size=(s, 2))
+    np.testing.assert_allclose(K.fourier_sums(angles, lattice),
+                               oracle_sums(angles, lattice), rtol=0, atol=1e-8)
+    coeffs = np.array([0.3 - 0.1j, 0.3 + 0.1j, 0.2j])
+    np.testing.assert_allclose(K.trig_poly_values(lattice, coeffs, angles),
+                               oracle_trig_poly(lattice, coeffs, angles), rtol=0, atol=1e-12)
+
+
+def test_fourier_sums_empty_lattice():
+    angles = rng.uniform(0, 2 * np.pi, size=(50, 2))
+    assert K.fourier_sums(angles, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def test_fourier_sums_rejects_width_mismatch():
+    with pytest.raises(ValueError):
+        K.fourier_sums(np.zeros((5, 2)), [[1, 0, 0]])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_trig_poly_values(rank):
+    lattice = full_box(rank, 2)
+    coeffs = rng.normal(size=len(lattice)) + 1j * rng.normal(size=len(lattice))
+    pts = rng.uniform(0, 2 * np.pi, size=(400, rank))
+    np.testing.assert_allclose(K.trig_poly_values(lattice, coeffs, pts),
+                               oracle_trig_poly(lattice, coeffs, pts), rtol=0, atol=1e-11)
+
+
+def test_trig_poly_values_sums_repeated_points():
+    lattice = np.array([[1, -2], [0, 3], [1, -2]])
+    coeffs = np.array([0.5, 0.25j, -0.125])
+    pts = rng.uniform(0, 2 * np.pi, size=(300, 2))
+    np.testing.assert_allclose(K.trig_poly_values(lattice, coeffs, pts),
+                               oracle_trig_poly(lattice, coeffs, pts), rtol=0, atol=1e-12)
 
 
 def test_fold_grid_requires_divisor():

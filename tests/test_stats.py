@@ -1,5 +1,7 @@
 """Estimator and verdict machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,28 @@ class TestEmpiricalFourier:
         b = S.empirical_fourier(AngleSample(2, rows[::-1]), (1, 2))
         assert a.estimate == pytest.approx(b.estimate, abs=1e-15)
         assert a.std_error == pytest.approx(b.std_error, abs=1e-15)
+
+
+class TestLatticeBall:
+    @pytest.mark.parametrize("rank,degree", [(1, 3), (2, 3), (3, 2), (4, 3)])
+    def test_one_point_of_each_pair(self, rank, degree):
+        half = {tuple(p) for p in S.lattice_ball(rank, degree).tolist()}
+        negated = {tuple(-x for x in p) for p in half}
+        assert not half & negated
+        box = set(itertools.product(range(-degree, degree + 1), repeat=rank))
+        assert half | negated == box - {(0,) * rank}
+
+    def test_first_nonzero_coordinate_positive(self):
+        pts = S.lattice_ball(3, 1).tolist()
+        assert [0, 1, -1] in pts and [1, -1, 0] in pts
+        assert [0, -1, 1] not in pts and [-1, 1, 0] not in pts
+
+    def test_negated_point_estimate_is_conjugate(self):
+        rows = np.random.default_rng(4).uniform(0, TAU, (300, 2))
+        a = S.empirical_fourier(rows, (1, -2))
+        b = S.empirical_fourier(rows, (-1, 2))
+        assert b.estimate == pytest.approx(a.estimate.conjugate(), abs=1e-12)
+        assert b.std_error == pytest.approx(a.std_error, abs=1e-12)
 
 
 class TestTraceMoments:
