@@ -300,6 +300,11 @@ def run_exact_threshold(config: ExperimentConfig) -> ExperimentReport:
             notes["detection_power"] = detect_m
             notes["designated_coefficient"] = list(designated)
             notes["designated_value"] = [support[designated].real, support[designated].imag]
+            # the detection z has mean sqrt(S) |value|: below this S it
+            # misses the threshold more often than not
+            need = int(np.ceil((config.threshold / abs(support[designated])) ** 2))
+            notes["detection_min_samples"] = need
+            notes["detection_powered"] = config.samples >= need
             break
 
     rows = []

@@ -280,7 +280,11 @@ def monomial_eval(desc: GroupDescriptor, t: TorusPoint) -> np.ndarray:
 
 
 def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
-    """Repeated-squaring m-th power of a (S, N, N) stack."""
+    """Repeated-squaring m-th power of a (S, N, N) stack.
+
+    Raises :class:`PowerDriftError` with the worst row's defect when any
+    result leaves the group by more than ``TAU_DRIFT``.
+    """
     if m < 1:
         raise ValueError("power requires m >= 1")
     n = mats.shape[-1]
@@ -293,20 +297,20 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
         e >>= 1
         if e:
             base = base @ base
+    defect = unitarity_defect(result)
+    if defect > TAU_DRIFT:
+        raise PowerDriftError(defect)
     return result
 
 
 def power(g: GroupElement, m: int) -> GroupElement:
-    """g**m by repeated squaring, re-checked against the unitarity budget.
+    """g**m by repeated squaring, checked against the drift budget.
 
     Squaring is used (rather than an eigendecomposition) so the operation
     stays independent of the spectral code it is later used to test.
     """
-    out = power_batch(g.matrix[None, :, :], m)[0]
-    defect = unitarity_defect(out)
-    if defect > TAU_DRIFT:
-        raise PowerDriftError(defect)
-    return GroupElement(out, g.descriptor, tolerance=TAU_DRIFT)
+    return GroupElement(power_batch(g.matrix[None, :, :], m)[0], g.descriptor,
+                        tolerance=TAU_DRIFT)
 
 
 def eigenangles_batch(mats: np.ndarray) -> np.ndarray:

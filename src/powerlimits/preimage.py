@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._kernels import TAU, wrap_angles
 from .groups import (
@@ -207,16 +206,19 @@ def _min_circular_gap(sorted_angles: np.ndarray) -> np.ndarray:
     return np.minimum(gaps.min(axis=-1), wrap)
 
 
+def _reject_degenerate(bad: np.ndarray, why: str):
+    if np.any(bad):
+        raise DegenerateSpectrumError(f"{int(bad.sum())} element(s) {why}")
+
+
 def _unitary_preimages(mats: np.ndarray, desc: GroupDescriptor):
     """Sorted-chamber flags and torus rows for a (S, N, N) unitary stack."""
     vals, vecs = np.linalg.eig(mats)
     angles = wrap_angles(np.angle(vals))
     order = np.argsort(angles, axis=-1)
     angles = np.take_along_axis(angles, order, axis=-1)
-    bad = _min_circular_gap(angles) < TAU_GAP
-    if np.any(bad):
-        raise DegenerateSpectrumError(
-            f"{int(bad.sum())} element(s) have eigenangle gaps below {TAU_GAP:.0e}")
+    _reject_degenerate(_min_circular_gap(angles) < TAU_GAP,
+                       f"have eigenangle gaps below {TAU_GAP:.0e}")
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
     vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
     vecs = _canonical_phases(_polish_unitary(vecs))
@@ -235,55 +237,43 @@ def _so_block_angle(block: np.ndarray) -> float:
     return float(np.arctan2(0.5 * (block[1, 0] - block[0, 1]), 0.5 * (block[0, 0] + block[1, 1])))
 
 
-def _so_preimage_single(mat: np.ndarray, desc: GroupDescriptor):
-    """Sorted-chamber flag and angles via the real Schur form.
+def _so_preimages(mats: np.ndarray, desc: GroupDescriptor):
+    """Sorted-chamber flags and angles for a (S, 2k+1, 2k+1) rotation stack.
 
-    Schur of a special orthogonal matrix is block diagonal: 2x2 rotation
-    blocks and a single +1 for regular elements.  Each block is normalized
-    to angle in (0, pi) by a column swap when needed, blocks are sorted by
-    angle, and the trailing eigenvector sign fixes det(V) = 1.
+    The signed eigenangles of a regular element sort to
+    [-theta_k..-theta_1, 0, theta_1..theta_k].  An eigenvector v of
+    exp(+i theta) spans the rotation plane by sqrt(2) Re v and
+    -sqrt(2) Im v, in the orientation of ``torus_embed`` (whose blocks have
+    eigenvector (1, -i)/sqrt(2) for exp(+i theta)); the eigenvalue-1
+    vector is the fixed axis, and its sign sets det(V) = 1.
     """
     k = desc.torus_rank
-    t, z = scipy.linalg.schur(mat)
-    blocks = []   # (angle, first column index)
-    fixed = []    # 1x1 block indices
-    i = 0
-    n = desc.matrix_size
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > TAU_GAP:
-            theta = _so_block_angle(t[i:i + 2, i:i + 2])
-            if theta < 0.0:
-                z[:, [i, i + 1]] = z[:, [i + 1, i]]
-                theta = -theta
-            if theta < TAU_GAP or theta > np.pi - TAU_GAP:
-                raise DegenerateSpectrumError("rotation angle too close to 0 or pi")
-            blocks.append((theta, i))
-            i += 2
-        else:
-            if t[i, i] < 0.0:
-                raise DegenerateSpectrumError("eigenvalue -1 (angle pi) is degenerate")
-            fixed.append(i)
-            i += 1
-    if len(blocks) != k or len(fixed) != 1:
-        raise DegenerateSpectrumError("spectrum does not split into k rotations plus +1")
-    blocks.sort(key=lambda b: b[0])
-    angles = np.array([b[0] for b in blocks])
-    if _min_circular_gap(np.sort(np.concatenate([angles, TAU - angles, [0.0]]))) < TAU_GAP:
-        raise DegenerateSpectrumError("eigenangle gaps below tolerance")
-    cols = [c for _, b in blocks for c in (b, b + 1)] + fixed
-    v = z[:, cols]
-    if np.linalg.det(v) < 0.0:
-        v[:, -1] *= -1.0
-    return v, angles
+    vals, vecs = np.linalg.eig(mats)
+    angles = np.angle(vals)
+    order = np.argsort(angles, axis=-1)
+    angles = np.take_along_axis(angles, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    _reject_degenerate(_min_circular_gap(angles) < TAU_GAP,
+                       f"have eigenangle gaps below {TAU_GAP:.0e}")
+    # eig pairs each non-real eigenvalue of a real matrix with its exact
+    # conjugate, so k angles in (0, pi) leave one real positive eigenvalue
+    theta = angles[:, k + 1:]
+    split = np.all((theta > TAU_GAP) & (theta < np.pi - TAU_GAP), axis=1)
+    _reject_degenerate(~split, "do not split into k rotations in (0, pi) plus +1")
+    planes = _canonical_phases(vecs[:, :, k + 1:])
+    axis = _canonical_phases(vecs[:, :, k:k + 1]).real
+    flags = np.empty(mats.shape)
+    flags[:, :, 0:2 * k:2] = np.sqrt(2.0) * planes.real
+    flags[:, :, 1:2 * k:2] = -np.sqrt(2.0) * planes.imag
+    flags[:, :, -1:] = axis / np.linalg.norm(axis, axis=-2, keepdims=True)
+    flags = _polish_unitary(flags)
+    flags[np.linalg.det(flags) < 0.0, :, -1] *= -1.0
+    return flags, theta
 
 
 def _sorted_preimage_arrays(mats: np.ndarray, desc: GroupDescriptor):
     if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-        flags = np.empty_like(mats)
-        torus = np.empty((mats.shape[0], desc.torus_rank))
-        for s in range(mats.shape[0]):
-            flags[s], torus[s] = _so_preimage_single(mats[s], desc)
-        return flags, torus
+        return _so_preimages(mats, desc)
     return _unitary_preimages(mats, desc)
 
 

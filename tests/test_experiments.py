@@ -2,6 +2,9 @@
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +108,16 @@ class TestRunners:
         assert rep.notes["detection_power"] == 1
         assert rep.summary_pass
 
+    @pytest.mark.parametrize("samples, powered", [(1000, False), (2000, True)])
+    def test_exact_threshold_detection_power_note(self, samples, powered):
+        # U(2) Haar designates a coefficient of -1/2 at m = 1, so a
+        # threshold of 20 needs (20 / 0.5)^2 = 1600 samples to reach
+        rep = run_experiment(small_config(experiment="exact_threshold",
+                                          samples=samples, threshold=20.0))
+        assert rep.notes["designated_value"] == [-0.5, 0.0]
+        assert rep.notes["detection_min_samples"] == 1600
+        assert rep.notes["detection_powered"] is powered
+
     def test_exact_threshold_requires_symbolic_density(self):
         with pytest.raises(ValueError):
             run_experiment(small_config(experiment="exact_threshold",
@@ -199,6 +212,16 @@ class TestHalfLattice:
 
 
 class TestCli:
+    def test_import_leaves_scipy_unloaded(self):
+        import powerlimits
+
+        src = str(Path(powerlimits.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import powerlimits, powerlimits.cli; print('scipy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def _write_config(self, tmp_path, **overrides):
         data = dict(experiment="eigen_convergence", family="U", matrix_size=2,
                     law={"type": "haar"}, powers=[2], samples=2000, seed=21)

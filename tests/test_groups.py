@@ -138,6 +138,14 @@ class TestPower:
             G.power(g, 4096)
         assert info.value.defect > G.TAU_DRIFT
 
+    def test_batched_power_checks_drift(self):
+        # U(4) Haar at m = 2^30 drifts to a defect of order 1e-7
+        mats = G.haar_batch(G.unitary(4), np.random.default_rng(8), 16)
+        G.power_batch(mats, 2 ** 20)
+        with pytest.raises(G.PowerDriftError) as info:
+            G.power_batch(mats, 2 ** 30)
+        assert info.value.defect > G.TAU_DRIFT
+
 
 class TestEigenangles:
     def test_identity(self):

@@ -167,6 +167,59 @@ class TestSortedPreimage:
         assert err <= 1e-8
 
 
+def _rotations(desc, angles, rng):
+    """Stack of elements conjugate to the torus rows ``angles`` by Haar draws."""
+    q = G.haar_batch(desc, rng, len(angles))
+    return q @ G.embed_batch(desc, np.asarray(angles)) @ q.swapaxes(-1, -2)
+
+
+SO_FAMILIES = [G.special_orthogonal_odd(n) for n in (3, 5, 7)]
+
+
+class TestBatchedOrthogonalPreimage:
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    @pytest.mark.parametrize("desc", SO_FAMILIES, ids=repr)
+    def test_sorted_preimage_invariants(self, desc, m):
+        rng = np.random.default_rng(40 + m)
+        mats = G.power_batch(HaarLaw(desc).sample_batch(rng, 500), m)
+        flags, torus = P.preimages_batch(mats, desc)
+        assert np.all(np.diff(torus, axis=1) > 0)
+        assert np.all((torus > 0) & (torus < np.pi))
+        np.testing.assert_allclose(np.linalg.det(flags), 1.0, atol=1e-12)
+        assert G.unitarity_defect(flags) <= 1e-12
+        assert np.max(np.abs(P.psi_batch(flags, torus, desc) - mats)) <= 1e-8
+        again_flags, again_torus = P.preimages_batch(mats, desc)
+        np.testing.assert_array_equal(again_flags, flags)
+        np.testing.assert_array_equal(again_torus, torus)
+        one = P.preimage_sorted(G.GroupElement(mats[7], desc))
+        np.testing.assert_array_equal(one.flag.matrix, flags[7])
+        np.testing.assert_array_equal(one.torus.angles, torus[7])
+
+    @pytest.mark.parametrize("desc, angles", [
+        (G.special_orthogonal_odd(3), [1e-9]),
+        (G.special_orthogonal_odd(3), [np.pi - 1e-9]),
+        (G.special_orthogonal_odd(5), [1.0, 1.0]),
+    ], ids=["near-0", "near-pi", "coincident-pair"])
+    def test_degenerate_rejected(self, desc, angles):
+        mats = _rotations(desc, [angles], np.random.default_rng(41))
+        with pytest.raises(P.DegenerateSpectrumError):
+            P.preimages_batch(mats, desc)
+
+    def test_missing_fixed_axis_rejected(self):
+        # det -1: the real eigenvalue is -1, so there is no +1 axis
+        mat = np.diag([1.0, 1.0, -1.0]) @ G.embed_batch(G.special_orthogonal_odd(3), [[1.0]])
+        with pytest.raises(P.DegenerateSpectrumError, match="do not split"):
+            P.preimages_batch(mat, G.special_orthogonal_odd(3))
+
+    def test_one_bad_row_fails_the_batch(self):
+        desc = G.special_orthogonal_odd(3)
+        rng = np.random.default_rng(42)
+        angles = rng.uniform(0.1, np.pi - 0.1, size=(1000, 1))
+        angles[613] = 1e-9
+        with pytest.raises(P.DegenerateSpectrumError, match=r"^1 element\(s\)"):
+            P.preimages_batch(_rotations(desc, angles, rng), desc)
+
+
 class TestUniformPreimage:
     def test_u2_diagonal_fifty_fifty(self):
         desc = G.unitary(2)
