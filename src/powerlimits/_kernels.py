@@ -177,17 +177,3 @@ def fold_grid(values, m):
     shaped = values.reshape(tuple(x for _ in range(n) for x in (m, g // m)))
     return shaped.mean(axis=tuple(range(0, 2 * n, 2)))
 
-
-# ---------------------------------------------------------------------------
-# entrywise power map on angle rows
-# ---------------------------------------------------------------------------
-
-
-def power_mod(rows, m):
-    """Entrywise m*theta reduced to [0, 2*pi) on an (S, n) angle array."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-D angle array")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return wrap_angles(m * rows)

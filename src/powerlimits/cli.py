@@ -4,9 +4,13 @@
                                   [--format csv|json]
     powerlimits list
 
-``run`` executes one experiment described by a JSON config (flags
-override the file's fields), prints the report, and exits 0 iff the
-summary passes.  ``list`` enumerates the experiment kinds.
+``run`` executes one experiment described by a JSON config, prints the
+report, and exits 0 when the summary passes, 1 when it fails, and 2 on a
+usage or config error (an unreadable file, bad JSON, or a config that does
+not validate), which is always found before any sampling.  ``--seed`` and
+``--samples`` replace the file's fields before the config is validated.
+``powers`` must be a non-empty list of integers >= 1; for ``torus_suite``
+each must divide ``grid_size``.  ``list`` enumerates the experiment kinds.
 """
 
 from __future__ import annotations
@@ -41,16 +45,14 @@ def main(argv=None) -> int:
             print(f"{name:22s} {EXPERIMENT_KINDS[name]}")
         return 0
     try:
-        config = ExperimentConfig.from_json(args.config.read_text())
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.samples is not None:
-            config.samples = args.samples
-        config.validate()
+        data = json.loads(args.config.read_text())
+        for key in ("seed", "samples"):
+            if getattr(args, key) is not None and isinstance(data, dict):
+                data[key] = getattr(args, key)
+        report = run_experiment(ExperimentConfig.from_json(data))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(config)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out is not None:
         args.out.write_text(text)

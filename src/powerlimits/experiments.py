@@ -2,11 +2,12 @@
 
 An :class:`ExperimentConfig` (usually loaded from JSON) names one of five
 experiment kinds, a group family, a law, a list of powers and sample
-sizes, and a seed.  Runners sample, transform, test, and return an
-:class:`ExperimentReport` whose summary passes iff every constituent
-verdict does.  A config may declare itself a negative control, in which
-case the summary passes iff the raw verdicts *fail* (the suites are meant
-to demonstrate test power, not just absence of alarms).
+sizes, and a seed.  :func:`run_experiment` validates it, builds the group,
+the law and the seed sequence once, hands them to the kind's runner, and
+returns an :class:`ExperimentReport` whose summary passes iff every
+constituent verdict does.  A config may declare itself a negative control,
+in which case the summary passes iff the raw verdicts *fail* (the suites
+are meant to demonstrate test power, not just absence of alarms).
 
 Reproducibility: all randomness flows from ``numpy.random.SeedSequence``
 children of the config seed, spawned per pipeline stage in a fixed order,
@@ -65,6 +66,8 @@ class ExperimentConfig:
     torus_rank: int = 2
 
     def validate(self) -> "ExperimentConfig":
+        """Raise :class:`ConfigError` for anything the runners would trip
+        over; the law is built here, so its own checks count too."""
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {sorted(EXPERIMENT_KINDS)}")
@@ -72,19 +75,26 @@ class ExperimentConfig:
             raise ConfigError("an explicit seed is required")
         if self.samples < 100:
             raise ConfigError("samples must be at least 100")
-        if any(int(m) < 1 for m in self.powers):
-            raise ConfigError("powers must be >= 1")
-        if self.family not in ("U", "SU", "SO"):
-            raise ConfigError("family must be one of U, SU, SO")
+        if not (isinstance(self.powers, list) and self.powers
+                and all(type(m) is int and m >= 1 for m in self.powers)):
+            raise ConfigError("powers must be a non-empty list of integers >= 1")
+        if self.experiment == "torus_suite" and any(self.grid_size % m for m in self.powers):
+            raise ConfigError(f"torus_suite powers must divide grid_size {self.grid_size}")
         if self.target not in ("preimage_limit", "haar_power"):
             raise ConfigError("target must be preimage_limit or haar_power")
+        try:
+            self.build_law()
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ConfigError(f"cannot build the law: {exc}") from exc
         return self
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+    def from_json(cls, data) -> "ExperimentConfig":
+        """A validated config from JSON text or from its parsed dict."""
+        data = json.loads(data) if isinstance(data, str) else data
+        if not isinstance(data, dict) or "experiment" not in data:
+            raise ConfigError("a config is a JSON object naming its experiment")
+        extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         return cls(**data).validate()
@@ -131,16 +141,6 @@ class VerdictRow:
     threshold: float
     passed: bool
 
-    @classmethod
-    def from_pair(cls, m: int, verdict: stats.TestVerdict,
-                  report: stats.MomentReport | None) -> "VerdictRow":
-        est_re = float(report.estimate.real) if report else None
-        est_im = float(report.estimate.imag) if report else None
-        se = float(report.std_error) if report else None
-        return cls(int(m), verdict.statistic, est_re, est_im, se,
-                   float(verdict.z_score), float(verdict.threshold),
-                   bool(verdict.passed))
-
 
 @dataclass
 class ExperimentReport:
@@ -176,38 +176,56 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _finish(config: ExperimentConfig, rows: list, t0: float,
-            notes: dict | None = None) -> ExperimentReport:
-    raw = all(r.passed for r in rows)
-    summary = (not raw) if config.negative_control else raw
-    return ExperimentReport(asdict(config), rows, raw, summary,
-                            time.perf_counter() - t0, notes or {})
-
-
-def _rngs(config: ExperimentConfig, count: int):
-    seq = np.random.SeedSequence(config.seed)
+def _rngs(seq: np.random.SeedSequence, count: int) -> list:
     return [np.random.default_rng(s) for s in seq.spawn(count)]
 
 
-def _fourier_rows(m: int, reports, bound: float) -> list:
-    verdicts = stats.coefficient_bound_test(reports, bound)
-    return [VerdictRow.from_pair(m, v, r) for v, r in zip(verdicts, reports)]
+def _row(m: int, statistic: str, z, threshold, report=None, passed=None) -> VerdictRow:
+    """The one way a verdict becomes a row: it passes iff |z| <= threshold
+    unless ``passed`` says otherwise, and carries ``report``'s estimate."""
+    return VerdictRow(m, statistic,
+                      float(report.estimate.real) if report else None,
+                      float(report.estimate.imag) if report else None,
+                      float(report.std_error) if report else None,
+                      float(z), float(threshold),
+                      bool(abs(z) <= threshold if passed is None else passed))
+
+
+def _bound_rows(m: int, reports, threshold: float, prefix: str = "") -> list:
+    verdicts = stats.coefficient_bound_test(reports, threshold)
+    return [_row(m, prefix + v.statistic, v.z_score, v.threshold, r)
+            for v, r in zip(verdicts, reports)]
 
 
 def _two_sample_rows(m: int, reports_a, reports_b, threshold: float) -> list:
     verdicts = stats.two_sample_test(reports_a, reports_b, threshold)
-    rows = []
-    for i, v in enumerate(verdicts):
-        rows.append(VerdictRow.from_pair(m, v, reports_a[i // 2]))
-    return rows
+    return [_row(m, v.statistic, v.z_score, v.threshold, reports_a[i // 2])
+            for i, v in enumerate(verdicts)]
+
+
+def _match_row(m: int, statistic: str, report, expect, threshold: float) -> VerdictRow:
+    """The estimate must sit within ``threshold`` standard errors of ``expect``."""
+    dz = abs(report.estimate - expect) / max(report.std_error, 1e-300)
+    return _row(m, statistic, dz, threshold, report)
+
+
+def _moments(mats, k_max: int) -> list:
+    return stats.entry_moments(mats) + stats.trace_moments(mats, k_max)
+
+
+def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
+    """Eigenangle rows of U^m over ``size`` draws of ``law``, and their
+    uniform-preimage torus coordinates."""
+    angles = eigenangles_batch(power_batch(law.sample_batch(r_samp, size), m))
+    return angles, pre.uniform_torus_rows(desc, angles, r_weyl)
 
 
 # ---------------------------------------------------------------------------
-# runners
+# experiment kinds: (config, descriptor, law, seed sequence) -> (rows, notes)
 # ---------------------------------------------------------------------------
 
 
-def run_eigen_convergence(config: ExperimentConfig) -> ExperimentReport:
+def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     """Eigenangles of U^m against the fixed high-power law.
 
     Per power m: uniform-preimage torus coordinates of U^m must look iid
@@ -215,49 +233,37 @@ def run_eigen_convergence(config: ExperimentConfig) -> ExperimentReport:
     trace moments of the eigenangle multiset must match an independent
     draw from the monomial limit sampler.
     """
-    config.validate()
-    t0 = time.perf_counter()
-    desc = config.descriptor()
-    law = config.build_law()
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
     rows = []
-    rngs = _rngs(config, 4 * len(config.powers))
+    rngs = _rngs(seq, 4 * len(config.powers))
     for i, m in enumerate(config.powers):
         r_samp, r_weyl, r_limit, _ = rngs[4 * i:4 * i + 4]
-        mats = law.sample_batch(r_samp, config.samples)
-        angles = eigenangles_batch(power_batch(mats, int(m)))
-        coords = pre.uniform_torus_rows(desc, angles, r_weyl)
-        reports = stats.empirical_fourier_many(coords, lattice)
-        rows += _fourier_rows(m, reports, config.threshold)
+        angles, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
+        rows += _bound_rows(m, stats.empirical_fourier_many(coords, lattice), config.threshold)
         for j in range(desc.torus_rank):
             ks = stats.ks_uniform(coords[:, j])
-            ks = stats.TestVerdict(f"ks_uniform[{j}]", ks.z_score, ks.threshold, ks.passed)
-            rows.append(VerdictRow.from_pair(m, ks, None))
+            rows.append(_row(m, f"ks_uniform[{j}]", ks.z_score, ks.threshold))
         limit_angles = rains_limit_batch(desc, r_limit, config.samples)
         rows += _two_sample_rows(
             m,
             stats.spectral_trace_moments(angles, config.trace_k_max),
             stats.spectral_trace_moments(limit_angles, config.trace_k_max),
             config.threshold)
-    return _finish(config, rows, t0)
+    return rows, {}
 
 
-def run_group_limit(config: ExperimentConfig) -> ExperimentReport:
+def _group_limit(config: ExperimentConfig, desc, law, seq):
     """U^m against its limiting group law, in entry and trace moments.
 
     The limit side is psi(flag, Y) over uniform preimages of an
     independent run of the same law, or Haar^D when the config targets
     ``haar_power`` (the conjugate-invariant case).
     """
-    config.validate()
-    t0 = time.perf_counter()
-    desc = config.descriptor()
-    law = config.build_law()
     rows = []
-    rngs = _rngs(config, 4 * len(config.powers))
+    rngs = _rngs(seq, 4 * len(config.powers))
     for i, m in enumerate(config.powers):
         r_a, r_b, r_pre, r_y = rngs[4 * i:4 * i + 4]
-        powered = power_batch(law.sample_batch(r_a, config.samples), int(m))
+        powered = power_batch(law.sample_batch(r_a, config.samples), m)
         if config.target == "haar_power":
             limit = power_batch(haar_batch(desc, r_b, config.samples),
                                 desc.stationarity_exponent)
@@ -265,13 +271,12 @@ def run_group_limit(config: ExperimentConfig) -> ExperimentReport:
             flags, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples),
                                            desc, r_pre)
             limit = pre.limit_law_batch(flags, desc, r_y)
-        reports_a = stats.entry_moments(powered) + stats.trace_moments(powered, config.trace_k_max)
-        reports_b = stats.entry_moments(limit) + stats.trace_moments(limit, config.trace_k_max)
-        rows += _two_sample_rows(m, reports_a, reports_b, config.threshold)
-    return _finish(config, rows, t0)
+        rows += _two_sample_rows(m, _moments(powered, config.trace_k_max),
+                                 _moments(limit, config.trace_k_max), config.threshold)
+    return rows, {}
 
 
-def run_exact_threshold(config: ExperimentConfig) -> ExperimentReport:
+def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     """Stationarity threshold of the symbolic eigenvalue density.
 
     Verifies statistically that the torus coordinates of U^m are iid
@@ -280,24 +285,22 @@ def run_exact_threshold(config: ExperimentConfig) -> ExperimentReport:
     the constant 1 (detection of a designated surviving coefficient), and
     that intermediate powers agree with what the symbolic oracle says.
     """
-    config.validate()
-    t0 = time.perf_counter()
-    desc = config.descriptor()
-    law = config.build_law()
-    dens = samplers.symbolic_eigen_density(law)
+    try:
+        dens = samplers.symbolic_eigen_density(law)
+    except ValueError as exc:
+        raise ConfigError(f"exact_threshold needs a symbolic density: {exc}") from exc
     thr = torus.stationarity_threshold(dens)
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
     notes = {"threshold": thr}
 
     # largest power below thr whose symbolic pushforward is still non-uniform
-    detect_m, designated = None, None
+    designated = None
     for m in range(thr - 1, 0, -1):
         pushed = torus.fourier_pushforward(dens, m)
         support = {p: a for p, a in pushed.coefficients.items() if any(p)}
         if support:
-            detect_m = m
             designated = max(support, key=lambda p: abs(support[p]))
-            notes["detection_power"] = detect_m
+            notes["detection_power"] = m
             notes["designated_coefficient"] = list(designated)
             notes["designated_value"] = [support[designated].real, support[designated].imag]
             # the detection z has mean sqrt(S) |value|: below this S it
@@ -308,57 +311,42 @@ def run_exact_threshold(config: ExperimentConfig) -> ExperimentReport:
             break
 
     rows = []
-    rngs = _rngs(config, 2 * thr)
+    rngs = _rngs(seq, 2 * thr)
     for m in range(1, thr + 1):
         r_samp, r_weyl = rngs[2 * (m - 1):2 * m]
-        mats = law.sample_batch(r_samp, config.samples)
-        angles = eigenangles_batch(power_batch(mats, m))
-        coords = pre.uniform_torus_rows(desc, angles, r_weyl)
+        _, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
         pushed = torus.fourier_pushforward(dens, m)
         if m == thr or not any(any(p) for p in pushed.coefficients):
             # the oracle says uniform: the whole coefficient ball must vanish
-            reports = stats.empirical_fourier_many(coords, lattice)
-            for row in _fourier_rows(m, reports, config.threshold):
-                row.statistic = f"uniform@{row.statistic}"
-                rows.append(row)
+            rows += _bound_rows(m, stats.empirical_fourier_many(coords, lattice),
+                                config.threshold, "uniform@")
         else:
             # the oracle says not yet: the designated coefficient must be
-            # seen (a detection row passes when z *exceeds* the threshold,
-            # so it is built directly rather than as a TestVerdict)
+            # seen (the one row that passes when z *exceeds* the threshold)
+            # and must match the symbolic value
             report = stats.empirical_fourier(coords, designated)
             z = float(np.sqrt(report.sample_size) * abs(report.estimate))
-            rows.append(VerdictRow(m, f"detect@{report.statistic}",
-                                   float(report.estimate.real), float(report.estimate.imag),
-                                   float(report.std_error), z, config.threshold,
-                                   bool(z > config.threshold)))
-            # and it must match the symbolic value
-            expect = torus.fourier_coefficient(pushed, designated)
-            dz = abs(report.estimate - expect) / max(report.std_error, 1e-300)
-            v2 = stats.TestVerdict(f"match@{report.statistic}", float(dz),
-                                   config.threshold, bool(dz <= config.threshold))
-            rows.append(VerdictRow.from_pair(m, v2, report))
-    return _finish(config, rows, t0, notes)
+            rows.append(_row(m, f"detect@{report.statistic}", z, config.threshold, report,
+                             passed=z > config.threshold))
+            rows.append(_match_row(m, f"match@{report.statistic}", report,
+                                   torus.fourier_coefficient(pushed, designated),
+                                   config.threshold))
+    return rows, notes
 
 
-def run_preimage_invariance(config: ExperimentConfig) -> ExperimentReport:
+def _preimage_invariance(config: ExperimentConfig, desc, law, seq):
     """limit draws psi(flag, Y) from sorted vs uniform preimages of the
     same law must agree in distribution (entry and trace moments)."""
-    config.validate()
-    t0 = time.perf_counter()
-    desc = config.descriptor()
-    law = config.build_law()
-    r_a, r_b, r_w, r_y1, r_y2 = _rngs(config, 5)
+    r_a, r_b, r_w, r_y1, r_y2 = _rngs(seq, 5)
     flags_sorted, _ = pre.preimages_batch(law.sample_batch(r_a, config.samples), desc)
     flags_uniform, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples), desc, r_w)
     side_a = pre.limit_law_batch(flags_sorted, desc, r_y1)
     side_b = pre.limit_law_batch(flags_uniform, desc, r_y2)
-    reports_a = stats.entry_moments(side_a) + stats.trace_moments(side_a, config.trace_k_max)
-    reports_b = stats.entry_moments(side_b) + stats.trace_moments(side_b, config.trace_k_max)
-    rows = _two_sample_rows(0, reports_a, reports_b, config.threshold)
-    return _finish(config, rows, t0)
+    return _two_sample_rows(0, _moments(side_a, config.trace_k_max),
+                            _moments(side_b, config.trace_k_max), config.threshold), {}
 
 
-def run_torus_suite(config: ExperimentConfig) -> ExperimentReport:
+def _torus_suite(config: ExperimentConfig, desc, law, seq):
     """Exact pushforward checks plus statistical convergence on the torus.
 
     Per random density: the coefficient route and the grid route must
@@ -367,42 +355,30 @@ def run_torus_suite(config: ExperimentConfig) -> ExperimentReport:
     look uniform; at m = 1 the empirical coefficients must match the
     density's own.
     """
-    config.validate()
-    t0 = time.perf_counter()
-    rank = config.torus_rank
-    r_dens, r_samp, r_sign = _rngs(config, 3)
+    rank, g = config.torus_rank, config.grid_size
+    r_dens, r_samp, r_sign = _rngs(seq, 3)
+    lattice = stats.lattice_ball(rank, 3)
     rows = []
-    powers = [int(m) for m in config.powers] or [2]
-    g = config.grid_size
     for i in range(config.density_count):
         dens = torus.random_fourier_density(r_dens, rank, max_degree=3)
         grid = torus.to_grid(dens, g)
-        for m in powers:
-            if g % m:
-                raise ConfigError(f"powers must divide grid_size; {m} does not divide {g}")
+        for m in config.powers:
             via_coeff = torus.to_grid(torus.fourier_pushforward(dens, m), g // m)
             via_grid = torus.grid_pushforward(grid, m)
-            err = float(np.max(np.abs(via_coeff.values - via_grid.values)))
-            v = stats.TestVerdict(f"oracle_equiv[{i}]", err, 1e-9, bool(err <= 1e-9))
-            rows.append(VerdictRow.from_pair(m, v, None))
+            err = np.max(np.abs(via_coeff.values - via_grid.values))
+            rows.append(_row(m, f"oracle_equiv[{i}]", err, 1e-9))
             drift = abs(via_grid.values.sum() * (torus.TAU / via_grid.grid_size) ** rank - 1.0)
-            v = stats.TestVerdict(f"integral[{i}]", float(drift), 1e-12, bool(drift <= 1e-12))
-            rows.append(VerdictRow.from_pair(m, v, None))
+            rows.append(_row(m, f"integral[{i}]", drift, 1e-12))
         signed = r_sign.normal(size=grid.values.shape)
-        for m in powers:
+        for m in config.powers:
             before = float(np.abs(signed).sum()) * (torus.TAU / g) ** rank
             after_vals = torus.fold_grid(signed, m)
             after = float(np.abs(after_vals).sum()) * (torus.TAU / (g // m)) ** rank
-            violation = max(after - before, 0.0)
-            v = stats.TestVerdict(f"contraction[{i}]", violation, 1e-12,
-                                  bool(violation <= 1e-12))
-            rows.append(VerdictRow.from_pair(m, v, None))
+            rows.append(_row(m, f"contraction[{i}]", max(after - before, 0.0), 1e-12))
         sample = torus.sample_grid(grid, r_samp, config.samples)
-        lattice = stats.lattice_ball(rank, 3)
         spun = torus.power_angles(sample, 50)
-        rows += [_tagged(row, f"spun[{i}]@") for row in
-                 _fourier_rows(50, stats.empirical_fourier_many(spun, lattice),
-                               config.threshold)]
+        rows += _bound_rows(50, stats.empirical_fourier_many(spun, lattice),
+                            config.threshold, f"spun[{i}]@")
         # m = 1: empirical coefficients match the density's own series.
         # The grid sampler draws a cell by its point value and jitters
         # uniformly inside it, so coefficient p carries the extra factor
@@ -412,28 +388,28 @@ def run_torus_suite(config: ExperimentConfig) -> ExperimentReport:
             pf = np.asarray(p, dtype=float)
             expect = torus.fourier_coefficient(dens, tuple(p))
             expect *= np.prod(np.exp(-1j * np.pi * pf / g) * np.sinc(pf / g))
-            dz = abs(rep.estimate - expect) / max(rep.std_error, 1e-300)
-            v = stats.TestVerdict(f"match[{i}]@{rep.statistic}", float(dz),
-                                  config.threshold, bool(dz <= config.threshold))
-            rows.append(VerdictRow.from_pair(1, v, rep))
-    return _finish(config, rows, t0)
-
-
-def _tagged(row: VerdictRow, prefix: str) -> VerdictRow:
-    row.statistic = prefix + row.statistic
-    return row
+            rows.append(_match_row(1, f"match[{i}]@{rep.statistic}", rep, expect,
+                                   config.threshold))
+    return rows, {}
 
 
 RUNNERS = {
-    "eigen_convergence": run_eigen_convergence,
-    "group_limit": run_group_limit,
-    "exact_threshold": run_exact_threshold,
-    "preimage_invariance": run_preimage_invariance,
-    "torus_suite": run_torus_suite,
+    "eigen_convergence": _eigen_convergence,
+    "group_limit": _group_limit,
+    "exact_threshold": _exact_threshold,
+    "preimage_invariance": _preimage_invariance,
+    "torus_suite": _torus_suite,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch one config to its runner."""
+    """Validate ``config``, run its experiment kind, and assemble the report."""
     config.validate()
-    return RUNNERS[config.experiment](config)
+    t0 = time.perf_counter()
+    rows, notes = RUNNERS[config.experiment](config, config.descriptor(), config.build_law(),
+                                             np.random.SeedSequence(config.seed))
+    if not rows:
+        raise ConfigError("the config yields no verdict rows")
+    raw = all(r.passed for r in rows)
+    return ExperimentReport(asdict(config), rows, raw, raw != config.negative_control,
+                            time.perf_counter() - t0, notes)

@@ -41,11 +41,6 @@ class MomentReport:
         if not np.isfinite(self.std_error) or self.std_error < 0.0:
             raise ValueError("std_error must be a finite nonnegative real")
 
-    def to_json_dict(self) -> dict:
-        return {"id": self.statistic, "re": float(self.estimate.real),
-                "im": float(self.estimate.imag), "se": float(self.std_error),
-                "S": int(self.sample_size)}
-
 
 @dataclass(frozen=True)
 class TestVerdict:
@@ -61,9 +56,10 @@ class TestVerdict:
         if self.passed != (abs(self.z_score) <= self.threshold):
             raise ValueError("pass flag must equal |z| <= threshold")
 
-    def to_json_dict(self) -> dict:
-        return {"id": self.statistic, "z": float(self.z_score),
-                "threshold": float(self.threshold), "pass": bool(self.passed)}
+
+def _std_error(spread: float, s: int) -> float:
+    """Standard error of a mean from the plug-in variance ``spread``."""
+    return float(np.sqrt(spread * s / (s - 1)) / np.sqrt(s))
 
 
 def _report_from_values(statistic: str, values: np.ndarray) -> MomentReport:
@@ -72,8 +68,7 @@ def _report_from_values(statistic: str, values: np.ndarray) -> MomentReport:
         raise ValueError("need at least two samples")
     mean = complex(values.mean())
     spread = float(np.mean(np.abs(values - mean) ** 2))
-    se = float(np.sqrt(spread * s / (s - 1)) / np.sqrt(s))
-    return MomentReport(statistic, mean, se, s)
+    return MomentReport(statistic, mean, _std_error(spread, s), s)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +94,7 @@ def empirical_fourier_many(sample, lattice) -> list[MomentReport]:
     out = []
     for p, total in zip(lattice, sums):
         mean = total / s
-        spread = max(1.0 - abs(mean) ** 2, 0.0)
-        se = float(np.sqrt(spread * s / (s - 1)) / np.sqrt(s))
+        se = _std_error(max(1.0 - abs(mean) ** 2, 0.0), s)
         label = "fourier[" + ",".join(str(int(x)) for x in p) + "]"
         out.append(MomentReport(label, complex(mean), se, s))
     return out
@@ -137,6 +131,12 @@ def _as_matrix_stack(samples) -> np.ndarray:
                      for g in samples])
 
 
+def _trace_reports(k: int, tr: np.ndarray) -> list[MomentReport]:
+    return [_report_from_values(f"trace_re[{k}]", tr.real),
+            _report_from_values(f"trace_im[{k}]", tr.imag),
+            _report_from_values(f"trace_abs2[{k}]", np.abs(tr) ** 2)]
+
+
 def trace_moments(samples, k_max: int) -> list[MomentReport]:
     """Re Tr(g^k), Im Tr(g^k), |Tr(g^k)|^2 for k = 1..k_max."""
     mats = _as_matrix_stack(samples).astype(np.complex128)
@@ -145,10 +145,7 @@ def trace_moments(samples, k_max: int) -> list[MomentReport]:
     for k in range(1, k_max + 1):
         if k > 1:
             acc = acc @ mats
-        tr = np.einsum("sii->s", acc)
-        out.append(_report_from_values(f"trace_re[{k}]", tr.real))
-        out.append(_report_from_values(f"trace_im[{k}]", tr.imag))
-        out.append(_report_from_values(f"trace_abs2[{k}]", np.abs(tr) ** 2))
+        out += _trace_reports(k, np.einsum("sii->s", acc))
     return out
 
 
@@ -157,10 +154,7 @@ def spectral_trace_moments(angle_rows: np.ndarray, k_max: int) -> list[MomentRep
     rows = np.asarray(getattr(angle_rows, "rows", angle_rows), dtype=np.float64)
     out = []
     for k in range(1, k_max + 1):
-        tr = np.exp(1j * k * rows).sum(axis=1)
-        out.append(_report_from_values(f"trace_re[{k}]", tr.real))
-        out.append(_report_from_values(f"trace_im[{k}]", tr.imag))
-        out.append(_report_from_values(f"trace_abs2[{k}]", np.abs(tr) ** 2))
+        out += _trace_reports(k, np.exp(1j * k * rows).sum(axis=1))
     return out
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TAU, fold_grid, power_mod, trig_poly_values, wrap_angles
+from ._kernels import TAU, fold_grid, trig_poly_values, wrap_angles
+from .stats import lattice_ball
 
 TAU_NEG = 1e-9          # validation slack for "nonnegative" trig polynomials
 _RIEMANN_TOL = 1e-9     # grid normalization tolerance
@@ -257,12 +258,7 @@ def grid_pushforward(d: GridDensity, m: int) -> GridDensity:
     theta -> m*theta; their average is the branch-sum operator applied at
     that point.  Requires m | G; the Riemann sum is preserved exactly.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if d.grid_size % m != 0:
-        raise ValueError(f"m={m} must divide the grid size {d.grid_size}")
-    folded = fold_grid(d.values, m)
-    return GridDensity(d.rank, d.grid_size // m, folded)
+    return GridDensity(d.rank, d.grid_size // m, fold_grid(d.values, m))
 
 
 @dataclass(frozen=True)
@@ -299,9 +295,11 @@ def sample_grid(d: GridDensity, rng: np.random.Generator, size: int) -> AngleSam
 
 def power_angles(a: AngleSample, m: int) -> AngleSample:
     """Entrywise m * theta mod 2*pi."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if m == 1:
         return a
-    return AngleSample(a.rank, power_mod(a.rows, m))
+    return AngleSample(a.rank, wrap_angles(m * a.rows))
 
 
 def random_fourier_density(rng: np.random.Generator, rank: int, max_degree: int,
@@ -317,14 +315,7 @@ def random_fourier_density(rng: np.random.Generator, rank: int, max_degree: int,
         mass = float(rng.uniform(0.3, 0.9))
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must lie in (0, 1)")
-    all_points = [p for p in np.ndindex(*(2 * max_degree + 1,) * rank)]
-    half = []
-    for p in all_points:
-        q = tuple(int(x) - max_degree for x in p)
-        if q == (0,) * rank:
-            continue
-        if q > tuple(-x for x in q):
-            half.append(q)
+    half = [tuple(q) for q in lattice_ball(rank, max_degree).tolist()]
     keep = [q for q in half if rng.random() < 0.7]
     at_max = [q for q in half if max(abs(x) for x in q) == max_degree]
     forced = at_max[int(rng.integers(len(at_max)))]

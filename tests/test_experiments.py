@@ -18,6 +18,9 @@ from powerlimits.experiments import (
 )
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def small_config(**overrides):
     base = dict(experiment="eigen_convergence", family="U", matrix_size=2,
                 law={"type": "haar"}, powers=[2], samples=4000, seed=17)
@@ -41,6 +44,34 @@ class TestConfig:
     def test_rejects_zero_power(self):
         with pytest.raises(ConfigError):
             small_config(powers=[0]).validate()
+
+    @pytest.mark.parametrize("powers", [[], [2.7], [2, True], 2, "2"])
+    def test_powers_are_a_nonempty_list_of_ints(self, powers):
+        with pytest.raises(ConfigError):
+            small_config(law={"type": "point_mass"}, powers=powers).validate()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(law={"type": "wat"}),
+        dict(law={"type": "perturbed_haar", "strength": 3}),
+        dict(law={"type": "torus_density", "density": {"rank": 2}}),
+        dict(family="SO", matrix_size=4),
+        dict(family="X"),
+        dict(law="haar"),
+        dict(experiment="torus_suite", powers=[7], grid_size=360),
+    ])
+    def test_validation_builds_the_law_and_checks_powers(self, overrides):
+        with pytest.raises(ConfigError):
+            small_config(**overrides).validate()
+
+    def test_empty_run_is_an_error(self):
+        with pytest.raises(ConfigError, match="no verdict rows"):
+            run_experiment(small_config(experiment="torus_suite", density_count=0))
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_validate(self, path):
+        # the CLI's load path: parse, then build and validate from the dict
+        cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
+        assert cfg.experiment in EXPERIMENT_KINDS
 
     def test_rejects_unknown_json_fields(self):
         with pytest.raises(ConfigError):
@@ -119,7 +150,7 @@ class TestRunners:
         assert rep.notes["detection_powered"] is powered
 
     def test_exact_threshold_requires_symbolic_density(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_experiment(small_config(experiment="exact_threshold",
                                         law={"type": "mixture_u2"}))
 
@@ -227,7 +258,7 @@ class TestCli:
                     law={"type": "haar"}, powers=[2], samples=2000, seed=21)
         data.update(overrides)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
         return path
 
     def test_list(self, capsys):
@@ -266,3 +297,29 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         path.write_text(json.dumps({"experiment": "eigen_convergence"}))
         assert cli.main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("data", [
+        {"law": {"type": "wat"}},
+        [1, 2],
+        dict(experiment="eigen_convergence", law={"type": "wat"}, seed=1),
+        dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strength": 3},
+             seed=1),
+        dict(experiment="torus_suite", powers=[7], grid_size=360, seed=1),
+        dict(experiment="eigen_convergence", law={"type": "point_mass"}, powers=[], seed=1),
+        dict(experiment="eigen_convergence", powers=[2.7], seed=1),
+        dict(experiment="torus_suite", powers=[2], density_count=0, seed=1),
+        dict(experiment="exact_threshold", law={"type": "mixture_u2"}, samples=100, seed=1),
+    ])
+    def test_config_errors_exit_2(self, tmp_path, capsys, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_flags_apply_before_validation(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, seed=None)
+        assert cli.main(["run", str(path), "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
+        path = self._write_config(tmp_path, samples=50)
+        assert cli.main(["run", str(path), "--samples", "2000"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["samples"] == 2000

@@ -218,15 +218,6 @@ class TestKolmogorovSmirnov:
 
 
 class TestReportSerialization:
-    def test_report_json_row(self):
-        rep = S.MomentReport("t", 0.5 - 0.25j, 0.01, 400)
-        row = rep.to_json_dict()
-        assert row == {"id": "t", "re": 0.5, "im": -0.25, "se": 0.01, "S": 400}
-
-    def test_verdict_json_row(self):
-        v = S.TestVerdict("t:re", 1.5, 5.0, True)
-        assert v.to_json_dict() == {"id": "t:re", "z": 1.5, "threshold": 5.0, "pass": True}
-
     def test_rejects_bad_std_error(self):
         with pytest.raises(ValueError):
             S.MomentReport("t", 0.0, -1.0, 10)

@@ -267,6 +267,12 @@ class TestPowerAngles:
         a = T.AngleSample(1, np.array([[0.5], [1.5]]))
         assert T.power_angles(a, 1) is a
 
+    def test_rejects_nonpositive_power(self):
+        a = T.AngleSample(1, np.array([[0.5], [1.5]]))
+        for m in (0, -2):
+            with pytest.raises(ValueError):
+                T.power_angles(a, m)
+
     def test_pi_doubles_to_zero(self):
         a = T.AngleSample(1, np.array([[np.pi]]))
         assert T.power_angles(a, 2).rows[0, 0] == 0.0
