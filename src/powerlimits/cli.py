@@ -10,7 +10,11 @@ usage or config error (an unreadable file, bad JSON, or a config that does
 not validate), which is always found before any sampling.  ``--seed`` and
 ``--samples`` replace the file's fields before the config is validated.
 ``powers`` must be a non-empty list of integers >= 1; for ``torus_suite``
-each must divide ``grid_size``.  ``list`` enumerates the experiment kinds.
+each must divide ``grid_size``, which must exceed 6.  Integer fields must
+be integers >= 0 (``samples`` >= 100; ``max_lattice_degree``,
+``trace_k_max`` and ``torus_rank`` >= 1), ``threshold`` a positive finite
+number and ``negative_control`` a boolean.  ``list`` enumerates the
+experiment kinds.
 """
 
 from __future__ import annotations

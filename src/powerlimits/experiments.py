@@ -42,6 +42,11 @@ EXPERIMENT_KINDS = {
     "torus_suite": "exact and statistical torus pushforward checks",
 }
 
+# integer config fields and their least allowed values
+_INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
+               "trace_k_max": 1, "grid_size": 0, "density_count": 0, "torus_rank": 1}
+_TORUS_SUITE_DEGREE = 3   # degree of torus_suite's random densities and its lattice
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -73,13 +78,20 @@ class ExperimentConfig:
                               f"choose from {sorted(EXPERIMENT_KINDS)}")
         if self.seed is None:
             raise ConfigError("an explicit seed is required")
-        if self.samples < 100:
-            raise ConfigError("samples must be at least 100")
+        for name, low in _INT_FIELDS.items():
+            if type(getattr(self, name)) is not int or getattr(self, name) < low:
+                raise ConfigError(f"{name} must be an integer >= {low}")
+        if type(self.threshold) not in (int, float) or not 0 < self.threshold < float("inf"):
+            raise ConfigError("threshold must be a positive finite number")
+        if type(self.negative_control) is not bool:
+            raise ConfigError("negative_control must be true or false")
         if not (isinstance(self.powers, list) and self.powers
                 and all(type(m) is int and m >= 1 for m in self.powers)):
             raise ConfigError("powers must be a non-empty list of integers >= 1")
-        if self.experiment == "torus_suite" and any(self.grid_size % m for m in self.powers):
-            raise ConfigError(f"torus_suite powers must divide grid_size {self.grid_size}")
+        if self.experiment == "torus_suite" and (self.grid_size <= 2 * _TORUS_SUITE_DEGREE or any(
+                self.grid_size % m for m in self.powers)):
+            raise ConfigError(f"torus_suite needs grid_size > {2 * _TORUS_SUITE_DEGREE}, "
+                              f"divisible by every power (got {self.grid_size})")
         if self.target not in ("preimage_limit", "haar_power"):
             raise ConfigError("target must be preimage_limit or haar_power")
         try:
@@ -292,12 +304,12 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     thr = torus.stationarity_threshold(dens)
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
     notes = {"threshold": thr}
+    pushed = {m: torus.fourier_pushforward(dens, m) for m in range(1, thr + 1)}
 
     # largest power below thr whose symbolic pushforward is still non-uniform
     designated = None
     for m in range(thr - 1, 0, -1):
-        pushed = torus.fourier_pushforward(dens, m)
-        support = {p: a for p, a in pushed.coefficients.items() if any(p)}
+        support = {p: a for p, a in pushed[m].coefficients.items() if any(p)}
         if support:
             designated = max(support, key=lambda p: abs(support[p]))
             notes["detection_power"] = m
@@ -315,8 +327,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     for m in range(1, thr + 1):
         r_samp, r_weyl = rngs[2 * (m - 1):2 * m]
         _, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
-        pushed = torus.fourier_pushforward(dens, m)
-        if m == thr or not any(any(p) for p in pushed.coefficients):
+        if m == thr or not any(any(p) for p in pushed[m].coefficients):
             # the oracle says uniform: the whole coefficient ball must vanish
             rows += _bound_rows(m, stats.empirical_fourier_many(coords, lattice),
                                 config.threshold, "uniform@")
@@ -329,7 +340,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
             rows.append(_row(m, f"detect@{report.statistic}", z, config.threshold, report,
                              passed=z > config.threshold))
             rows.append(_match_row(m, f"match@{report.statistic}", report,
-                                   torus.fourier_coefficient(pushed, designated),
+                                   torus.fourier_coefficient(pushed[m], designated),
                                    config.threshold))
     return rows, notes
 
@@ -357,10 +368,10 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
     """
     rank, g = config.torus_rank, config.grid_size
     r_dens, r_samp, r_sign = _rngs(seq, 3)
-    lattice = stats.lattice_ball(rank, 3)
+    lattice = stats.lattice_ball(rank, _TORUS_SUITE_DEGREE)
     rows = []
     for i in range(config.density_count):
-        dens = torus.random_fourier_density(r_dens, rank, max_degree=3)
+        dens = torus.random_fourier_density(r_dens, rank, max_degree=_TORUS_SUITE_DEGREE)
         grid = torus.to_grid(dens, g)
         for m in config.powers:
             via_coeff = torus.to_grid(torus.fourier_pushforward(dens, m), g // m)

@@ -65,25 +65,15 @@ class WeylElement:
             if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
                 raise ValueError("signs must be a +/-1 vector matching perm")
 
-    def apply_angles(self, angles: np.ndarray) -> np.ndarray:
-        """The raw signed permutation; ``angles`` must match ``perm`` in length.
-
-        For U and SO these are the torus coordinates themselves.  For SU
-        the permutation moves all N eigenvalue angles; use
-        :meth:`apply_torus` on the n = N-1 torus coordinates.
-        """
-        a = np.asarray(angles, dtype=np.float64)[list(self.perm)]
-        if self.signs is not None:
-            a = a * np.asarray(self.signs, dtype=np.float64)
-        return wrap_angles(a)
+    def _arrays(self):
+        """This element as row 0 of a batched draw: (perms, signs | None)."""
+        signs = None if self.signs is None else np.array([self.signs], dtype=np.float64)
+        return np.array([self.perm], dtype=np.int64), signs
 
     def apply_torus(self, desc: GroupDescriptor, angles: np.ndarray) -> np.ndarray:
         """Action on torus coordinates, completing the dependent SU angle."""
-        a = np.asarray(angles, dtype=np.float64)
-        if desc.family is Family.SPECIAL_UNITARY:
-            full = np.concatenate([a, wrap_angles(-a.sum())[None]])
-            return self.apply_angles(full)[:desc.torus_rank]
-        return self.apply_angles(a)
+        full = _full_angles(desc, np.asarray(angles, dtype=np.float64)[None, :])
+        return _act_angles(desc, full, *self._arrays())[0]
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other: (self.compose(other)).apply = self.apply(other.apply)."""
@@ -103,24 +93,11 @@ class WeylElement:
     def matrix(self, desc: GroupDescriptor) -> np.ndarray:
         """A representative W with W embed(t) W^{-1} = embed(self.apply(t)).
 
-        U(N): the permutation matrix.  SU(N): one column is sign-adjusted
-        so det = 1 (conjugation on diagonals is unchanged).  SO(2k+1):
-        a block permutation with a reflection per sign flip; the trailing
-        entry absorbs the determinant.
+        W^{-1} is the identity flag moved by the batched flag action, so
+        the representative convention lives in :func:`_act_flags` alone.
         """
-        n = desc.matrix_size
-        if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-            w = np.zeros((n, n))
-            for j, src in enumerate(self.perm):
-                block = np.eye(2) if self.signs[j] == 1 else np.diag([1.0, -1.0])
-                w[2 * j:2 * j + 2, 2 * src:2 * src + 2] = block
-            w[n - 1, n - 1] = float(np.prod(self.signs))
-            return w
-        w = np.zeros((n, n), dtype=np.complex128)
-        w[np.arange(n), list(self.perm)] = 1.0
-        if desc.family is Family.SPECIAL_UNITARY:
-            w[:, self.perm[0]] *= np.linalg.det(w).conjugate()
-        return w
+        eye = np.eye(desc.matrix_size, dtype=np.float64 if desc.is_real else np.complex128)
+        return _act_flags(desc, eye[None], *self._arrays())[0].conj().T
 
     @classmethod
     def identity(cls, desc: GroupDescriptor) -> "WeylElement":
@@ -144,14 +121,69 @@ def enumerate_weyl(desc: GroupDescriptor):
     return [WeylElement(p) for p in perms]
 
 
+def _weyl_draw(desc: GroupDescriptor, s: int, rng: np.random.Generator):
+    """``s`` independent uniform Weyl elements as (perms (s, n), signs (s, n)
+    or None): gather permutations, plus +/-1 signs for SO."""
+    n = _weyl_size(desc)
+    perms = rng.permuted(np.tile(np.arange(n), (s, 1)), axis=1)
+    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
+        return perms, rng.choice((1.0, -1.0), size=(s, n))
+    return perms, None
+
+
+def _full_angles(desc: GroupDescriptor, torus: np.ndarray) -> np.ndarray:
+    """The angle rows the Weyl group permutes: for SU(N), the n = N-1 torus
+    coordinates completed by the dependent angle; otherwise ``torus``."""
+    if desc.family is not Family.SPECIAL_UNITARY:
+        return torus
+    return np.concatenate([torus, wrap_angles(-torus.sum(axis=1))[:, None]], axis=1)
+
+
+def _act_angles(desc: GroupDescriptor, full: np.ndarray, perms: np.ndarray,
+                signs: np.ndarray | None) -> np.ndarray:
+    """Torus coordinates of w . t for angle rows ``full`` (see
+    :func:`_full_angles`): gather by ``perms``, flip by ``signs``, wrap."""
+    moved = np.take_along_axis(full, perms, axis=1)
+    if signs is not None:
+        moved = moved * signs
+    return wrap_angles(moved[:, :desc.torus_rank])
+
+
+def _permutation_signs(perms: np.ndarray) -> np.ndarray:
+    """Vectorized parity (+1/-1) of each permutation row."""
+    s, n = perms.shape
+    inversions = np.zeros(s, dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            inversions += perms[:, i] > perms[:, j]
+    return np.where(inversions % 2 == 0, 1.0, -1.0)
+
+
+def _act_flags(desc: GroupDescriptor, flags: np.ndarray, perms: np.ndarray,
+               signs: np.ndarray | None) -> np.ndarray:
+    """V -> V W^{-1} for a stack of flags: a column gather plus sign fixes."""
+    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
+        # block j of V W^{-1} is block perms[j] of V; a sign flip reflects
+        # its second column, and the trailing column keeps det = 1
+        s, k = perms.shape
+        cols = np.stack([2 * perms, 2 * perms + 1], axis=2).reshape(s, 2 * k)
+        cols = np.concatenate([cols, np.full((s, 1), 2 * k)], axis=1)
+        colsigns = np.stack([np.ones_like(signs), signs], axis=2).reshape(s, 2 * k)
+        colsigns = np.concatenate([colsigns, np.prod(signs, axis=1, keepdims=True)], axis=1)
+        return np.take_along_axis(flags, cols[:, None, :], axis=2) * colsigns[:, None, :]
+    if desc.family is Family.SPECIAL_UNITARY:
+        # the SU representative carries one sign-adjusted column (det fix)
+        scale = np.ones(perms.shape)
+        scale[np.arange(perms.shape[0]), perms[:, 0]] = _permutation_signs(perms)
+        flags = flags * scale[:, None, :]
+    return np.ascontiguousarray(np.take_along_axis(flags, perms[:, None, :], axis=2))
+
+
 def random_weyl(desc: GroupDescriptor, rng: np.random.Generator) -> WeylElement:
     """A uniformly distributed Weyl element."""
-    n = _weyl_size(desc)
-    perm = tuple(int(j) for j in rng.permutation(n))
-    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-        signs = tuple(int(s) for s in rng.choice((1, -1), size=n))
-        return WeylElement(perm, signs)
-    return WeylElement(perm)
+    perms, signs = _weyl_draw(desc, 1, rng)
+    signs = None if signs is None else tuple(map(int, signs[0]))
+    return WeylElement(tuple(map(int, perms[0])), signs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,58 +309,19 @@ def _sorted_preimage_arrays(mats: np.ndarray, desc: GroupDescriptor):
     return _unitary_preimages(mats, desc)
 
 
-def _permutation_signs(perms: np.ndarray) -> np.ndarray:
-    """Vectorized parity (+1/-1) of each permutation row."""
-    s, n = perms.shape
-    inversions = np.zeros(s, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            inversions += perms[:, i] > perms[:, j]
-    return np.where(inversions % 2 == 0, 1.0, -1.0)
-
-
 def preimages_batch(mats: np.ndarray, desc: GroupDescriptor,
                     rng: np.random.Generator | None = None):
     """Flags (S, N, N) and torus rows (S, n) for a stack of regular elements.
 
     With ``rng`` the preimage is the uniform one (an independent uniformly
-    random Weyl translate per row); without it, the sorted one.  The flag
-    update V -> V W^{-1} is a column gather plus sign fixes, applied in
-    bulk rather than per row.
+    random Weyl translate per row, moved in bulk); without it, the sorted one.
     """
     flags, torus = _sorted_preimage_arrays(mats, desc)
     if rng is None:
         return flags, torus
-    s = mats.shape[0]
-    n = _weyl_size(desc)
-    perms = rng.permuted(np.tile(np.arange(n), (s, 1)), axis=1)
-    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-        signs = rng.choice((1.0, -1.0), size=(s, n))
-        new_torus = wrap_angles(np.take_along_axis(torus, perms, axis=1) * signs)
-        cols = np.empty((s, desc.matrix_size), dtype=np.int64)
-        cols[:, 0:2 * n:2] = 2 * perms
-        cols[:, 1:2 * n:2] = 2 * perms + 1
-        cols[:, -1] = desc.matrix_size - 1
-        new_flags = np.take_along_axis(flags, cols[:, None, :], axis=2).copy()
-        colsigns = np.ones((s, desc.matrix_size))
-        colsigns[:, 1:2 * n:2] = signs          # reflection flips the 2nd column
-        colsigns[:, -1] = np.prod(signs, axis=1)  # trailing column keeps det = 1
-        return new_flags * colsigns[:, None, :], new_torus
-    # U/SU: the Weyl permutation acts on the full eigenangle tuple
-    full = np.empty((s, desc.matrix_size))
-    full[:, :desc.torus_rank] = torus
-    if desc.family is Family.SPECIAL_UNITARY:
-        full[:, -1] = wrap_angles(-torus.sum(axis=1))
-    permuted = np.take_along_axis(full, perms, axis=1)
-    new_torus = permuted[:, :desc.torus_rank]
-    new_flags = flags
-    if desc.family is Family.SPECIAL_UNITARY:
-        # the SU representative carries one sign-adjusted column (det fix)
-        scale = np.ones((s, desc.matrix_size))
-        scale[np.arange(s), perms[:, 0]] = _permutation_signs(perms)
-        new_flags = new_flags * scale[:, None, :]
-    new_flags = np.take_along_axis(new_flags, perms[:, None, :], axis=2)
-    return np.ascontiguousarray(new_flags), new_torus
+    perms, signs = _weyl_draw(desc, mats.shape[0], rng)
+    return (_act_flags(desc, flags, perms, signs),
+            _act_angles(desc, _full_angles(desc, torus), perms, signs))
 
 
 def _element_from_matrix(u: GroupElement) -> np.ndarray:
@@ -365,8 +358,7 @@ def preimage_uniform(u: GroupElement, rng: np.random.Generator) -> Preimage:
 def weyl_action(w: WeylElement, pre: Preimage) -> Preimage:
     """(V, t) -> (V W^{-1}, w . t); psi is preserved exactly."""
     desc = pre.descriptor
-    wm = w.matrix(desc)
-    flag = pre.flag.matrix @ wm.conj().T
+    flag = _act_flags(desc, pre.flag.matrix[None], *w._arrays())[0]
     return Preimage(GroupElement(flag, desc), TorusPoint(w.apply_torus(desc, pre.torus.angles)))
 
 
@@ -403,22 +395,14 @@ def uniform_torus_rows(desc: GroupDescriptor, eigenangle_rows: np.ndarray,
     0 or pi) are dropped rather than poisoning a statistical batch.
     """
     rows = np.asarray(eigenangle_rows, dtype=np.float64)
-    s = rows.shape[0]
     if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
         k = desc.torus_rank
         mask = (rows > TAU_GAP) & (rows < np.pi - TAU_GAP)
         good = mask.sum(axis=1) == k
         if not np.any(good):
             raise DegenerateSpectrumError("no rows carry k angles strictly inside (0, pi)")
-        reps = rows[good][mask[good]].reshape(-1, k)
-        perms = rng.permuted(np.tile(np.arange(k), (reps.shape[0], 1)), axis=1)
-        reps = np.take_along_axis(reps, perms, axis=1)
-        signs = rng.choice((1.0, -1.0), size=reps.shape)
-        return wrap_angles(reps * signs)
-    n = desc.matrix_size
-    perms = rng.permuted(np.tile(np.arange(n), (s, 1)), axis=1)
-    shuffled = np.take_along_axis(rows, perms, axis=1)
-    return np.ascontiguousarray(shuffled[:, :desc.torus_rank])
+        rows = rows[good][mask[good]].reshape(-1, k)
+    return _act_angles(desc, rows, *_weyl_draw(desc, rows.shape[0], rng))
 
 
 def same_flag_coset(a: GroupElement, b: GroupElement, tol: float = 1e-6) -> bool:

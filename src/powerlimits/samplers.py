@@ -32,9 +32,7 @@ from .groups import (
     haar_batch,
     unitary,
 )
-from .torus import AngleSample, FourierDensity
-
-_REJECTION_ROUNDS = 64
+from .torus import AngleSample, FourierDensity, _rejection_fill
 
 # the fixed U(2) mixture matrices: a rotation by pi/4 and the coordinate swap
 MIXTURE_A = np.array([[np.sqrt(2) / 2, -np.sqrt(2) / 2],
@@ -88,24 +86,9 @@ class PerturbedHaarLaw:
         return 1.0 + self.strength * tr.real / self.descriptor.matrix_size
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        n = self.descriptor.matrix_size
-        bound = 1.0 + abs(self.strength)
-        out = np.empty((size, n, n), dtype=np.float64 if self.descriptor.is_real else np.complex128)
-        got = 0
-        for _ in range(_REJECTION_ROUNDS):
-            if got >= size:
-                break
-            todo = size - got
-            draw = int(todo * bound * 1.2) + 64
-            mats = haar_batch(self.descriptor, rng, draw)
-            keep = rng.uniform(0.0, bound, size=draw) < self.density(mats)
-            kept = mats[keep]
-            take = min(todo, kept.shape[0])
-            out[got:got + take] = kept[:take]
-            got += take
-        if got < size:
-            raise RuntimeError("rejection sampler failed to fill the batch")
-        return out
+        return _rejection_fill(rng, size, 1.0 + abs(self.strength),
+                               lambda draw: haar_batch(self.descriptor, rng, draw),
+                               self.density)
 
 
 def sample_perturbed_haar(law: PerturbedHaarLaw, rng: np.random.Generator) -> GroupElement:

@@ -32,6 +32,7 @@ TAU_NEG = 1e-9          # validation slack for "nonnegative" trig polynomials
 _RIEMANN_TOL = 1e-9     # grid normalization tolerance
 _HERMITIAN_TOL = 1e-12
 _COEFF_PRUNE = 1e-15    # treat smaller moduli as structural zeros
+_REJECTION_ROUNDS = 64  # cap on rejection-sampling rounds per batch
 
 
 class DensityError(ValueError):
@@ -138,19 +139,28 @@ class FourierDensity:
         accepted law is exactly the density (no grid discretization).
         """
         bound = max(float(np.sum(np.abs(self._coeffs))), 1.0)  # >= max(rho)
-        out = np.empty((size, self.rank))
-        got = 0
-        while got < size:
-            todo = max(size - got, 1024)
-            draw = int(todo * bound * 1.2) + 64
-            theta = rng.uniform(0.0, TAU, size=(draw, self.rank))
-            vals = trig_poly_values(self._lattice, self._coeffs, theta)
-            keep = rng.uniform(0.0, bound, size=draw) < vals
-            kept = theta[keep]
-            take = min(size - got, kept.shape[0])
-            out[got:got + take] = kept[:take]
-            got += take
-        return AngleSample(self.rank, out)
+        rows = _rejection_fill(
+            rng, size, bound,
+            lambda draw: rng.uniform(0.0, TAU, size=(draw, self.rank)),
+            lambda theta: trig_poly_values(self._lattice, self._coeffs, theta))
+        return AngleSample(self.rank, rows)
+
+
+def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, density):
+    """``size`` exact draws by rejection: each round proposes 20% (plus 64)
+    more than the expected need, keeps a proposal x with probability
+    density(x)/bound, and at most ``_REJECTION_ROUNDS`` rounds are tried."""
+    parts, got = [], 0
+    for _ in range(_REJECTION_ROUNDS):
+        draw = int((size - got) * bound * 1.2) + 64
+        props = propose(draw)
+        values = density(props)   # before the uniforms: one fewer array at its peak
+        keep = rng.uniform(0.0, bound, size=draw) < values
+        parts.append(props[keep][:size - got])
+        got += parts[-1].shape[0]
+        if got >= size:
+            return np.concatenate(parts)
+    raise RuntimeError("rejection sampler failed to fill the batch")
 
 
 def uniform_density(rank: int) -> FourierDensity:

@@ -309,6 +309,15 @@ class TestCli:
         dict(experiment="eigen_convergence", powers=[2.7], seed=1),
         dict(experiment="torus_suite", powers=[2], density_count=0, seed=1),
         dict(experiment="exact_threshold", law={"type": "mixture_u2"}, samples=100, seed=1),
+        dict(experiment="eigen_convergence", samples="2000", seed=1),
+        dict(experiment="eigen_convergence", threshold="5", seed=1),
+        dict(experiment="eigen_convergence", seed=-1),
+        dict(experiment="torus_suite", powers=[2], torus_rank=0, seed=1),
+        dict(experiment="torus_suite", powers=[2], grid_size=4, seed=1),
+        dict(experiment="eigen_convergence", max_lattice_degree=0, seed=1),
+        dict(experiment="eigen_convergence", trace_k_max=0, seed=1),
+        dict(experiment="eigen_convergence", negative_control="yes", seed=1),
+        dict(experiment="eigen_convergence", threshold=float("inf"), seed=1),
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "config.json"

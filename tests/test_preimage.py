@@ -70,7 +70,7 @@ class TestWeylElements:
         desc = G.special_orthogonal_odd(5)
         w = P.WeylElement.identity(desc)
         t = np.array([0.5, 2.0])
-        np.testing.assert_array_equal(w.apply_angles(t), t)
+        np.testing.assert_array_equal(w.apply_torus(desc, t), t)
 
 
 class TestWeylAction:
@@ -114,6 +114,24 @@ class TestWeylAction:
             rhs = P.weyl_action(w1, P.weyl_action(w2, pre))
             np.testing.assert_allclose(lhs.torus.angles, rhs.torus.angles, atol=1e-9)
             assert P.same_flag_coset(lhs.flag, rhs.flag)
+
+
+class TestBatchedWeylAction:
+    @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
+    def test_batch_equals_per_element_action(self, desc):
+        """The uniform batch is, row for row and bit for bit, the sorted
+        preimage moved by the Weyl element drawn for that row."""
+        s = 40
+        mats = G.haar_batch(desc, np.random.default_rng(27), s)
+        flags, torus = P.preimages_batch(mats, desc, np.random.default_rng(28))
+        perms, signs = P._weyl_draw(desc, s, np.random.default_rng(28))
+        sorted_flags, sorted_torus = P.preimages_batch(mats, desc)
+        for i in range(s):
+            w = P.WeylElement(tuple(perms[i]), None if signs is None else tuple(signs[i]))
+            moved = P.weyl_action(w, P.Preimage(G.GroupElement(sorted_flags[i], desc),
+                                                G.TorusPoint(sorted_torus[i])))
+            np.testing.assert_array_equal(moved.flag.matrix, flags[i])
+            np.testing.assert_array_equal(moved.torus.angles, torus[i])
 
 
 class TestSortedPreimage:

@@ -324,3 +324,28 @@ def test_exact_sampler_matches_density():
         rep = empirical_fourier(sample, p)
         expect = T.fourier_coefficient(d, p)
         assert abs(rep.estimate - expect) <= 5 * max(rep.std_error, 1e-12)
+
+
+class TestRejectionFill:
+    def test_never_accepting_density_hits_the_round_cap(self):
+        proposals = []
+
+        def propose(draw):
+            proposals.append(draw)
+            return np.zeros((draw, 1))
+
+        with pytest.raises(RuntimeError, match="failed to fill"):
+            T._rejection_fill(np.random.default_rng(0), 10, 1.0, propose,
+                              lambda x: np.zeros(x.shape[0]))
+        assert len(proposals) == T._REJECTION_ROUNDS
+
+    def test_low_acceptance_fills_over_several_rounds(self):
+        rng = np.random.default_rng(1)
+        proposals = []
+
+        def propose(draw):
+            proposals.append(draw)
+            return rng.uniform(size=(draw, 1))
+
+        out = T._rejection_fill(rng, 5000, 1.0, propose, lambda x: np.full(x.shape[0], 0.3))
+        assert out.shape == (5000, 1) and len(proposals) > 1
