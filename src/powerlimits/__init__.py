@@ -20,7 +20,6 @@ from .groups import (
     identity,
     monomial_eval,
     power,
-    rains_limit_sample,
     special_orthogonal_odd,
     special_unitary,
     torus_embed,

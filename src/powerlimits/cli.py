@@ -6,15 +6,16 @@
 
 ``run`` executes one experiment described by a JSON config, prints the
 report, and exits 0 when the summary passes, 1 when it fails, and 2 on a
-usage or config error (an unreadable file, bad JSON, or a config that does
-not validate), which is always found before any sampling.  ``--seed`` and
-``--samples`` replace the file's fields before the config is validated.
-``powers`` must be a non-empty list of integers >= 1; for ``torus_suite``
-each must divide ``grid_size``, which must exceed 6.  Integer fields must
-be integers >= 0 (``samples`` >= 100; ``max_lattice_degree``,
-``trace_k_max`` and ``torus_rank`` >= 1), ``threshold`` a positive finite
-number and ``negative_control`` a boolean.  ``list`` enumerates the
-experiment kinds.
+usage or config error (an unreadable file, bad JSON, a config that does
+not validate, or an ``--out`` path that cannot be written), which is
+always found before any sampling.  ``--seed`` and ``--samples`` replace
+the file's fields before the config is validated.  ``powers`` must be a
+non-empty list of integers >= 1; for ``torus_suite`` each must divide
+``grid_size``, which must exceed 6.  Integer fields must be integers
+>= 0 (``samples`` >= 100; ``max_lattice_degree``, ``trace_k_max`` and
+``torus_rank`` >= 1), ``threshold`` a positive finite number,
+``negative_control`` a boolean, and ``law`` may hold only the keys of
+its type.  ``list`` enumerates the experiment kinds.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ def main(argv=None) -> int:
         for key in ("seed", "samples"):
             if getattr(args, key) is not None and isinstance(data, dict):
                 data[key] = getattr(args, key)
-        report = run_experiment(ExperimentConfig.from_json(data))
+        config = ExperimentConfig.from_json(data)
+        if args.out is not None:
+            args.out.open("a").close()  # an unwritable --out fails here, before sampling
+        report = run_experiment(config)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,10 +28,10 @@ from .groups import (
     GroupDescriptor,
     descriptor,
     eigenangles_batch,
+    fixed_law_trace_moments,
     haar_batch,
     identity,
     power_batch,
-    rains_limit_batch,
 )
 
 EXPERIMENT_KINDS = {
@@ -46,6 +46,9 @@ EXPERIMENT_KINDS = {
 _INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
                "trace_k_max": 1, "grid_size": 0, "density_count": 0, "torus_rank": 1}
 _TORUS_SUITE_DEGREE = 3   # degree of torus_suite's random densities and its lattice
+# law types and the keys each accepts besides "type"
+_LAW_KEYS = {"haar": set(), "perturbed_haar": {"strength"}, "mixture_u2": {"d1", "d2"},
+             "torus_density": {"density"}, "point_mass": set()}
 
 
 class ConfigError(ValueError):
@@ -117,26 +120,22 @@ class ExperimentConfig:
     def build_law(self):
         desc = self.descriptor()
         kind = self.law.get("type", "haar")
+        if kind not in _LAW_KEYS:
+            raise ConfigError(f"unknown law type {kind!r}")
+        extra = set(self.law) - _LAW_KEYS[kind] - {"type"}
+        if extra:
+            raise ConfigError(f"unknown {kind} law keys: {sorted(extra)}")
         if kind == "haar":
             return samplers.HaarLaw(desc)
         if kind == "perturbed_haar":
             return samplers.PerturbedHaarLaw(desc, float(self.law.get("strength", 0.5)))
+        dens = lambda key: (torus.FourierDensity.from_json(self.law[key]) if self.law.get(key)
+                            else samplers.default_mixture_marginal())
         if kind == "mixture_u2":
-            d1 = self.law.get("d1")
-            d2 = self.law.get("d2")
-            default = samplers.default_mixture_marginal()
-            return samplers.MixtureU2Law(
-                torus.FourierDensity.from_json(d1) if d1 else default,
-                torus.FourierDensity.from_json(d2) if d2 else default,
-                desc)
+            return samplers.MixtureU2Law(dens("d1"), dens("d2"), desc)
         if kind == "torus_density":
-            payload = self.law.get("density")
-            dens = (torus.FourierDensity.from_json(payload) if payload
-                    else samplers.default_mixture_marginal())
-            return samplers.TorusLaw(desc, dens)
-        if kind == "point_mass":
-            return samplers.PointMassLaw(identity(desc))
-        raise ConfigError(f"unknown law type {kind!r}")
+            return samplers.TorusLaw(desc, dens("density"))
+        return samplers.PointMassLaw(identity(desc))
 
 
 @dataclass
@@ -211,8 +210,7 @@ def _bound_rows(m: int, reports, threshold: float, prefix: str = "") -> list:
 
 def _two_sample_rows(m: int, reports_a, reports_b, threshold: float) -> list:
     verdicts = stats.two_sample_test(reports_a, reports_b, threshold)
-    return [_row(m, v.statistic, v.z_score, v.threshold, reports_a[i // 2])
-            for i, v in enumerate(verdicts)]
+    return [_row(m, v.statistic, v.z_score, v.threshold, r) for v, r in zip(verdicts, reports_a)]
 
 
 def _match_row(m: int, statistic: str, report, expect, threshold: float) -> VerdictRow:
@@ -221,8 +219,11 @@ def _match_row(m: int, statistic: str, report, expect, threshold: float) -> Verd
     return _row(m, statistic, dz, threshold, report)
 
 
-def _moments(mats, k_max: int) -> list:
-    return stats.entry_moments(mats) + stats.trace_moments(mats, k_max)
+def _trace_rows(m: int, desc, reports, threshold: float) -> list:
+    """Trace reports matched against their exact fixed-law values."""
+    mean, abs2 = fixed_law_trace_moments(desc)
+    return [_match_row(m, r.statistic, r, abs2 if r.statistic.startswith("trace_abs2") else mean,
+                       threshold) for r in reports]
 
 
 def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
@@ -242,34 +243,31 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
 
     Per power m: uniform-preimage torus coordinates of U^m must look iid
     uniform (Fourier bound suite plus a KS check per coordinate), and the
-    trace moments of the eigenangle multiset must match an independent
-    draw from the monomial limit sampler.
+    trace moments of the eigenangle multiset must match their exact values
+    under the fixed law.
     """
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
     rows = []
-    rngs = _rngs(seq, 4 * len(config.powers))
+    rngs = _rngs(seq, 4 * len(config.powers))  # two of each four unused: fixed stream layout
     for i, m in enumerate(config.powers):
-        r_samp, r_weyl, r_limit, _ = rngs[4 * i:4 * i + 4]
+        r_samp, r_weyl = rngs[4 * i:4 * i + 2]
         angles, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
         rows += _bound_rows(m, stats.empirical_fourier_many(coords, lattice), config.threshold)
         for j in range(desc.torus_rank):
             ks = stats.ks_uniform(coords[:, j])
             rows.append(_row(m, f"ks_uniform[{j}]", ks.z_score, ks.threshold))
-        limit_angles = rains_limit_batch(desc, r_limit, config.samples)
-        rows += _two_sample_rows(
-            m,
-            stats.spectral_trace_moments(angles, config.trace_k_max),
-            stats.spectral_trace_moments(limit_angles, config.trace_k_max),
-            config.threshold)
+        rows += _trace_rows(m, desc, stats.spectral_trace_moments(angles, config.trace_k_max),
+                            config.threshold)
     return rows, {}
 
 
 def _group_limit(config: ExperimentConfig, desc, law, seq):
     """U^m against its limiting group law, in entry and trace moments.
 
-    The limit side is psi(flag, Y) over uniform preimages of an
-    independent run of the same law, or Haar^D when the config targets
-    ``haar_power`` (the conjugate-invariant case).
+    Entry moments face a limit side: psi(flag, Y) over uniform preimages of
+    an independent run of the same law, or Haar^D when the config targets
+    ``haar_power``.  Both have the fixed eigenvalue law, so trace moments
+    are matched against its exact values.
     """
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))
@@ -283,8 +281,10 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
             flags, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples),
                                            desc, r_pre)
             limit = pre.limit_law_batch(flags, desc, r_y)
-        rows += _two_sample_rows(m, _moments(powered, config.trace_k_max),
-                                 _moments(limit, config.trace_k_max), config.threshold)
+        rows += _two_sample_rows(m, stats.entry_moments(powered), stats.entry_moments(limit),
+                                 config.threshold)
+        rows += _trace_rows(m, desc, stats.trace_moments(powered, config.trace_k_max),
+                            config.threshold)
     return rows, {}
 
 
@@ -347,14 +347,15 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
 
 def _preimage_invariance(config: ExperimentConfig, desc, law, seq):
     """limit draws psi(flag, Y) from sorted vs uniform preimages of the
-    same law must agree in distribution (entry and trace moments)."""
+    same law must agree in entry moments (Tr psi(V, Y)^k does not depend
+    on the flag V, so trace moments would test nothing)."""
     r_a, r_b, r_w, r_y1, r_y2 = _rngs(seq, 5)
     flags_sorted, _ = pre.preimages_batch(law.sample_batch(r_a, config.samples), desc)
     flags_uniform, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples), desc, r_w)
     side_a = pre.limit_law_batch(flags_sorted, desc, r_y1)
     side_b = pre.limit_law_batch(flags_uniform, desc, r_y2)
-    return _two_sample_rows(0, _moments(side_a, config.trace_k_max),
-                            _moments(side_b, config.trace_k_max), config.threshold), {}
+    return _two_sample_rows(0, stats.entry_moments(side_a), stats.entry_moments(side_b),
+                            config.threshold), {}
 
 
 def _torus_suite(config: ExperimentConfig, desc, law, seq):

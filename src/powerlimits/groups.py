@@ -90,12 +90,13 @@ def unitary(n: int) -> GroupDescriptor:
 
 
 def special_unitary(n: int) -> GroupDescriptor:
-    """Descriptor for SU(n); torus coordinates are the first n-1 phases."""
+    """Descriptor for SU(n); torus coordinates are the first n-1 phases.
+    Haar eigenvalues freeze at D = n + 1: E Tr(g^n) = (-1)^(n+1) for Haar g."""
     if n < 2:
         raise ValueError("SU(n) requires n >= 2")
     mono = np.vstack([np.eye(n - 1, dtype=np.int64), -np.ones((1, n - 1), dtype=np.int64)])
     return GroupDescriptor(Family.SPECIAL_UNITARY, n, n - 1, mono,
-                           stationarity_exponent=n, weyl_order=math.factorial(n))
+                           stationarity_exponent=n + 1, weyl_order=math.factorial(n))
 
 
 def special_orthogonal_odd(n: int) -> GroupDescriptor:
@@ -335,6 +336,9 @@ def rains_limit_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int
     return wrap_angles(y @ desc.monomials.T.astype(np.float64))
 
 
-def rains_limit_sample(desc: GroupDescriptor, rng: np.random.Generator) -> np.ndarray:
-    """One draw of N eigenangles from the fixed high-power law."""
-    return rains_limit_batch(desc, rng, 1)[0]
+def fixed_law_trace_moments(desc: GroupDescriptor) -> tuple[int, int]:
+    """Exact E Tr(g^k) and E|Tr(g^k)|^2 (any k >= 1) under the fixed law.
+    Tr(g^k) = sum_j exp(i k M_j.y), y iid uniform, and E exp(i k q.y) = [q = 0],
+    so the mean counts zero monomial rows and the second moment equal row pairs."""
+    mono = desc.monomials
+    return int(np.sum(~mono.any(axis=1))), int(np.sum((mono[:, None] == mono[None]).all(axis=2)))

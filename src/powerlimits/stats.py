@@ -5,15 +5,15 @@ Weak convergence is checked through finite fingerprint families:
 * empirical Fourier coefficients of torus-coordinate samples (the
   transform convention E exp(-i p.theta), so the estimate at p targets
   the stored series coefficient a_p directly),
-* trace moments Re/Im Tr(g^k) and |Tr(g^k)|^2 (conjugation invariant,
-  they separate eigenvalue laws),
+* trace moments Tr(g^k) and |Tr(g^k)|^2 (conjugation invariant, they
+  separate eigenvalue laws),
 * entry moments E[g_jk] and E[g_jk conj(g_lm)] (full group-law
   fingerprints).
 
 Estimates travel as :class:`MomentReport` rows; :func:`two_sample_test`
-turns matched report lists into z-score verdicts, componentwise on real
-and imaginary parts.  Estimators are plain sample means, so they are
-permutation invariant in the sample order.
+turns matched report lists into one z-score verdict per statistic, on
+the modulus of the complex difference.  Estimators are plain sample
+means, so they are permutation invariant in the sample order.
 """
 
 from __future__ import annotations
@@ -132,14 +132,13 @@ def _as_matrix_stack(samples) -> np.ndarray:
 
 
 def _trace_reports(k: int, tr: np.ndarray) -> list[MomentReport]:
-    return [_report_from_values(f"trace_re[{k}]", tr.real),
-            _report_from_values(f"trace_im[{k}]", tr.imag),
+    return [_report_from_values(f"trace[{k}]", tr),
             _report_from_values(f"trace_abs2[{k}]", np.abs(tr) ** 2)]
 
 
 def trace_moments(samples, k_max: int) -> list[MomentReport]:
-    """Re Tr(g^k), Im Tr(g^k), |Tr(g^k)|^2 for k = 1..k_max."""
-    mats = _as_matrix_stack(samples).astype(np.complex128)
+    """Tr(g^k) and |Tr(g^k)|^2 for k = 1..k_max."""
+    mats = _as_matrix_stack(samples)
     out = []
     acc = mats
     for k in range(1, k_max + 1):
@@ -174,7 +173,7 @@ def entry_moment_schedule(n: int) -> list[tuple]:
 
 def entry_moments(samples) -> list[MomentReport]:
     """First moments of every entry plus scheduled second moments."""
-    mats = _as_matrix_stack(samples).astype(np.complex128)
+    mats = _as_matrix_stack(samples)
     n = mats.shape[-1]
     out = []
     for j in range(n):
@@ -191,26 +190,18 @@ def entry_moments(samples) -> list[MomentReport]:
 # ---------------------------------------------------------------------------
 
 
-def _component_z(da: float, sa: float, sb: float) -> float:
-    denom = np.hypot(sa, sb)
-    if denom == 0.0:
-        return 0.0 if da == 0.0 else np.inf
-    return da / denom
-
-
 def two_sample_test(reports_a, reports_b, threshold: float = 5.0) -> list[TestVerdict]:
-    """z = (est_a - est_b)/sqrt(se_a^2 + se_b^2), separately on the real
-    and imaginary parts; statistic ids must match pairwise."""
+    """One verdict per statistic: z = |est_a - est_b| / sqrt(se_a^2 + se_b^2),
+    the modulus of the complex difference; statistic ids must match pairwise."""
     if len(reports_a) != len(reports_b):
         raise ValueError("report lists must have equal length")
     out = []
     for a, b in zip(reports_a, reports_b):
         if a.statistic != b.statistic:
             raise ValueError(f"mismatched statistics: {a.statistic} vs {b.statistic}")
-        z_re = _component_z(a.estimate.real - b.estimate.real, a.std_error, b.std_error)
-        z_im = _component_z(a.estimate.imag - b.estimate.imag, a.std_error, b.std_error)
-        out.append(TestVerdict(a.statistic + ":re", float(z_re), threshold, bool(abs(z_re) <= threshold)))
-        out.append(TestVerdict(a.statistic + ":im", float(z_im), threshold, bool(abs(z_im) <= threshold)))
+        diff, denom = abs(a.estimate - b.estimate), float(np.hypot(a.std_error, b.std_error))
+        z = diff / denom if denom else (0.0 if diff == 0.0 else np.inf)
+        out.append(TestVerdict(a.statistic, z, threshold, bool(z <= threshold)))
     return out
 
 

@@ -173,13 +173,40 @@ class TestRunners:
                                           density_count=3, samples=4000))
         assert rep.summary_pass
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_group_limit_haar_power_su(self, n):
+        # SU(n) Haar eigenvalues freeze at n + 1; the limit side Haar^n
+        # is a different law and fails these entry and trace rows
+        rep = run_experiment(small_config(
+            experiment="group_limit", family="SU", matrix_size=n,
+            law={"type": "perturbed_haar", "strength": 0.5}, powers=[64], samples=20000,
+            seed=3, target="haar_power"))
+        assert rep.raw_pass and rep.summary_pass
+
     def test_torus_law_group_column(self):
         rep = run_experiment(small_config(law={"type": "torus_density"}, powers=[4],
                                           samples=20000))
         assert rep.summary_pass
 
 
+SHAPE_CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+SHAPE_CONFIGS["so3_group_limit"] = dict(
+    experiment="group_limit", family="SO", matrix_size=3,
+    law={"type": "perturbed_haar", "strength": 0.5}, powers=[3, 64], seed=1)
+EXACT_ROWS = ("oracle_equiv[", "integral[", "contraction[")
+
+
 class TestReports:
+    @pytest.mark.parametrize("name", sorted(SHAPE_CONFIGS))
+    def test_one_row_per_statistic_and_none_zero_by_construction(self, name):
+        rep = run_experiment(ExperimentConfig.from_json(dict(SHAPE_CONFIGS[name], samples=500)))
+        ids = [(r.m, r.statistic) for r in rep.rows]
+        assert len(ids) == len(set(ids))
+        # only an exact identity may sit at z == 0; a statistical row
+        # there compares two sides that are equal by construction
+        assert [r.statistic for r in rep.rows
+                if r.z == 0.0 and not r.statistic.startswith(EXACT_ROWS)] == []
+
     def test_determinism_modulo_wall_clock(self):
         cfg = small_config(samples=2000)
         a = run_experiment(cfg).to_json_dict()
@@ -318,12 +345,23 @@ class TestCli:
         dict(experiment="eigen_convergence", trace_k_max=0, seed=1),
         dict(experiment="eigen_convergence", negative_control="yes", seed=1),
         dict(experiment="eigen_convergence", threshold=float("inf"), seed=1),
+        dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strenght": 0.9},
+             seed=1),
+        dict(experiment="eigen_convergence", law={"type": "haar", "strength": 0.5}, seed=1),
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_out_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        path = self._write_config(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("sampled"))
+        out = tmp_path / "missing" / "report.json"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.parent.exists()
 
     def test_flags_apply_before_validation(self, tmp_path, capsys):
         path = self._write_config(tmp_path, seed=None)

@@ -24,7 +24,7 @@ class TestDescriptors:
         d = G.special_unitary(3)
         assert d.torus_rank == 2
         np.testing.assert_array_equal(d.monomials, [[1, 0], [0, 1], [-1, -1]])
-        assert d.stationarity_exponent == 3
+        assert d.stationarity_exponent == 4
         assert d.weyl_order == 6
 
     def test_special_orthogonal_table(self):
@@ -213,6 +213,39 @@ class TestRainsLimit:
         rng = np.random.default_rng(12)
         rows = G.rains_limit_batch(G.special_orthogonal_odd(3), rng, 100)
         assert np.all(np.min(np.abs(rows), axis=1) == 0.0)
+
+    @pytest.mark.parametrize("desc, mean, abs2", [(G.unitary(3), 0, 3),
+                                                   (G.special_unitary(3), 0, 3),
+                                                   (G.special_orthogonal_odd(5), 1, 5)],
+                             ids=repr)
+    def test_exact_trace_moments(self, desc, mean, abs2):
+        from powerlimits.stats import spectral_trace_moments
+        assert G.fixed_law_trace_moments(desc) == (mean, abs2)
+        rng = np.random.default_rng(14)
+        reports = spectral_trace_moments(G.rains_limit_batch(desc, rng, 100_000), 3)
+        assert len(reports) == 6
+        for r in reports:
+            expect = abs2 if r.statistic.startswith("trace_abs2") else mean
+            assert abs(r.estimate - expect) <= 5 * r.std_error, r.statistic
+
+    @pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=repr)
+    def test_haar_power_at_the_exponent_has_the_fixed_trace_moments(self, desc):
+        # the stationarity exponent D is where Haar eigenvalue laws freeze
+        from powerlimits.stats import spectral_trace_moments
+        rng = np.random.default_rng(15)
+        mats = G.power_batch(G.haar_batch(desc, rng, 20000), desc.stationarity_exponent)
+        mean, abs2 = G.fixed_law_trace_moments(desc)
+        for r in spectral_trace_moments(G.eigenangles_batch(mats), 3):
+            expect = abs2 if r.statistic.startswith("trace_abs2") else mean
+            assert abs(r.estimate - expect) <= 5 * r.std_error, r.statistic
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_su_haar_one_power_below_the_exponent_is_not_frozen(self, n):
+        desc = G.special_unitary(n)
+        rng = np.random.default_rng(16)
+        angles = G.eigenangles_batch(G.haar_batch(desc, rng, 20000))
+        tr = np.exp(1j * (desc.stationarity_exponent - 1) * angles).sum(axis=1)
+        assert abs(tr.mean() - (-1) ** (n + 1)) < 0.05
 
 
 class TestValidation:

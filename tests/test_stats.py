@@ -79,8 +79,8 @@ class TestTraceMoments:
         mats = np.broadcast_to(np.eye(3, dtype=complex), (10, 3, 3))
         reps = S.trace_moments(mats, 1)
         by_id = {r.statistic: r for r in reps}
-        assert by_id["trace_re[1]"].estimate == pytest.approx(3.0)
-        assert by_id["trace_im[1]"].estimate == pytest.approx(0.0)
+        assert list(by_id) == ["trace[1]", "trace_abs2[1]"]
+        assert by_id["trace[1]"].estimate == pytest.approx(3.0)
         assert by_id["trace_abs2[1]"].estimate == pytest.approx(9.0)
 
     def test_so_traces_are_real(self):
@@ -88,8 +88,9 @@ class TestTraceMoments:
         rng = np.random.default_rng(4)
         mats = haar_batch(special_orthogonal_odd(3), rng, 200)
         reps = {r.statistic: r for r in S.trace_moments(mats, 2)}
-        assert reps["trace_im[1]"].estimate == 0.0
-        assert reps["trace_im[2]"].estimate == 0.0
+        assert reps["trace[1]"].estimate.imag == 0.0
+        assert reps["trace[2]"].estimate.imag == 0.0
+        assert all(r.estimate.imag == 0.0 for r in S.entry_moments(mats))
 
     def test_haar_u2_trace_second_moment(self):
         # E |Tr g|^2 = 1 for Haar U(2); oracle is an independent Haar run
@@ -186,7 +187,9 @@ class TestTwoSample:
         reps_a = S.entry_moments(a) + S.trace_moments(a, 2)
         reps_b = S.entry_moments(b) + S.trace_moments(b, 2)
         verdicts = S.two_sample_test(reps_a, reps_b, 5.0)
-        assert len(verdicts) >= 40
+        # 14 entry statistics and 2 x 2 trace statistics, one verdict each
+        assert len(verdicts) == 18
+        assert [v.statistic for v in verdicts] == [r.statistic for r in reps_a]
         assert all(v.passed for v in verdicts)
 
     def test_symmetry_up_to_sign(self):
@@ -197,7 +200,14 @@ class TestTwoSample:
         ab = S.two_sample_test(ra, rb, 5.0)
         ba = S.two_sample_test(rb, ra, 5.0)
         for u, v in zip(ab, ba):
-            assert u.z_score == pytest.approx(-v.z_score)
+            assert u.z_score >= 0.0
+            assert u.z_score == pytest.approx(v.z_score)
+
+    def test_z_is_the_modulus_of_the_componentwise_scores(self):
+        a = [S.MomentReport("x", 0.3 - 0.4j, 0.03, 100)]
+        b = [S.MomentReport("x", -0.1 + 0.1j, 0.04, 100)]
+        z_re, z_im = 0.4 / 0.05, -0.5 / 0.05
+        assert S.two_sample_test(a, b)[0].z_score == pytest.approx(np.hypot(z_re, z_im), rel=1e-12)
 
 
 class TestKolmogorovSmirnov:
