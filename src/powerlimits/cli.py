@@ -5,17 +5,14 @@
     powerlimits list
 
 ``run`` executes one experiment described by a JSON config, prints the
-report, and exits 0 when the summary passes, 1 when it fails, and 2 on a
+report, and exits 0 when the summary passes, 1 when it fails, 2 on a
 usage or config error (an unreadable file, bad JSON, a config that does
 not validate, or an ``--out`` path that cannot be written), which is
-always found before any sampling.  ``--seed`` and ``--samples`` replace
-the file's fields before the config is validated.  ``powers`` must be a
-non-empty list of integers >= 1; for ``torus_suite`` each must divide
-``grid_size``, which must exceed 6.  Integer fields must be integers
->= 0 (``samples`` >= 100; ``max_lattice_degree``, ``trace_k_max`` and
-``torus_rank`` >= 1), ``threshold`` a positive finite number,
-``negative_control`` a boolean, and ``law`` may hold only the keys of
-its type.  ``list`` enumerates the experiment kinds.
+always found before any sampling, and 3 when a program check aborts the
+run (a power drifting off the group, or a spectrum too degenerate for a
+preimage).  ``--seed`` and ``--samples`` replace the file's fields before
+the config is validated.  The README lists the fields each experiment
+kind reads and the values they may take.  ``list`` enumerates the kinds.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import groups, preimage
 from .experiments import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, run_experiment
 
 
@@ -61,6 +59,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (groups.UnitarityError, preimage.DegenerateSpectrumError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out is not None:
         args.out.write_text(text)

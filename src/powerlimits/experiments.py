@@ -24,6 +24,7 @@ import numpy as np
 
 from . import preimage as pre
 from . import samplers, stats, torus
+from ._kernels import wrap_angles
 from .groups import (
     GroupDescriptor,
     descriptor,
@@ -42,6 +43,16 @@ EXPERIMENT_KINDS = {
     "torus_suite": "exact and statistical torus pushforward checks",
 }
 
+# the config fields every kind reads, and those each kind adds
+_COMMON_FIELDS = {"experiment", "samples", "seed", "threshold", "negative_control"}
+_KIND_FIELDS = {
+    "eigen_convergence": {"family", "matrix_size", "law", "powers", "max_lattice_degree",
+                          "trace_k_max"},
+    "group_limit": {"family", "matrix_size", "law", "powers", "trace_k_max", "target"},
+    "exact_threshold": {"family", "matrix_size", "law", "max_lattice_degree"},
+    "preimage_invariance": {"family", "matrix_size", "law"},
+    "torus_suite": {"powers", "grid_size", "density_count", "torus_rank"},
+}
 # integer config fields and their least allowed values
 _INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
                "trace_k_max": 1, "grid_size": 0, "density_count": 0, "torus_rank": 1}
@@ -53,6 +64,13 @@ _LAW_KEYS = {"haar": set(), "perturbed_haar": {"strength"}, "mixture_u2": {"d1",
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _kind_fields(kind) -> set:
+    """The config fields experiment ``kind`` reads."""
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+        raise ConfigError(f"unknown experiment {kind!r}; choose from {sorted(_KIND_FIELDS)}")
+    return _COMMON_FIELDS | _KIND_FIELDS[kind]
 
 
 @dataclass
@@ -76,9 +94,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Raise :class:`ConfigError` for anything the runners would trip
         over; the law is built here, so its own checks count too."""
-        if self.experiment not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose from {sorted(EXPERIMENT_KINDS)}")
+        _kind_fields(self.experiment)
         if self.seed is None:
             raise ConfigError("an explicit seed is required")
         for name, low in _INT_FIELDS.items():
@@ -105,13 +121,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
-        """A validated config from JSON text or from its parsed dict."""
+        """A validated config from JSON text or its parsed dict, of fields its kind reads."""
         data = json.loads(data) if isinstance(data, str) else data
         if not isinstance(data, dict) or "experiment" not in data:
             raise ConfigError("a config is a JSON object naming its experiment")
-        extra = set(data) - set(cls.__dataclass_fields__)
+        extra = set(data) - _kind_fields(data["experiment"])
         if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
+            raise ConfigError(f"{data['experiment']} does not read config fields {sorted(extra)}")
         return cls(**data).validate()
 
     def descriptor(self) -> GroupDescriptor:
@@ -227,9 +243,9 @@ def _trace_rows(m: int, desc, reports, threshold: float) -> list:
 
 
 def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
-    """Eigenangle rows of U^m over ``size`` draws of ``law``, and their
-    uniform-preimage torus coordinates."""
-    angles = eigenangles_batch(power_batch(law.sample_batch(r_samp, size), m))
+    """Eigenangle rows of U^m (m times those of U: no matrix is powered) over
+    ``size`` draws of ``law``, and their uniform-preimage torus coordinates."""
+    angles = wrap_angles(m * eigenangles_batch(law.sample_batch(r_samp, size)))
     return angles, pre.uniform_torus_rows(desc, angles, r_weyl)
 
 
@@ -241,10 +257,10 @@ def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
 def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     """Eigenangles of U^m against the fixed high-power law.
 
-    Per power m: uniform-preimage torus coordinates of U^m must look iid
-    uniform (Fourier bound suite plus a KS check per coordinate), and the
-    trace moments of the eigenangle multiset must match their exact values
-    under the fixed law.
+    Per power m, from a fresh U, with the eigenangles of U^m m times those of
+    U: uniform-preimage torus coordinates must look iid uniform (Fourier bound
+    suite plus a KS check per coordinate), and the trace moments of the
+    eigenangle multiset must match their exact values under the fixed law.
     """
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
     rows = []
@@ -261,28 +277,31 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     return rows, {}
 
 
+def _limit_entry_moments(config: ExperimentConfig, desc, law, r_b, r_pre, r_y) -> list:
+    """Entry moments of the m-free limit side, Haar^D or psi(flag, Y) over uniform
+    preimages of an independent run of ``law``; its matrices are freed here."""
+    if config.target == "haar_power":
+        limit = power_batch(haar_batch(desc, r_b, config.samples), desc.stationarity_exponent)
+    else:
+        flags, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples), desc, r_pre)
+        limit = pre.limit_law_batch(flags, desc, r_y)
+    return stats.entry_moments(limit)
+
+
 def _group_limit(config: ExperimentConfig, desc, law, seq):
     """U^m against its limiting group law, in entry and trace moments.
 
-    Entry moments face a limit side: psi(flag, Y) over uniform preimages of
-    an independent run of the same law, or Haar^D when the config targets
-    ``haar_power``.  Both have the fixed eigenvalue law, so trace moments
-    are matched against its exact values.
+    Entry moments face one limit sample, drawn once from the streams of the
+    first power and shared by every power (see :func:`_limit_entry_moments`);
+    each power draws and powers its own U.  Both limit sides have the fixed
+    eigenvalue law, so trace moments are matched against its exact values.
     """
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))
+    limit = _limit_entry_moments(config, desc, law, *rngs[1:4])
     for i, m in enumerate(config.powers):
-        r_a, r_b, r_pre, r_y = rngs[4 * i:4 * i + 4]
-        powered = power_batch(law.sample_batch(r_a, config.samples), m)
-        if config.target == "haar_power":
-            limit = power_batch(haar_batch(desc, r_b, config.samples),
-                                desc.stationarity_exponent)
-        else:
-            flags, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples),
-                                           desc, r_pre)
-            limit = pre.limit_law_batch(flags, desc, r_y)
-        rows += _two_sample_rows(m, stats.entry_moments(powered), stats.entry_moments(limit),
-                                 config.threshold)
+        powered = power_batch(law.sample_batch(rngs[4 * i], config.samples), m)
+        rows += _two_sample_rows(m, stats.entry_moments(powered), limit, config.threshold)
         rows += _trace_rows(m, desc, stats.trace_moments(powered, config.trace_k_max),
                             config.threshold)
     return rows, {}
@@ -291,11 +310,11 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
 def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     """Stationarity threshold of the symbolic eigenvalue density.
 
-    Verifies statistically that the torus coordinates of U^m are iid
-    uniform at m = threshold, that they stay non-uniform at the largest
-    power below the threshold where the symbolic pushforward is not yet
-    the constant 1 (detection of a designated surviving coefficient), and
-    that intermediate powers agree with what the symbolic oracle says.
+    Verifies statistically (a fresh U per power; U^m has m times its angles)
+    that the torus coordinates of U^m are iid uniform at m = threshold, that
+    they stay non-uniform at the largest power below the threshold where the
+    symbolic pushforward is not yet the constant 1 (detection of a designated
+    surviving coefficient), and that intermediate powers agree with the oracle.
     """
     try:
         dens = samplers.symbolic_eigen_density(law)

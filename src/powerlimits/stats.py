@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import fourier_sums
-from .groups import GroupElement
 
 KS_THRESHOLD_1PCT = 1.63  # sqrt(S) * D_S acceptance point at the 1% level
 
@@ -45,7 +44,7 @@ class MomentReport:
 @dataclass(frozen=True)
 class TestVerdict:
     """A z-score compared against a threshold; pass iff |z| <= threshold
-    (enforced: the flag is redundant but travels for serialization)."""
+    (the flag is redundant, and checked to agree)."""
 
     statistic: str
     z_score: float
@@ -124,21 +123,13 @@ def lattice_ball(rank: int, max_degree: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix_stack(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return samples
-    return np.stack([g.matrix if isinstance(g, GroupElement) else np.asarray(g)
-                     for g in samples])
-
-
 def _trace_reports(k: int, tr: np.ndarray) -> list[MomentReport]:
     return [_report_from_values(f"trace[{k}]", tr),
             _report_from_values(f"trace_abs2[{k}]", np.abs(tr) ** 2)]
 
 
-def trace_moments(samples, k_max: int) -> list[MomentReport]:
-    """Tr(g^k) and |Tr(g^k)|^2 for k = 1..k_max."""
-    mats = _as_matrix_stack(samples)
+def trace_moments(mats: np.ndarray, k_max: int) -> list[MomentReport]:
+    """Tr(g^k) and |Tr(g^k)|^2 for k = 1..k_max over a (S, N, N) stack."""
     out = []
     acc = mats
     for k in range(1, k_max + 1):
@@ -171,9 +162,8 @@ def entry_moment_schedule(n: int) -> list[tuple]:
     return pairs
 
 
-def entry_moments(samples) -> list[MomentReport]:
-    """First moments of every entry plus scheduled second moments."""
-    mats = _as_matrix_stack(samples)
+def entry_moments(mats: np.ndarray) -> list[MomentReport]:
+    """First moments of every entry plus scheduled second moments, over a (S, N, N) stack."""
     n = mats.shape[-1]
     out = []
     for j in range(n):

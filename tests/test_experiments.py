@@ -1,5 +1,6 @@
 """Experiment configs, runners, reports, and the CLI."""
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -9,16 +10,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerlimits import cli, stats
+from powerlimits import cli, experiments, groups, samplers, stats
 from powerlimits.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
+    _kind_fields,
     run_experiment,
 )
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FILE_CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+
+
+def _workload_configs():
+    """The benchmark's workload configs at seed 1, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: workloads.config(name, 1) for name in workloads.WORKLOADS}
+
+
+SHIPPED_CONFIGS = {**FILE_CONFIGS, **_workload_configs()}
 
 
 def small_config(**overrides):
@@ -67,16 +82,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="no verdict rows"):
             run_experiment(small_config(experiment="torus_suite", density_count=0))
 
-    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
-    def test_shipped_configs_validate(self, path):
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+    def test_shipped_configs_validate(self, name):
         # the CLI's load path: parse, then build and validate from the dict
-        cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
+        cfg = ExperimentConfig.from_json(SHIPPED_CONFIGS[name])
         assert cfg.experiment in EXPERIMENT_KINDS
 
     def test_rejects_unknown_json_fields(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(json.dumps({"experiment": "torus_suite",
                                                    "seed": 1, "bogus": 2}))
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("exact_threshold", "powers", [7]),
+        ("preimage_invariance", "trace_k_max", 3),
+        ("preimage_invariance", "target", "haar_power"),
+        ("torus_suite", "family", "U"),
+    ])
+    def test_json_refuses_fields_the_kind_does_not_read(self, kind, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json({"experiment": kind, "seed": 1, key: value})
+        # a config built in Python keeps every field
+        assert small_config(experiment=kind, **{key: value}).validate().experiment == kind
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig.from_json(json.dumps(
@@ -120,6 +147,41 @@ class TestRunners:
         assert not rep.raw_pass
         failing = {r.statistic for r in rep.rows if not r.passed}
         assert "fourier[1,-1]" in failing
+
+    @pytest.mark.parametrize("kind", ["eigen_convergence", "exact_threshold"])
+    def test_spectral_kinds_power_no_matrix(self, monkeypatch, kind):
+        def refuse(*args):
+            raise AssertionError("a spectral kind powered a matrix")
+        monkeypatch.setattr(groups, "power_batch", refuse)
+        monkeypatch.setattr(experiments, "power_batch", refuse)
+        assert run_experiment(small_config(experiment=kind, samples=20000)).summary_pass
+
+    def test_eigen_convergence_past_the_drift_of_squaring(self):
+        # U(2) squared 40 times drifts off the group by about 1e-3; the
+        # eigenangles of U^m are m theta, which cannot drift
+        assert run_experiment(small_config(powers=[2 ** 40], samples=2000, seed=1)).summary_pass
+
+    @pytest.mark.parametrize("target, law_draws, haar_draws", [
+        ("preimage_limit", 4, 0), ("haar_power", 3, 1)])
+    def test_group_limit_draws_its_limit_side_once(self, monkeypatch, target, law_draws,
+                                                   haar_draws):
+        calls = {"law": 0, "haar": 0}
+        law_batch, haar_batch = samplers.PerturbedHaarLaw.sample_batch, experiments.haar_batch
+
+        def counted_law(law, rng, size):
+            calls["law"] += 1
+            return law_batch(law, rng, size)
+
+        def counted_haar(*args):
+            calls["haar"] += 1
+            return haar_batch(*args)
+
+        monkeypatch.setattr(samplers.PerturbedHaarLaw, "sample_batch", counted_law)
+        monkeypatch.setattr(experiments, "haar_batch", counted_haar)
+        run_experiment(small_config(experiment="group_limit", powers=[2, 3, 64], samples=500,
+                                    law={"type": "perturbed_haar", "strength": 0.5},
+                                    target=target))
+        assert calls == {"law": law_draws, "haar": haar_draws}
 
     def test_group_limit_mixture(self):
         rep = run_experiment(small_config(experiment="group_limit",
@@ -189,7 +251,7 @@ class TestRunners:
         assert rep.summary_pass
 
 
-SHAPE_CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+SHAPE_CONFIGS = dict(FILE_CONFIGS)
 SHAPE_CONFIGS["so3_group_limit"] = dict(
     experiment="group_limit", family="SO", matrix_size=3,
     law={"type": "perturbed_haar", "strength": 0.5}, powers=[3, 64], seed=1)
@@ -281,8 +343,12 @@ class TestCli:
         assert done.stdout.strip() == "False"
 
     def _write_config(self, tmp_path, **overrides):
+        """A U(2) Haar config file holding the fields its kind reads, with
+        ``overrides`` applied; an override of None drops the field."""
         data = dict(experiment="eigen_convergence", family="U", matrix_size=2,
                     law={"type": "haar"}, powers=[2], samples=2000, seed=21)
+        fields = _kind_fields(overrides.get("experiment", data["experiment"]))
+        data = {k: v for k, v in data.items() if k in fields}
         data.update(overrides)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
@@ -348,11 +414,25 @@ class TestCli:
         dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strenght": 0.9},
              seed=1),
         dict(experiment="eigen_convergence", law={"type": "haar", "strength": 0.5}, seed=1),
+        dict(experiment=["eigen_convergence"], seed=1),
+        dict(experiment="exact_threshold", powers=[7], seed=1),
+        dict(experiment="preimage_invariance", trace_k_max=3, target="haar_power", powers=[2],
+             seed=1),
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("overrides", [
+        dict(matrix_size=4, powers=[2 ** 30]),     # U^m drifts off U(4) by about 8e-7
+        dict(law={"type": "point_mass"}),          # no preimage of a degenerate spectrum
+    ])
+    def test_aborted_run_exits_3(self, tmp_path, capsys, overrides):
+        path = self._write_config(tmp_path, experiment="group_limit", samples=200, seed=1,
+                                  **overrides)
+        assert cli.main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
     def test_unwritable_out_fails_before_sampling(self, tmp_path, capsys, monkeypatch):

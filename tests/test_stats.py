@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from powerlimits import stats as S
-from powerlimits.groups import GroupElement, haar_batch, identity, unitary
+from powerlimits.groups import haar_batch, unitary
 from powerlimits.torus import AngleSample
 
 TAU = 2 * np.pi
@@ -231,11 +231,3 @@ class TestReportSerialization:
     def test_rejects_bad_std_error(self):
         with pytest.raises(ValueError):
             S.MomentReport("t", 0.0, -1.0, 10)
-
-    def test_group_elements_accepted(self):
-        descs = unitary(2)
-        rng = np.random.default_rng(14)
-        elems = [GroupElement(m, descs) for m in haar_batch(descs, rng, 5)]
-        elems.append(identity(descs))
-        reps = S.trace_moments(elems, 1)
-        assert reps[0].sample_size == 6
