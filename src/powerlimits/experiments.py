@@ -117,6 +117,9 @@ class ExperimentConfig:
             self.build_law()
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise ConfigError(f"cannot build the law: {exc}") from exc
+        if self.law.get("type") == "point_mass" and (self.experiment == "preimage_invariance" or (
+                self.experiment == "group_limit" and self.target == "preimage_limit")):
+            raise ConfigError(f"{self.experiment} needs preimages, undefined for a point mass")
         return self
 
     @classmethod
@@ -442,5 +445,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if not rows:
         raise ConfigError("the config yields no verdict rows")
     raw = all(r.passed for r in rows)
-    return ExperimentReport(asdict(config), rows, raw, raw != config.negative_control,
+    fields = _kind_fields(config.experiment)
+    echo = {k: v for k, v in asdict(config).items() if k in fields}
+    return ExperimentReport(echo, rows, raw, raw != config.negative_control,
                             time.perf_counter() - t0, notes)

@@ -38,6 +38,9 @@ from .torus import AngleSample, FourierDensity, _rejection_fill
 MIXTURE_A = np.array([[np.sqrt(2) / 2, -np.sqrt(2) / 2],
                       [np.sqrt(2) / 2, np.sqrt(2) / 2]], dtype=np.complex128)
 MIXTURE_P = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+# rows b_k b_k* flattened, b = 1 or a per branch: exp(i t) @ rows = b diag(exp(i t)) b*
+_BRANCH_OUTER = np.stack([np.einsum("ik,jk->kij", b, b.conj()).reshape(2, 4)
+                          for b in (np.eye(2, dtype=np.complex128), MIXTURE_A)])
 
 
 def default_mixture_marginal() -> FourierDensity:
@@ -98,7 +101,7 @@ def sample_perturbed_haar(law: PerturbedHaarLaw, rng: np.random.Generator) -> Gr
 
 @dataclass(frozen=True)
 class MixtureU2Law:
-    """U = X D1 + (1 - X) a D2 a* with X fair and D1, D2 torus draws."""
+    """U = X D1 + (1 - X) a D2 a*, X fair; D1, D2 torus draws made only for their own rows."""
 
     d1: FourierDensity = field(default_factory=default_mixture_marginal)
     d2: FourierDensity = field(default_factory=default_mixture_marginal)
@@ -112,18 +115,21 @@ class MixtureU2Law:
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         x = rng.integers(0, 2, size=size).astype(bool)
-        t1 = self.d1.sample(rng, size).rows
-        t2 = self.d2.sample(rng, size).rows
-        diag1 = embed_batch(self.descriptor, t1)
-        diag2 = embed_batch(self.descriptor, t2)
-        conj2 = MIXTURE_A @ diag2 @ MIXTURE_A.conj().T
-        return np.where(x[:, None, None], diag1, conj2)
+        n1 = int(x.sum())
+        return _mixture_rows(x, self.d1.sample(rng, n1).rows, self.d2.sample(rng, size - n1).rows)
 
     def sample_limit_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         x = rng.integers(0, 2, size=size).astype(bool)
         y = rng.uniform(0.0, TAU, size=(size, 2))
-        diag = embed_batch(self.descriptor, y)
-        return np.where(x[:, None, None], diag, MIXTURE_A @ diag @ MIXTURE_A.conj().T)
+        return _mixture_rows(x, y[x], y[~x])
+
+
+def _mixture_rows(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """embed(t1) in the rows where ``x`` holds, a embed(t2) a* in the others."""
+    out = np.empty((x.size, 4), dtype=np.complex128)
+    out[x] = np.exp(1j * t1) @ _BRANCH_OUTER[0]
+    out[~x] = np.exp(1j * t2) @ _BRANCH_OUTER[1]
+    return out.reshape(-1, 2, 2)
 
 
 def sample_mixture_u2(law: MixtureU2Law, rng: np.random.Generator) -> GroupElement:

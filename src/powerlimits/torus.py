@@ -40,8 +40,7 @@ class DensityError(ValueError):
 
 
 def _as_lattice_key(p) -> tuple[int, ...]:
-    key = tuple(int(x) for x in np.atleast_1d(p))
-    return key
+    return tuple(int(x) for x in np.atleast_1d(p))
 
 
 @dataclass(frozen=True)
@@ -147,12 +146,12 @@ class FourierDensity:
 
 
 def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, density):
-    """``size`` exact draws by rejection: each round proposes 20% (plus 64)
-    more than the expected need, keeps a proposal x with probability
-    density(x)/bound, and at most ``_REJECTION_ROUNDS`` rounds are tried."""
+    """``size`` exact draws by rejection, keeping x with probability density(x)/bound: each of
+    at most ``_REJECTION_ROUNDS`` rounds proposes the mean count still needed + 4 sd + 64."""
     parts, got = [], 0
     for _ in range(_REJECTION_ROUNDS):
-        draw = int((size - got) * bound * 1.2) + 64
+        need = (size - got) * bound   # mean proposals for the rest; variance need (bound - 1)
+        draw = int(need + 4.0 * np.sqrt(need * (bound - 1.0))) + 64
         props = propose(draw)
         values = density(props)   # before the uniforms: one fewer array at its peak
         keep = rng.uniform(0.0, bound, size=draw) < values

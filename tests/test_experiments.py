@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerlimits import cli, experiments, groups, samplers, stats
+from powerlimits import cli, experiments, groups, preimage, samplers, stats
 from powerlimits.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -87,6 +87,20 @@ class TestConfig:
         # the CLI's load path: parse, then build and validate from the dict
         cfg = ExperimentConfig.from_json(SHIPPED_CONFIGS[name])
         assert cfg.experiment in EXPERIMENT_KINDS
+
+    @pytest.mark.parametrize("kind, target, refused", [
+        ("group_limit", "preimage_limit", True),
+        ("preimage_invariance", "preimage_limit", True),
+        ("group_limit", "haar_power", False),
+        ("eigen_convergence", "preimage_limit", False),
+    ])
+    def test_point_mass_is_refused_where_preimages_are_taken(self, kind, target, refused):
+        cfg = small_config(experiment=kind, target=target, law={"type": "point_mass"})
+        if refused:
+            with pytest.raises(ConfigError, match="preimages"):
+                cfg.validate()
+        else:
+            assert cfg.validate() is cfg
 
     def test_rejects_unknown_json_fields(self):
         with pytest.raises(ConfigError):
@@ -287,6 +301,13 @@ class TestReports:
         assert rep.config["experiment"] == "eigen_convergence"
         assert rep.config["seed"] == 17
 
+    @pytest.mark.parametrize("name", sorted(FILE_CONFIGS))
+    def test_config_echo_holds_only_the_fields_its_kind_reads(self, name):
+        data = dict(FILE_CONFIGS[name], samples=500)
+        rep = run_experiment(ExperimentConfig.from_json(data))
+        assert set(rep.config) == _kind_fields(data["experiment"])
+        assert {k: rep.config[k] for k in data} == data
+
     def test_csv_shape(self):
         rep = run_experiment(small_config(samples=2000))
         lines = rep.to_csv().strip().splitlines()
@@ -418,6 +439,9 @@ class TestCli:
         dict(experiment="exact_threshold", powers=[7], seed=1),
         dict(experiment="preimage_invariance", trace_k_max=3, target="haar_power", powers=[2],
              seed=1),
+        # no preimage of a degenerate spectrum: refused before any draw
+        dict(experiment="group_limit", law={"type": "point_mass"}, samples=200, seed=1),
+        dict(experiment="preimage_invariance", law={"type": "point_mass"}, seed=1),
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "config.json"
@@ -427,13 +451,21 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides", [
         dict(matrix_size=4, powers=[2 ** 30]),     # U^m drifts off U(4) by about 8e-7
-        dict(law={"type": "point_mass"}),          # no preimage of a degenerate spectrum
     ])
     def test_aborted_run_exits_3(self, tmp_path, capsys, overrides):
         path = self._write_config(tmp_path, experiment="group_limit", samples=200, seed=1,
                                   **overrides)
         assert cli.main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_degenerate_spectrum_exits_3(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise preimage.DegenerateSpectrumError("3 elements have a degenerate spectrum")
+
+        monkeypatch.setattr(preimage, "preimages_batch", degenerate)
+        path = self._write_config(tmp_path, experiment="group_limit", samples=200, seed=1)
+        assert cli.main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: 3 elements")
 
     def test_unwritable_out_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
         path = self._write_config(tmp_path)

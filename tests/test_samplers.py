@@ -5,10 +5,11 @@ import pytest
 
 from powerlimits import samplers as L
 from powerlimits import torus as T
-from powerlimits.groups import eigenangles_batch, haar_batch, power_batch, unitary
+from powerlimits.groups import embed_batch, eigenangles_batch, haar_batch, power_batch, unitary
 from powerlimits.preimage import uniform_torus_rows
 from powerlimits.stats import (
     empirical_fourier_many,
+    entry_moments,
     lattice_ball,
     spectral_trace_moments,
     trace_moments,
@@ -119,6 +120,64 @@ class TestMixtureU2:
         law = L.MixtureU2Law()
         assert L.sample_mixture_u2(law, rng).matrix.shape == (2, 2)
         assert L.sample_mixture_limit(law, rng).matrix.shape == (2, 2)
+
+    def test_rank_one_table_is_the_conjugation(self):
+        z = np.exp(1j * np.random.default_rng(48).uniform(0.0, TAU, size=(100, 2)))
+        conj = L.MIXTURE_A @ (z[:, :, None] * np.eye(2)) @ L.MIXTURE_A.conj().T
+        assert np.max(np.abs((z @ L._BRANCH_OUTER[1]).reshape(-1, 2, 2) - conj)) <= 1e-14
+        assert np.array_equal((z @ L._BRANCH_OUTER[0]).reshape(-1, 2, 2)[:, [0, 1], [0, 1]], z)
+
+    def test_each_branch_is_drawn_for_its_own_rows(self):
+        class Counting:
+            """A density that records the sizes it is asked for and its draws."""
+
+            def __init__(self, density):
+                self.density, self.rank, self.sizes, self.rows = density, density.rank, [], []
+
+            def sample(self, rng, size):
+                self.sizes.append(size)
+                out = self.density.sample(rng, size)
+                self.rows.append(out.rows)
+                return out
+
+        d1 = Counting(L.default_mixture_marginal())
+        d2 = Counting(T.FourierDensity(2, {(0, 0): 1.0, (1, 0): 0.3, (-1, 0): 0.3}))
+        law = L.MixtureU2Law(d1, d2)
+        size = 1001
+        mats = law.sample_batch(np.random.default_rng(49), size)
+        x = np.random.default_rng(49).integers(0, 2, size=size).astype(bool)
+        assert d1.sizes == [x.sum()] and d2.sizes == [size - x.sum()]
+        desc = unitary(2)
+        assert np.allclose(mats[x], embed_batch(desc, d1.rows[0]), atol=1e-14, rtol=0)
+        conj = L.MIXTURE_A @ embed_batch(desc, d2.rows[0]) @ L.MIXTURE_A.conj().T
+        assert np.allclose(mats[~x], conj, atol=1e-14, rtol=0)
+
+    @staticmethod
+    def _both_branches_then_where(law, rng, size):
+        """The mixture drawn with both branches at full size, then one kept per row."""
+        x = rng.integers(0, 2, size=size).astype(bool)
+        diag1 = embed_batch(law.descriptor, law.d1.sample(rng, size).rows)
+        diag2 = embed_batch(law.descriptor, law.d2.sample(rng, size).rows)
+        return np.where(x[:, None, None], diag1, L.MIXTURE_A @ diag2 @ L.MIXTURE_A.conj().T)
+
+    @pytest.mark.parametrize("seed", [50, 51])
+    def test_same_law_as_drawing_both_branches(self, seed):
+        rng = np.random.default_rng(seed)
+        law = L.MixtureU2Law(d2=T.FourierDensity(2, {(0, 0): 1.0, (0, 1): 0.4j, (0, -1): -0.4j}))
+        s = 50000
+        new = law.sample_batch(rng, s)
+        old = self._both_branches_then_where(law, rng, s)
+        for moments in (entry_moments, lambda m: trace_moments(m, 3)):
+            assert all(v.passed for v in two_sample_test(moments(new), moments(old), 5.0))
+
+    def test_limit_stream_is_unchanged(self):
+        law = L.MixtureU2Law()
+        new = law.sample_limit_batch(np.random.default_rng(52), 500)
+        rng = np.random.default_rng(52)
+        x = rng.integers(0, 2, size=500).astype(bool)
+        diag = embed_batch(law.descriptor, rng.uniform(0.0, TAU, size=(500, 2)))
+        old = np.where(x[:, None, None], diag, L.MIXTURE_A @ diag @ L.MIXTURE_A.conj().T)
+        assert np.max(np.abs(new - old)) <= 1e-14
 
 
 class TestSymbolicEigenDensity:

@@ -349,3 +349,18 @@ class TestRejectionFill:
 
         out = T._rejection_fill(rng, 5000, 1.0, propose, lambda x: np.full(x.shape[0], 0.3))
         assert out.shape == (5000, 1) and len(proposals) > 1
+
+    def test_one_round_sized_to_the_expected_need(self):
+        # acceptance exactly 1/4: the proposals needed for 30000 draws have
+        # mean 120000 and variance 120000 * 3
+        expected = int(120000 + 4.0 * np.sqrt(120000 * 3.0)) + 64
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            proposals = []
+
+            def propose(draw):
+                proposals.append(draw)
+                return rng.uniform(size=(draw, 1))
+
+            out = T._rejection_fill(rng, 30000, 4.0, propose, lambda x: np.ones(x.shape[0]))
+            assert out.shape == (30000, 1) and proposals == [expected]
