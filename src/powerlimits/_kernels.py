@@ -1,15 +1,18 @@
 """Hot numeric kernels, one numpy implementation each.
 
-The two lattice kernels, :func:`fourier_sums` and :func:`trig_poly_values`,
-never loop over lattice points.  Over the bounding box of the lattice,
-``exp(-i p.theta)`` factors into per-coordinate power tables
-``exp(-i k theta_j)``; the Khatri-Rao products (Kronecker per sample) of
-the tables for the first and the second half of the coordinates turn the
-sum over samples into one matrix product per chunk of sample rows.  This
-is a type-1 non-uniform DFT evaluated exactly on the box (Dutt & Rokhlin,
-SIAM J. Sci. Comput. 14, 1993, give the gridding route should a much
-larger degree ever need it).  The cost follows the box, not the number of
-lattice points: callers pass dense coefficient balls or single points.
+The three lattice kernels, :func:`fourier_sums`, :func:`trig_poly_values`
+and :func:`trig_poly_grid`, never loop over lattice points.  Over the
+bounding box of the lattice, ``exp(-i p.theta)`` factors into
+per-coordinate power tables ``exp(-i k theta_j)``; the Khatri-Rao products
+(Kronecker per sample) of the tables for the first and the second half of
+the coordinates turn the sum over samples into one matrix product per
+chunk of sample rows.  This is a type-1 non-uniform DFT evaluated exactly
+on the box (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993, give the
+gridding route should a much larger degree ever need it).  The cost
+follows the box, not the number of lattice points: callers pass dense
+coefficient balls or single points.  On a uniform grid,
+:func:`trig_poly_grid` instead contracts the box with one power table per
+grid axis: an inverse DFT pruned to the box.
 
 Matrix factorizations (QR, eigendecompositions, batched matmul) are *not*
 here on purpose: they are LAPACK/BLAS bound already.
@@ -127,7 +130,8 @@ def fourier_sums(angles, lattice):
 
 # ---------------------------------------------------------------------------
 # trigonometric polynomial evaluation at arbitrary points (rejection
-# samplers evaluate densities at ~2S proposal points per draw batch).
+# samplers evaluate densities at ~2S proposal points per draw batch) and
+# on a uniform grid (density grids of the torus suite).
 # ---------------------------------------------------------------------------
 
 
@@ -148,6 +152,25 @@ def trig_poly_values(lattice, coeffs, points):
         out[start:stop] = np.sum((box.T @ left) * right, axis=0).real
         start = stop
     return out
+
+
+def trig_poly_grid(lattice, coeffs, grid_size):
+    """Real part of sum_p a_p exp(+i p.theta) on the uniform (G,)*n grid
+    theta = 2*pi*k/G, as a C-contiguous (G,)*n array.
+
+    Each axis of the coefficient box is contracted with its power table in
+    turn, about G**n * width multiply-adds, exact at any grid size.
+    """
+    lattice = np.ascontiguousarray(lattice, dtype=np.int64)
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    lo, shape, flat = _layout(lattice)
+    box = np.zeros(shape, dtype=np.complex128)
+    np.add.at(box.reshape(-1), flat, coeffs)
+    theta = np.arange(grid_size) * (TAU / grid_size)
+    for j, width in enumerate(shape):
+        # Contracting the leading box axis appends this axis's grid axis last.
+        box = np.tensordot(box, _power_table(theta, lo[j], width, 1.0), axes=(0, 0))
+    return np.ascontiguousarray(box.real)
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,8 @@ class ExperimentReport:
     notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"config": self.config, "rows": [asdict(r) for r in self.rows],
+        # vars, not asdict: the row fields are scalars, which asdict would deep-copy.
+        return {"config": self.config, "rows": [dict(vars(r)) for r in self.rows],
                 "raw_pass": self.raw_pass, "summary_pass": self.summary_pass,
                 "notes": self.notes, "wall_clock": self.wall_clock}
 

@@ -12,6 +12,9 @@ that each can serve as an oracle for the other:
   map onto each point of the G/m output grid; no Fourier logic, no
   interpolation.
 
+:func:`to_grid` synthesizes the grid directly from the coefficient box
+(no FFT); its grid_size > 2 * max_degree precondition is a resolution one.
+
 Conventions: the density series is rho(theta) = sum_p a_p exp(+i p.theta);
 the transform hat(nu)(p) = E exp(-i p.theta) then equals a_p, which makes
 the coefficient identity hat(nu^(m))(p) = hat(nu)(m p) literal for the
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TAU, fold_grid, trig_poly_values, wrap_angles
+from ._kernels import TAU, fold_grid, trig_poly_grid, trig_poly_values, wrap_angles
 from .stats import lattice_ball
 
 TAU_NEG = 1e-9          # validation slack for "nonnegative" trig polynomials
@@ -101,19 +104,18 @@ class FourierDensity:
         return float(self.grid_values(g).min())
 
     def grid_values(self, grid_size: int) -> np.ndarray:
-        """Series values on the (grid_size,)*rank grid via FFT synthesis.
+        """Series values on the (grid_size,)*rank grid, synthesized directly
+        from the coefficients (:func:`trig_poly_grid`).
 
-        Exact (to rounding) provided grid_size > 2 * max_degree, so that
-        distinct support points stay distinct mod grid_size.
+        Synthesis is exact at any grid size; grid_size > 2 * max_degree is
+        still required as a resolution condition: a coarser grid cannot tell
+        the support's frequencies apart (p and p - grid_size agree on it), so
+        its values do not determine the density.
         """
         g = int(grid_size)
         if g <= 2 * self.max_degree:
             raise ValueError(f"grid size {g} must exceed twice the degree {self.max_degree}")
-        spectrum = np.zeros((g,) * self.rank, dtype=np.complex128)
-        for p, a in zip(self._lattice, self._coeffs):
-            spectrum[tuple(int(x) % g for x in p)] += a
-        vals = np.fft.ifftn(spectrum) * (g ** self.rank)
-        return np.real(vals)
+        return trig_poly_grid(self._lattice, self._coeffs, g)
 
     # -- serialization ------------------------------------------------------
 
@@ -255,7 +257,8 @@ def to_grid(d: FourierDensity, grid_size: int) -> GridDensity:
     low = float(vals.min())
     if low < -TAU_NEG:
         raise DensityError(f"density reaches {low:.3e}; not a probability density")
-    vals = np.clip(vals, 0.0, None) / TAU ** d.rank
+    np.maximum(vals, 0.0, out=vals)
+    vals /= TAU ** d.rank
     return GridDensity(d.rank, int(grid_size), vals)
 
 

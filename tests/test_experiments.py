@@ -1,5 +1,6 @@
 """Experiment configs, runners, reports, and the CLI."""
 
+import dataclasses
 import importlib.util
 import json
 import re
@@ -289,6 +290,15 @@ class TestReports:
         b = run_experiment(small_config(samples=2000)).to_json_dict()
         a.pop("wall_clock"), b.pop("wall_clock")
         assert a == b
+
+    @pytest.mark.parametrize("overrides", [
+        dict(experiment="exact_threshold", samples=2000),
+        dict(experiment="torus_suite", powers=[2, 3], density_count=2, samples=2000),
+    ])
+    def test_json_matches_the_asdict_serialization(self, overrides):
+        rep = run_experiment(small_config(**overrides))
+        data = dict(rep.to_json_dict(), rows=[dataclasses.asdict(r) for r in rep.rows])
+        assert rep.to_json() == json.dumps(data, indent=2, sort_keys=True)
 
     def test_seed_changes_estimates(self):
         a = run_experiment(small_config(samples=2000)).to_json_dict()

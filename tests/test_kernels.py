@@ -21,6 +21,22 @@ def oracle_trig_poly(lattice, coeffs, points):
     return np.real(np.exp(1j * points @ np.asarray(lattice, float).T) @ coeffs)
 
 
+def oracle_fft_grid(lattice, coeffs, g):
+    """FFT synthesis: scatter the coefficients into a (g,)*n spectrum mod g
+    and take its inverse DFT (exact when g > 2 * degree)."""
+    lattice = np.asarray(lattice)
+    spectrum = np.zeros((g,) * lattice.shape[1], dtype=np.complex128)
+    for p, a in zip(lattice, coeffs):
+        spectrum[tuple(int(x) % g for x in p)] += a
+    return np.real(np.fft.ifftn(spectrum) * g ** lattice.shape[1])
+
+
+def grid_points(rank, g):
+    """The (g,)*rank grid angles 2*pi*k/g as rows, in C order."""
+    axes = np.meshgrid(*[np.arange(g) * (2 * np.pi / g)] * rank, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
 def full_box(rank, degree):
     """Every lattice point with |p_j| <= degree, both of each +-p pair and 0."""
     return np.array(list(itertools.product(range(-degree, degree + 1), repeat=rank)))
@@ -95,6 +111,30 @@ def test_trig_poly_values_sums_repeated_points():
     pts = rng.uniform(0, 2 * np.pi, size=(300, 2))
     np.testing.assert_allclose(K.trig_poly_values(lattice, coeffs, pts),
                                oracle_trig_poly(lattice, coeffs, pts), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lattice,g", [
+    (full_box(1, 3), 7),
+    (full_box(2, 3), 7),
+    (full_box(2, 3), 60),
+    (full_box(2, 3), 360),
+    (full_box(3, 2), 12),
+    ([[1, 4], [2, 5], [3, 6], [1, 4]], 16),   # one-sided: the box is not centred on 0
+    ([[-2, 0, 3]], 9),
+    ([[0]], 5),
+])
+def test_trig_poly_grid(lattice, g):
+    lattice = np.asarray(lattice)
+    coeffs = rng.normal(size=len(lattice)) + 1j * rng.normal(size=len(lattice))
+    out = K.trig_poly_grid(lattice, coeffs, g)
+    assert out.shape == (g,) * lattice.shape[1]
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    np.testing.assert_allclose(out, oracle_fft_grid(lattice, coeffs, g), rtol=0, atol=1e-12)
+    # the direct oracle at up to 4000 grid points keeps the 360**2 case fast
+    at = rng.permutation(out.size)[:4000]
+    np.testing.assert_allclose(out.ravel()[at],
+                               oracle_trig_poly(lattice, coeffs, grid_points(lattice.shape[1], g)[at]),
+                               rtol=0, atol=1e-12)
 
 
 def test_fold_grid_requires_divisor():

@@ -189,6 +189,16 @@ class TestGridPushforward:
         assert abs(after - before) <= 1e-12
 
 
+def fft_grid_values(d, g):
+    """The FFT route to a grid: the coefficients scattered into a (g,)*rank
+    spectrum mod g, inverse DFT, then to_grid's clip and scale."""
+    spectrum = np.zeros((g,) * d.rank, dtype=np.complex128)
+    for p, a in d.coefficients.items():
+        spectrum[tuple(x % g for x in p)] += a
+    vals = np.real(np.fft.ifftn(spectrum)) * g ** d.rank
+    return np.clip(vals, 0.0, None) / TAU ** d.rank
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("rank", [1, 2])
     def test_twenty_random_densities(self, rank):
@@ -196,8 +206,12 @@ class TestOracleEquivalence:
         for _ in range(20):
             d = T.random_fourier_density(rng, rank, 3)
             grid = T.to_grid(d, 360)
+            np.testing.assert_allclose(grid.values, fft_grid_values(d, 360), rtol=0, atol=1e-12)
             for m in (2, 3, 4, 6):
-                via_coeff = T.to_grid(T.fourier_pushforward(d, m), 360 // m)
+                pushed = T.fourier_pushforward(d, m)
+                via_coeff = T.to_grid(pushed, 360 // m)
+                np.testing.assert_allclose(via_coeff.values, fft_grid_values(pushed, 360 // m),
+                                           rtol=0, atol=1e-12)
                 via_grid = T.grid_pushforward(grid, m)
                 err = np.max(np.abs(via_coeff.values - via_grid.values))
                 assert err <= 1e-9
