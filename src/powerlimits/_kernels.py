@@ -14,8 +14,9 @@ coefficient balls or single points.  On a uniform grid,
 :func:`trig_poly_grid` instead contracts the box with one power table per
 grid axis: an inverse DFT pruned to the box.
 
-Matrix factorizations (QR, eigendecompositions, batched matmul) are *not*
-here on purpose: they are LAPACK/BLAS bound already.
+Matrix factorizations (QR, eigendecompositions) are *not* here on purpose:
+they are LAPACK bound already.  Small complex stack products are
+(:func:`stack_matmul`): numpy spends one BLAS call on each matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ TAU = 2.0 * math.pi
 # environment line, whether the interpreter could import it.
 NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
 
+# Largest N at which stack_matmul sums rank-one updates: the measured crossover.
+SMALL_COMPLEX_N = 3
+
 # Complex entries per Khatri-Rao factor of one row chunk (4 MB each), which
 # bounds the kernels' working memory independently of the sample count.
 CHUNK_ENTRIES = 1 << 18
@@ -44,6 +48,19 @@ def wrap_angles(x):
     """
     w = np.mod(np.asarray(x, dtype=np.float64), TAU)
     return np.where(w >= TAU, 0.0, w)
+
+
+def stack_matmul(a, b):
+    """``a @ b`` for matrix stacks.  numpy runs a complex one as a BLAS call per
+    matrix; for N = a.shape[-1] <= SMALL_COMPLEX_N the N rank-one updates (column
+    k of a times row k of b) over the whole stack are faster.  Real ones take @."""
+    n = a.shape[-1]
+    if n > SMALL_COMPLEX_N or not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, n):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
 
 
 # ---------------------------------------------------------------------------

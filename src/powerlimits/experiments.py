@@ -315,10 +315,9 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     """Stationarity threshold of the symbolic eigenvalue density.
 
     Verifies statistically (a fresh U per power; U^m has m times its angles)
-    that the torus coordinates of U^m are iid uniform at m = threshold, that
-    they stay non-uniform at the largest power below the threshold where the
-    symbolic pushforward is not yet the constant 1 (detection of a designated
-    surviving coefficient), and that intermediate powers agree with the oracle.
+    that the torus coordinates of U^m are iid uniform at m = threshold, and that
+    each power whose symbolic pushforward is not yet uniform detects and matches the
+    coefficient designated at the largest such power, or its own largest where that is 0.
     """
     try:
         dens = samplers.symbolic_eigen_density(law)
@@ -327,20 +326,23 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     thr = torus.stationarity_threshold(dens)
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
     notes = {"threshold": thr}
-    pushed = {m: torus.fourier_pushforward(dens, m) for m in range(1, thr + 1)}
+    # the nonzero-frequency coefficients of each pushforward, and the largest
+    pushed = {m: {p: a for p, a in torus.fourier_pushforward(dens, m).coefficients.items()
+                  if any(p)} for m in range(1, thr + 1)}
+    largest = lambda m: max(pushed[m], key=lambda p: abs(pushed[m][p]))
 
     # largest power below thr whose symbolic pushforward is still non-uniform
     designated = None
     for m in range(thr - 1, 0, -1):
-        support = {p: a for p, a in pushed[m].coefficients.items() if any(p)}
-        if support:
-            designated = max(support, key=lambda p: abs(support[p]))
+        if pushed[m]:
+            designated = largest(m)
+            value = pushed[m][designated]
             notes["detection_power"] = m
             notes["designated_coefficient"] = list(designated)
-            notes["designated_value"] = [support[designated].real, support[designated].imag]
+            notes["designated_value"] = [value.real, value.imag]
             # the detection z has mean sqrt(S) |value|: below this S it
             # misses the threshold more often than not
-            need = int(np.ceil((config.threshold / abs(support[designated])) ** 2))
+            need = int(np.ceil((config.threshold / abs(value)) ** 2))
             notes["detection_min_samples"] = need
             notes["detection_powered"] = config.samples >= need
             break
@@ -350,20 +352,20 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     for m in range(1, thr + 1):
         r_samp, r_weyl = rngs[2 * (m - 1):2 * m]
         _, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
-        if m == thr or not any(any(p) for p in pushed[m].coefficients):
+        if m == thr or not pushed[m]:
             # the oracle says uniform: the whole coefficient ball must vanish
             rows += _bound_rows(m, stats.empirical_fourier_many(coords, lattice),
                                 config.threshold, "uniform@")
         else:
-            # the oracle says not yet: the designated coefficient must be
-            # seen (the one row that passes when z *exceeds* the threshold)
-            # and must match the symbolic value
-            report = stats.empirical_fourier(coords, designated)
+            # the oracle says not yet: a surviving coefficient must be seen
+            # (the one row that passes when z *exceeds* the threshold) and
+            # must match the symbolic value
+            p = designated if designated in pushed[m] else largest(m)
+            report = stats.empirical_fourier(coords, p)
             z = float(np.sqrt(report.sample_size) * abs(report.estimate))
             rows.append(_row(m, f"detect@{report.statistic}", z, config.threshold, report,
                              passed=z > config.threshold))
-            rows.append(_match_row(m, f"match@{report.statistic}", report,
-                                   torus.fourier_coefficient(pushed[m], designated),
+            rows.append(_match_row(m, f"match@{report.statistic}", report, pushed[m][p],
                                    config.threshold))
     return rows, notes
 
@@ -405,8 +407,8 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
             drift = abs(via_grid.values.sum() * (torus.TAU / via_grid.grid_size) ** rank - 1.0)
             rows.append(_row(m, f"integral[{i}]", drift, 1e-12))
         signed = r_sign.normal(size=grid.values.shape)
+        before = float(np.abs(signed).sum()) * (torus.TAU / g) ** rank
         for m in config.powers:
-            before = float(np.abs(signed).sum()) * (torus.TAU / g) ** rank
             after_vals = torus.fold_grid(signed, m)
             after = float(np.abs(after_vals).sum()) * (torus.TAU / (g // m)) ** rank
             rows.append(_row(m, f"contraction[{i}]", max(after - before, 0.0), 1e-12))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TAU, wrap_angles
+from ._kernels import TAU, stack_matmul, wrap_angles
 
 TAU_UNIT = 1e-10   # construction tolerance for M M* = I and det checks
 TAU_DRIFT = 1e-8   # allowed unitarity defect after repeated squaring
@@ -141,10 +141,10 @@ class TorusPoint:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of M M* - I."""
+    """Max-norm of M M* - I over one matrix or a stack."""
     m = np.asarray(matrix)
     n = m.shape[-1]
-    return float(np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(n))))
+    return float(np.max(np.abs(stack_matmul(m, m.conj().swapaxes(-1, -2)) - np.eye(n))))
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,7 @@ def haar_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np
         if np.any(scale == 0.0):
             continue  # a singular Gaussian draw; resample the whole batch
         q = q * (d / scale)[:, None, :]
+        del z, r, d  # frees room for the unitarity check's temporaries
         if desc.family is Family.SPECIAL_UNITARY:
             q[:, :, 0] /= np.linalg.det(q)[:, None]
         elif desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
@@ -294,10 +295,10 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
     e = int(m)
     while e:
         if e & 1:
-            result = result @ base
+            result = stack_matmul(result, base)
         e >>= 1
         if e:
-            base = base @ base
+            base = stack_matmul(base, base)
     defect = unitarity_defect(result)
     if defect > TAU_DRIFT:
         raise PowerDriftError(defect)

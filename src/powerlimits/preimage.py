@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TAU, wrap_angles
+from ._kernels import TAU, stack_matmul, wrap_angles
 from .groups import (
     Family,
     GroupDescriptor,
@@ -206,7 +206,7 @@ class Preimage:
 def psi_batch(flags: np.ndarray, rows: np.ndarray, desc: GroupDescriptor) -> np.ndarray:
     """V embed(t) V^{-1} for stacked flags (S, N, N) and angle rows (S, n)."""
     e = embed_batch(desc, rows)
-    return flags @ e @ flags.conj().swapaxes(-1, -2)
+    return stack_matmul(stack_matmul(flags, e), flags.conj().swapaxes(-1, -2))
 
 
 def psi(v: GroupElement, t: TorusPoint) -> GroupElement:
@@ -219,9 +219,9 @@ def _polish_unitary(vecs: np.ndarray) -> np.ndarray:
     """One Newton step toward the polar factor; assumes vecs is already
     unitary to ~sqrt(eps), which batched eigendecompositions of normal
     matrices with separated spectra deliver."""
-    gram = vecs.conj().swapaxes(-1, -2) @ vecs
+    gram = stack_matmul(vecs.conj().swapaxes(-1, -2), vecs)
     n = gram.shape[-1]
-    return vecs @ (1.5 * np.eye(n, dtype=vecs.dtype) - 0.5 * gram)
+    return stack_matmul(vecs, 1.5 * np.eye(n, dtype=vecs.dtype) - 0.5 * gram)
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:

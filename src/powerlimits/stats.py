@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fourier_sums
+from ._kernels import fourier_sums, stack_matmul
 
 KS_THRESHOLD_1PCT = 1.63  # sqrt(S) * D_S acceptance point at the 1% level
 
@@ -134,7 +134,7 @@ def trace_moments(mats: np.ndarray, k_max: int) -> list[MomentReport]:
     acc = mats
     for k in range(1, k_max + 1):
         if k > 1:
-            acc = acc @ mats
+            acc = stack_matmul(acc, mats)
         out += _trace_reports(k, np.einsum("sii->s", acc))
     return out
 

@@ -239,6 +239,19 @@ class TestRunners:
         assert rep.notes["threshold"] == 2
         assert rep.summary_pass
 
+    def test_exact_threshold_where_the_designated_coefficient_vanishes(self):
+        # support (+-2, 0), (0, +-2): threshold 3 and (1, 0) designated at m = 2,
+        # but at m = 1 the coefficient at (1, 0) is 0, so m = 1 detects its own largest
+        coeffs = [{"p": [0, 0], "re": 1.0}] + [{"p": p, "re": 0.15}
+                                               for p in ([2, 0], [-2, 0], [0, 2], [0, -2])]
+        rep = run_experiment(small_config(
+            experiment="exact_threshold", samples=20000, seed=3,
+            law={"type": "torus_density", "density": {"rank": 2, "coeffs": coeffs}}))
+        assert rep.notes["designated_coefficient"] == [1, 0]
+        assert [r.statistic for r in rep.rows if r.m == 1] == ["detect@fourier[2,0]",
+                                                               "match@fourier[2,0]"]
+        assert rep.summary_pass
+
     def test_preimage_invariance(self):
         rep = run_experiment(small_config(experiment="preimage_invariance",
                                           law={"type": "perturbed_haar", "strength": 0.5},

@@ -125,6 +125,12 @@ class TestPower:
             rhs = G.power(g, a).matrix @ G.power(g, b).matrix
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
+    @pytest.mark.parametrize("desc", [G.unitary(2), G.unitary(3)])
+    def test_power_batch_matches_matrix_power(self, desc):
+        mats = G.haar_batch(desc, np.random.default_rng(9), 64)
+        np.testing.assert_allclose(G.power_batch(mats, 64), np.linalg.matrix_power(mats, 64),
+                                   rtol=0, atol=1e-12)
+
     def test_power_requires_positive_exponent(self):
         with pytest.raises(ValueError):
             G.power(G.identity(G.unitary(2)), 0)

@@ -1,5 +1,5 @@
-"""The lattice kernels against direct exp-sum oracles, plus grid and angle
-helpers."""
+"""The lattice kernels against direct exp-sum oracles, the stacked matrix
+product against ``@``, plus grid and angle helpers."""
 
 import itertools
 
@@ -135,6 +135,23 @@ def test_trig_poly_grid(lattice, g):
     np.testing.assert_allclose(out.ravel()[at],
                                oracle_trig_poly(lattice, coeffs, grid_points(lattice.shape[1], g)[at]),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("complex_a, complex_b", [(True, True), (True, False), (False, True),
+                                                  (False, False)])
+@pytest.mark.parametrize("lead_a, lead_b", [((7,), (7,)), ((), (7,)), ((7,), ()), ((), ())])
+def test_stack_matmul(n, complex_a, complex_b, lead_a, lead_b):
+    def draw(lead, is_complex):
+        x = rng.normal(size=lead + (n, n))
+        return x + 1j * rng.normal(size=x.shape) if is_complex else x
+
+    a, b = draw(lead_a, complex_a), draw(lead_b, complex_b)
+    out, expect = K.stack_matmul(a, b), a @ b
+    assert out.shape == expect.shape and out.dtype == expect.dtype
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-13)
+    if n > K.SMALL_COMPLEX_N or not (complex_a or complex_b):
+        np.testing.assert_array_equal(out, expect)  # the @ path itself
 
 
 def test_fold_grid_requires_divisor():
