@@ -14,9 +14,20 @@ coefficient balls or single points.  On a uniform grid,
 :func:`trig_poly_grid` instead contracts the box with one power table per
 grid axis: an inverse DFT pruned to the box.
 
-Matrix factorizations (QR, eigendecompositions) are *not* here on purpose:
-they are LAPACK bound already.  Small complex stack products are
-(:func:`stack_matmul`): numpy spends one BLAS call on each matrix.
+numpy runs a stacked complex matrix product, a QR or eigendecomposition or
+a determinant as one BLAS or LAPACK call per matrix, and at the small N of
+U(2), SU(2) and SO(3) that per-call cost dominates.  The matrix kernels
+replace those calls with closed forms evaluated over the whole stack, each
+up to one measured crossover constant, with numpy's own route above it:
+
+* :func:`stack_matmul`: rank-one updates for complex N <= SMALL_COMPLEX_N.
+* :func:`positive_qr_q`: Gram-Schmidt, two passes per column, for
+  N <= GRAM_SCHMIDT_N; ``np.linalg.qr`` and a phase fix above.
+* :func:`det`: cofactor expansion for N <= SMALL_DET_N.
+* :func:`eigvals_2x2`, :func:`eig_normal_2x2` and :func:`so3_axis_angle`
+  solve one size each (callers take ``np.linalg.eig`` at any other): the
+  2x2 eigenproblem in ``np.linalg.eigvals`` order, and the angle and axis
+  of a 3D rotation.
 """
 
 from __future__ import annotations
@@ -34,6 +45,11 @@ NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
 
 # Largest N at which stack_matmul sums rank-one updates: the measured crossover.
 SMALL_COMPLEX_N = 3
+# Largest N at which positive_qr_q runs Gram-Schmidt rather than np.linalg.qr:
+# the measured crossover, the same for complex and real stacks.
+GRAM_SCHMIDT_N = 7
+# Largest N at which det expands cofactors rather than calling np.linalg.det.
+SMALL_DET_N = 3
 
 # Complex entries per Khatri-Rao factor of one row chunk (4 MB each), which
 # bounds the kernels' working memory independently of the sample count.
@@ -61,6 +77,137 @@ def stack_matmul(a, b):
     for k in range(1, n):
         out += a[..., :, k, None] * b[..., None, k, :]
     return out
+
+
+def positive_qr_q(z):
+    """Q of z = QR for a (S, N, N) stack, gauged so R has a real positive
+    diagonal (with Gaussian z, exactly Haar on U(N) or O(N)), or None if a
+    matrix of the stack is singular.
+
+    Up to N = GRAM_SCHMIDT_N, classical Gram-Schmidt over the whole stack,
+    with every column orthogonalized twice: one pass leaves defects near
+    1e-11, two reach rounding level.  Columns are held as (N, S) arrays so
+    each step is an elementwise operation over S.  Above, ``np.linalg.qr``
+    and a rescaling of its columns by the phases of R's diagonal.
+    """
+    n = z.shape[-1]
+    if n > GRAM_SCHMIDT_N:
+        q, r = np.linalg.qr(z)
+        d = np.einsum("sii->si", r)
+        scale = np.abs(d)
+        if np.any(scale == 0.0):
+            return None
+        return q * (d / scale)[:, None, :]
+    cols = np.ascontiguousarray(z.transpose(2, 1, 0))  # cols[j, i] = z[:, i, j]
+    if np.iscomplexobj(z):
+        conj, abs2 = np.conj, lambda x: x.real ** 2 + x.imag ** 2
+    else:
+        conj, abs2 = (lambda x: x), np.square
+    for j in range(n):
+        v = cols[j]
+        for _ in range(2):
+            for k in range(j):
+                qk = conj(cols[k])
+                c = qk[0] * v[0]
+                for i in range(1, n):
+                    c += qk[i] * v[i]
+                v -= c * cols[k]
+        norm2 = abs2(v[0])
+        for i in range(1, n):
+            norm2 += abs2(v[i])
+        if np.any(norm2 == 0.0):
+            return None
+        v /= np.sqrt(norm2)
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+
+
+def det(a):
+    """Determinants of a (..., N, N) stack: the cofactor expansion for
+    N <= SMALL_DET_N, ``np.linalg.det`` above."""
+    n = a.shape[-1]
+    if n > SMALL_DET_N:
+        return np.linalg.det(a)
+    if n == 1:
+        return a[..., 0, 0].copy()
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+
+
+def _eig_2x2_parts(mats):
+    """mu, s and h + s of [[a, b], [c, d]], whose eigenvalues are mu +- s.
+
+    s**2 = h**2 + bc with h = (a - d)/2: near a double eigenvalue h, b and c
+    are all small, so this keeps the relative accuracy that tr**2/4 - det
+    (terms of size 1) loses.  s takes the sign with Re(s conj(h)) >= 0, so
+    h + s has no cancellation and mu - s is the eigenvalue nearer d, which
+    LAPACK returns second (when a == d exactly the order is the square
+    root's, not necessarily LAPACK's).
+    """
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    h = 0.5 * (a - d)
+    s = np.sqrt(h * h + b * c)
+    s = np.where(s.real * h.real + s.imag * h.imag < 0.0, -s, s)
+    return 0.5 * (a + d), s, h + s
+
+
+def eigvals_2x2(mats):
+    """Eigenvalues (S, 2) of a complex (S, 2, 2) stack, in the order
+    ``np.linalg.eigvals`` gives them."""
+    mu, s, _ = _eig_2x2_parts(mats)
+    return np.stack([mu + s, mu - s], axis=-1)
+
+
+def eig_normal_2x2(mats):
+    """Eigenvalues (S, 2) and unitary eigenvectors (S, 2, 2) of a stack of
+    normal complex 2x2 matrices.
+
+    (h + s, c) is an eigenvector of mu + s, and for a normal matrix the
+    orthogonal complement (-conj(c), conj(h + s)) is one of mu - s; a row
+    where both entries vanish is a multiple of the identity, for which e_1
+    serves.  Non-normal rows get vectors that do not diagonalize them.
+    """
+    mu, s, x = _eig_2x2_parts(mats)
+    y = mats[..., 1, 0].copy()
+    norm = np.sqrt(x.real ** 2 + x.imag ** 2 + y.real ** 2 + y.imag ** 2)
+    scalar = norm == 0.0
+    x[scalar], norm[scalar] = 1.0, 1.0
+    x /= norm
+    y /= norm
+    vecs = np.empty(mats.shape, dtype=np.complex128)
+    vecs[..., 0, 0], vecs[..., 1, 0] = x, y
+    vecs[..., 0, 1], vecs[..., 1, 1] = -y.conj(), x.conj()
+    return np.stack([mu + s, mu - s], axis=-1), vecs
+
+
+def so3_axis_angle(mats):
+    """Angle theta in [0, pi] and unit axis n (S, 3) of a rotation stack,
+    with R the right-handed rotation by theta about n.
+
+    The skew part of R is sin(theta) [n]_x and gives n where cos theta >= 0.
+    Elsewhere the axis comes from R + R^T - (tr R - 1) I = 2 (1 - cos theta)
+    n n^T, through its column of largest diagonal entry, signed by the skew
+    part: near pi the skew part alone loses the axis to rounding.
+    """
+    w = 0.5 * np.stack([mats[:, 2, 1] - mats[:, 1, 2], mats[:, 0, 2] - mats[:, 2, 0],
+                        mats[:, 1, 0] - mats[:, 0, 1]], axis=1)
+    tr = mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]
+    sin = np.sqrt(np.sum(w * w, axis=1))
+    cos = 0.5 * (tr - 1.0)
+    theta = np.arctan2(sin, cos)
+    axis = np.empty_like(w)
+    near = cos >= 0.0
+    axis[near] = w[near] / np.where(sin[near] > 0.0, sin[near], 1.0)[:, None]
+    far = ~near
+    r = mats[far]
+    sym = r + r.swapaxes(1, 2) - (tr[far] - 1.0)[:, None, None] * np.eye(3)
+    j = np.argmax(np.einsum("sii->si", sym), axis=1)
+    col = np.take_along_axis(sym, j[:, None, None], axis=2)[:, :, 0]
+    sign = np.where(np.sum(col * w[far], axis=1) < 0.0, -1.0, 1.0)
+    axis[far] = col * (sign / np.sqrt(np.sum(col * col, axis=1)))[:, None]
+    return theta, axis
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TAU, stack_matmul, wrap_angles
+from ._kernels import TAU, det, eigvals_2x2, positive_qr_q, stack_matmul, wrap_angles
 
 TAU_UNIT = 1e-10   # construction tolerance for M M* = I and det checks
 TAU_DRIFT = 1e-8   # allowed unitarity defect after repeated squaring
@@ -197,10 +197,11 @@ def identity(desc: GroupDescriptor) -> GroupElement:
 def haar_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, N, N) stack of independent Haar draws.
 
-    Gaussian matrix -> QR -> rescale columns by the phases (signs) of the R
-    diagonal, which removes the QR gauge freedom and makes the law exactly
-    Haar.  SU projects U(N) draws by dividing the first column by det; SO
-    negates the last column of O(N) draws with det -1.
+    Gaussian matrix -> the Q of its QR factorization with R's diagonal
+    real positive (``_kernels.positive_qr_q``), which removes the QR gauge
+    freedom and makes the law exactly Haar.  SU projects U(N) draws by
+    dividing the first column by det; SO negates the last column of O(N)
+    draws with det -1.
     """
     n = desc.matrix_size
     for _ in range(_HAAR_RETRIES):
@@ -208,17 +209,14 @@ def haar_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np
             z = rng.normal(size=(size, n, n))
         else:
             z = (rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))) / np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        d = np.einsum("sii->si", r)
-        scale = np.abs(d)
-        if np.any(scale == 0.0):
+        q = positive_qr_q(z)
+        del z  # frees room for the unitarity check's temporaries
+        if q is None:
             continue  # a singular Gaussian draw; resample the whole batch
-        q = q * (d / scale)[:, None, :]
-        del z, r, d  # frees room for the unitarity check's temporaries
         if desc.family is Family.SPECIAL_UNITARY:
-            q[:, :, 0] /= np.linalg.det(q)[:, None]
+            q[:, :, 0] /= det(q)[:, None]
         elif desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-            flip = np.linalg.det(q) < 0
+            flip = det(q) < 0
             q[flip, :, -1] *= -1.0
         if unitarity_defect(q) <= TAU_UNIT:
             return q
@@ -316,7 +314,10 @@ def power(g: GroupElement, m: int) -> GroupElement:
 
 
 def eigenangles_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalue angles in [0, 2*pi) for a (S, N, N) stack; rows unsorted."""
+    """Eigenvalue angles in [0, 2*pi) for a (S, N, N) stack; rows unsorted,
+    in ``np.linalg.eigvals`` order (closed form for complex 2x2 stacks)."""
+    if mats.shape[-1] == 2 and np.iscomplexobj(mats):
+        return wrap_angles(np.angle(eigvals_2x2(mats)))
     return wrap_angles(np.angle(np.linalg.eigvals(mats)))
 
 

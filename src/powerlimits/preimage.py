@@ -13,7 +13,8 @@ strictly increasing; for SO, all angles in (0, pi)) and the *uniform*
 preimage (a uniformly random Weyl translate, drawn independently of u).
 
 Determinism of the sorted preimage is pinned by scaling each eigenvector
-so that its largest-modulus entry is real positive.
+so that its largest-modulus entry is real positive; SO(3) flags are pinned
+by their construction from the rotation axis instead.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TAU, stack_matmul, wrap_angles
+from ._kernels import TAU, det, eig_normal_2x2, so3_axis_angle, stack_matmul, wrap_angles
 from .groups import (
     Family,
     GroupDescriptor,
@@ -204,9 +205,17 @@ class Preimage:
 
 
 def psi_batch(flags: np.ndarray, rows: np.ndarray, desc: GroupDescriptor) -> np.ndarray:
-    """V embed(t) V^{-1} for stacked flags (S, N, N) and angle rows (S, n)."""
-    e = embed_batch(desc, rows)
-    return stack_matmul(stack_matmul(flags, e), flags.conj().swapaxes(-1, -2))
+    """V embed(t) V^{-1} for stacked flags (S, N, N) and angle rows (S, n).
+
+    The U and SU embeddings are diagonal, so V embed(t) is V with its
+    columns scaled by the eigenvalue phases; SO multiplies by its blocks.
+    """
+    if desc.is_real:
+        left = stack_matmul(flags, embed_batch(desc, rows))
+    else:
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        left = flags * np.exp(1j * (rows @ desc.monomials.T.astype(np.float64)))[:, None, :]
+    return stack_matmul(left, flags.conj().swapaxes(-1, -2))
 
 
 def psi(v: GroupElement, t: TorusPoint) -> GroupElement:
@@ -244,21 +253,28 @@ def _reject_degenerate(bad: np.ndarray, why: str):
 
 
 def _unitary_preimages(mats: np.ndarray, desc: GroupDescriptor):
-    """Sorted-chamber flags and torus rows for a (S, N, N) unitary stack."""
-    vals, vecs = np.linalg.eig(mats)
+    """Sorted-chamber flags and torus rows for a (S, N, N) unitary stack.
+
+    2x2 stacks take the closed form, whose vectors are unitary by
+    construction; larger ones one batched ``np.linalg.eig``, normalized and
+    polished.
+    """
+    closed = mats.shape[-1] == 2
+    vals, vecs = eig_normal_2x2(mats) if closed else np.linalg.eig(mats)
     angles = wrap_angles(np.angle(vals))
     order = np.argsort(angles, axis=-1)
     angles = np.take_along_axis(angles, order, axis=-1)
     _reject_degenerate(_min_circular_gap(angles) < TAU_GAP,
                        f"have eigenangle gaps below {TAU_GAP:.0e}")
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
-    vecs = _canonical_phases(_polish_unitary(vecs))
+    if not closed:
+        vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
+        vecs = _polish_unitary(vecs)
+    vecs = _canonical_phases(vecs)
     if desc.family is Family.SPECIAL_UNITARY:
         # rescale by a determinant root to stay inside SU(N); this moves
         # the representative within its coset only
-        det = np.linalg.det(vecs)
-        vecs = vecs * np.exp(-1j * np.angle(det) / desc.matrix_size)[:, None, None]
+        vecs = vecs * np.exp(-1j * np.angle(det(vecs)) / desc.matrix_size)[:, None, None]
         torus = angles[:, :-1]
     else:
         torus = angles
@@ -269,10 +285,31 @@ def _so_block_angle(block: np.ndarray) -> float:
     return float(np.arctan2(0.5 * (block[1, 0] - block[0, 1]), 0.5 * (block[0, 0] + block[1, 1])))
 
 
+def _so3_preimages(mats: np.ndarray):
+    """Sorted-chamber flags (e0, e1, n) and angles for a (S, 3, 3) rotation
+    stack from its axis n and angle theta: the blocks of ``torus_embed``
+    rotate e0 toward e1 = n x e0, so R is psi at theta in (0, pi).  e0 is the
+    coordinate axis on which n is smallest, made orthogonal to n."""
+    theta, axis = so3_axis_angle(mats)
+    proper = det(mats) > 0.0
+    # the circular gaps of [-theta, 0, theta] are theta, theta and 2 (pi - theta)
+    _reject_degenerate(proper & ((theta < TAU_GAP) | (2.0 * (np.pi - theta) < TAU_GAP)),
+                       f"have eigenangle gaps below {TAU_GAP:.0e}")
+    split = proper & (theta > TAU_GAP) & (theta < np.pi - TAU_GAP)
+    _reject_degenerate(~split, "do not split into k rotations in (0, pi) plus +1")
+    j = np.argmin(np.abs(axis), axis=1)
+    e0 = -np.take_along_axis(axis, j[:, None], axis=1) * axis
+    e0[np.arange(len(j)), j] += 1.0
+    e0 /= np.sqrt(np.sum(e0 * e0, axis=1))[:, None]
+    flags = np.stack([e0, np.cross(axis, e0), axis], axis=2)
+    return flags, theta[:, None]
+
+
 def _so_preimages(mats: np.ndarray, desc: GroupDescriptor):
     """Sorted-chamber flags and angles for a (S, 2k+1, 2k+1) rotation stack.
 
-    The signed eigenangles of a regular element sort to
+    SO(3) takes the closed form of :func:`_so3_preimages`.  Otherwise the
+    signed eigenangles of a regular element sort to
     [-theta_k..-theta_1, 0, theta_1..theta_k].  An eigenvector v of
     exp(+i theta) spans the rotation plane by sqrt(2) Re v and
     -sqrt(2) Im v, in the orientation of ``torus_embed`` (whose blocks have
@@ -280,6 +317,8 @@ def _so_preimages(mats: np.ndarray, desc: GroupDescriptor):
     vector is the fixed axis, and its sign sets det(V) = 1.
     """
     k = desc.torus_rank
+    if k == 1:
+        return _so3_preimages(mats)
     vals, vecs = np.linalg.eig(mats)
     angles = np.angle(vals)
     order = np.argsort(angles, axis=-1)
@@ -299,14 +338,8 @@ def _so_preimages(mats: np.ndarray, desc: GroupDescriptor):
     flags[:, :, 1:2 * k:2] = -np.sqrt(2.0) * planes.imag
     flags[:, :, -1:] = axis / np.linalg.norm(axis, axis=-2, keepdims=True)
     flags = _polish_unitary(flags)
-    flags[np.linalg.det(flags) < 0.0, :, -1] *= -1.0
+    flags[det(flags) < 0.0, :, -1] *= -1.0
     return flags, theta
-
-
-def _sorted_preimage_arrays(mats: np.ndarray, desc: GroupDescriptor):
-    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-        return _so_preimages(mats, desc)
-    return _unitary_preimages(mats, desc)
 
 
 def preimages_batch(mats: np.ndarray, desc: GroupDescriptor,
@@ -315,8 +348,16 @@ def preimages_batch(mats: np.ndarray, desc: GroupDescriptor,
 
     With ``rng`` the preimage is the uniform one (an independent uniformly
     random Weyl translate per row, moved in bulk); without it, the sorted one.
+    Every row must reproduce its element, psi(V, t) = u within
+    ``_RECON_TOL``, or the batch raises with the count of rows that do not.
     """
-    flags, torus = _sorted_preimage_arrays(mats, desc)
+    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
+        flags, torus = _so_preimages(mats, desc)
+    else:
+        flags, torus = _unitary_preimages(mats, desc)
+    err = np.max(np.abs(psi_batch(flags, torus, desc) - mats), axis=(1, 2))
+    _reject_degenerate(~(err <= _RECON_TOL),
+                       f"have preimage reconstruction errors above {_RECON_TOL:.0e}")
     if rng is None:
         return flags, torus
     perms, signs = _weyl_draw(desc, mats.shape[0], rng)
@@ -329,21 +370,13 @@ def _element_from_matrix(u: GroupElement) -> np.ndarray:
     return m[None, :, :].astype(np.float64 if u.descriptor.is_real else np.complex128)
 
 
-def _check_reconstruction(u: GroupElement, flags, torus):
-    rec = psi_batch(flags, torus, u.descriptor)[0]
-    err = float(np.max(np.abs(rec - u.matrix)))
-    if err > _RECON_TOL:
-        raise DegenerateSpectrumError(f"preimage reconstruction error {err:.3e}")
-
-
 def preimage_sorted(u: GroupElement) -> Preimage:
     """The deterministic chamber preimage of a regular element.
 
     U/SU: the full eigenangle tuple strictly increasing (torus coordinates
     are its first n entries).  SO: all block angles in (0, pi), increasing.
     """
-    flags, torus = _sorted_preimage_arrays(_element_from_matrix(u), u.descriptor)
-    _check_reconstruction(u, flags, torus)
+    flags, torus = preimages_batch(_element_from_matrix(u), u.descriptor)
     return Preimage(GroupElement(flags[0], u.descriptor), TorusPoint(torus[0]))
 
 
@@ -351,7 +384,6 @@ def preimage_uniform(u: GroupElement, rng: np.random.Generator) -> Preimage:
     """A uniformly random preimage: the sorted one moved by a uniform Weyl
     element drawn independently of ``u``."""
     flags, torus = preimages_batch(_element_from_matrix(u), u.descriptor, rng)
-    _check_reconstruction(u, flags, torus)
     return Preimage(GroupElement(flags[0], u.descriptor), TorusPoint(torus[0]))
 
 

@@ -276,3 +276,38 @@ class TestValidation:
     def test_weyl_orders(self):
         assert G.unitary(4).weyl_order == math.factorial(4)
         assert G.special_orthogonal_odd(7).weyl_order == 8 * 6
+
+
+class TestClosedFormHaar:
+    @pytest.mark.parametrize("desc", ALL_DESCRIPTORS + [G.unitary(8)], ids=repr)
+    def test_same_draw_as_gauged_qr(self, desc):
+        """haar_batch's Q is the sign-fixed QR Q of the same Gaussian draw,
+        with the same SU and SO fixes."""
+        s, n = 400, desc.matrix_size
+        mats = G.haar_batch(desc, np.random.default_rng(101), s)
+        r = np.random.default_rng(101)
+        z = r.normal(size=(s, n, n))
+        if not desc.is_real:
+            z = (z + 1j * r.normal(size=(s, n, n))) / np.sqrt(2.0)
+        q, rr = np.linalg.qr(z)
+        d = np.einsum("sii->si", rr)
+        q = q * (d / np.abs(d))[:, None, :]
+        if desc.family is G.Family.SPECIAL_UNITARY:
+            q[:, :, 0] /= np.linalg.det(q)[:, None]
+        elif desc.family is G.Family.SPECIAL_ORTHOGONAL_ODD:
+            q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        np.testing.assert_allclose(mats, q, rtol=0, atol=1e-12)
+        assert G.unitarity_defect(mats) <= 1e-14
+
+
+class TestEigenangleOrder:
+    @pytest.mark.parametrize("desc", [G.unitary(2), G.special_unitary(2), G.unitary(3)], ids=repr)
+    def test_rows_in_eigvals_order(self, desc):
+        """uniform_torus_rows permutes by position, so the rows keep LAPACK's
+        order (here a != d on every row)."""
+        from powerlimits.samplers import PerturbedHaarLaw
+        mats = PerturbedHaarLaw(desc, 0.5).sample_batch(np.random.default_rng(102), 4000)
+        mats = np.concatenate([mats, G.power_batch(mats, 5)])
+        ref = G.wrap_angles(np.angle(np.linalg.eigvals(mats)))
+        delta = np.abs(G.eigenangles_batch(mats) - ref)
+        assert np.max(np.minimum(delta, 2 * np.pi - delta)) <= 1e-13

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from powerlimits import _kernels as K
+from powerlimits import groups as G
+from powerlimits.samplers import HaarLaw, PerturbedHaarLaw
 
 
 rng = np.random.default_rng(2024)
@@ -162,3 +164,132 @@ def test_fold_grid_requires_divisor():
 def test_fold_grid_identity_for_m1():
     v = rng.normal(size=12)
     np.testing.assert_array_equal(K.fold_grid(v, 1), v)
+
+
+# ---------------------------------------------------------------------------
+# small-N matrix kernels against numpy's LAPACK routes
+# ---------------------------------------------------------------------------
+
+
+def _draws(family, n, s, seed):
+    """Haar and perturbed-Haar (strength 0.5) draws on one group, stacked."""
+    desc = G.descriptor(family, n)
+    r = np.random.default_rng(seed)
+    return np.concatenate([HaarLaw(desc).sample_batch(r, s),
+                           PerturbedHaarLaw(desc, 0.5).sample_batch(r, s)])
+
+
+def _lapack_positive_q(z):
+    q, r = np.linalg.qr(z)
+    d = np.einsum("sii->si", r)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, K.GRAM_SCHMIDT_N, K.GRAM_SCHMIDT_N + 1])
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_positive_qr_q_is_the_gauged_lapack_q(n, is_complex):
+    z = rng.normal(size=(500, n, n))
+    if is_complex:
+        z = z + 1j * rng.normal(size=z.shape)
+    q = K.positive_qr_q(z)
+    np.testing.assert_allclose(q, _lapack_positive_q(z), rtol=0, atol=1e-12)
+    assert np.max(np.abs(q @ q.conj().swapaxes(-1, -2) - np.eye(n))) <= 1e-14
+    r = q.conj().swapaxes(-1, -2) @ z  # upper triangular, real positive diagonal
+    np.testing.assert_allclose(np.tril(r, -1), 0.0, rtol=0, atol=1e-12)
+    d = np.einsum("sii->si", r)
+    assert np.all(d.real > 0) and np.max(np.abs(d.imag)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, K.GRAM_SCHMIDT_N + 1])
+def test_positive_qr_q_refuses_a_singular_draw(n):
+    z = rng.normal(size=(20, n, n))
+    z[13, :, 0] = 0.0
+    assert K.positive_qr_q(z) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, K.SMALL_DET_N + 1])
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_det(n, is_complex):
+    a = rng.normal(size=(300, n, n))
+    if is_complex:
+        a = a + 1j * rng.normal(size=a.shape)
+    out = K.det(a)
+    assert out.shape == (300,)
+    np.testing.assert_allclose(out, np.linalg.det(a), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("family", ["U", "SU"])
+def test_eigvals_2x2_in_lapack_order(family):
+    mats = _draws(family, 2, 3000, 11)
+    mats = np.concatenate([mats, mats @ mats @ mats])
+    assert np.all(mats[:, 0, 0] != mats[:, 1, 1])
+    np.testing.assert_allclose(K.eigvals_2x2(mats), np.linalg.eigvals(mats), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("family", ["U", "SU"])
+def test_eig_normal_2x2_against_lapack(family):
+    mats = _draws(family, 2, 3000, 12)
+    vals, vecs = K.eig_normal_2x2(mats)
+    ref_vals, ref_vecs = np.linalg.eig(mats)
+    np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13)
+    # eigenvectors agree up to a phase per column: |<v, v_ref>| = 1
+    overlap = np.abs(np.einsum("sij,sij->sj", vecs.conj(), ref_vecs))
+    overlap /= np.linalg.norm(ref_vecs, axis=1)
+    np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-12)
+    assert np.max(np.abs(vecs @ vecs.conj().swapaxes(-1, -2) - np.eye(2))) <= 1e-15
+    rec = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(rec - mats)) <= 1e-14
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])
+def test_eig_normal_2x2_near_double_eigenvalue(gap):
+    """u = Q diag(e^{i phi}, e^{i (phi + gap)}) Q*: the closed form keeps the
+    eigenvalues to rounding (tr**2/4 - det would lose eps/gap) and the
+    vectors to what the gap conditions."""
+    s = 2000
+    q = G.haar_batch(G.unitary(2), np.random.default_rng(13), s)
+    phi = rng.uniform(0, 2 * np.pi, size=s)
+    lam = np.exp(1j * np.stack([phi, phi + gap], axis=1))
+    mats = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    vals, vecs = K.eig_normal_2x2(mats)
+    np.testing.assert_allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(mats)),
+                               rtol=0, atol=1e-14)
+    measured = np.abs(np.angle(vals[:, 0] / vals[:, 1]))
+    np.testing.assert_allclose(measured, gap, rtol=1e-8, atol=0)
+    rec = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(rec - mats)) <= 1e-14
+
+
+def test_eig_normal_2x2_scalar_and_diagonal_rows():
+    mats = np.array([np.eye(2), np.diag([1j, -1.0]), [[0, 1], [1, 0]]], dtype=np.complex128)
+    vals, vecs = K.eig_normal_2x2(mats)
+    np.testing.assert_allclose(vals, np.linalg.eigvals(mats), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(vecs[0], np.eye(2))
+    np.testing.assert_allclose(np.abs(vecs[1]), np.eye(2))
+
+
+@pytest.mark.parametrize("theta", [1e-7, 1e-5, 0.5, 2.0, np.pi - 1e-7])
+def test_so3_axis_angle(theta):
+    """Rotations by theta about Haar-random axes: the angle to rounding, and
+    the axis well enough that Rodrigues' formula rebuilds R to 1e-14."""
+    s = 500
+    q = G.haar_batch(G.special_orthogonal_odd(3), np.random.default_rng(14), s)
+    c, sn = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
+    mats = q @ rot @ q.swapaxes(-1, -2)
+    got, axis = K.so3_axis_angle(mats)
+    np.testing.assert_allclose(got, theta, rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(np.abs(np.sum(axis * q[:, :, 2], axis=1)), 1.0, rtol=0, atol=1e-13)
+    kx = np.zeros((s, 3, 3))
+    kx[:, 0, 1], kx[:, 0, 2], kx[:, 1, 2] = -axis[:, 2], axis[:, 1], -axis[:, 0]
+    kx -= kx.swapaxes(1, 2)
+    rebuilt = np.eye(3) + np.sin(got)[:, None, None] * kx \
+        + (1.0 - np.cos(got))[:, None, None] * (kx @ kx)
+    assert np.max(np.abs(rebuilt - mats)) <= 1e-14
+
+
+def test_so3_axis_angle_against_lapack():
+    mats = _draws("SO", 3, 3000, 15)
+    theta, _ = K.so3_axis_angle(mats)
+    np.testing.assert_allclose(theta, np.max(np.angle(np.linalg.eigvals(mats)), axis=1),
+                               rtol=0, atol=1e-12)

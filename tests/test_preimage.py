@@ -368,3 +368,54 @@ class TestNoAtoms:
             for j in range(desc.torus_rank):
                 counts, _ = np.histogram(torus[:, j], bins=100, range=(0, 2 * np.pi))
                 assert counts.max() <= 10 * s / 100
+
+
+class TestClosedFormPreimages:
+    """U(2), SU(2) and SO(3) take closed forms instead of np.linalg.eig.
+    Flags are compared as cosets: the flag of u = Q embed(t) Q^{-1}, t in the
+    sorted chamber, must lie in Q's coset."""
+
+    @staticmethod
+    def _conjugated(desc, angles, seed):
+        q = G.haar_batch(desc, np.random.default_rng(seed), len(angles))
+        return q, P.psi_batch(q, np.asarray(angles, dtype=np.float64), desc)
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("desc", [G.unitary(2), G.special_unitary(2)], ids=repr)
+    def test_unitary_2x2_down_to_small_gaps(self, desc, gap):
+        s = 300
+        if desc.family is G.Family.SPECIAL_UNITARY:
+            angles = np.full((s, 1), np.pi - 0.5 * gap)  # spectrum e^{+-i(pi - gap/2)}
+        else:
+            lo = np.random.default_rng(50).uniform(0.1, 3.0, size=s)
+            angles = np.stack([lo, lo + gap], axis=1)
+        q, mats = self._conjugated(desc, angles, 51)
+        flags, torus = P.preimages_batch(mats, desc)
+        np.testing.assert_allclose(torus, angles, rtol=0, atol=1e-9)
+        assert np.max(np.abs(P.psi_batch(flags, torus, desc) - mats)) <= 1e-13
+        assert G.unitarity_defect(flags) <= 1e-14
+        for i in range(0, s, 37):
+            assert P.same_flag_coset(G.GroupElement(flags[i], desc), G.GroupElement(q[i], desc),
+                                     tol=1e-9 / gap)
+
+    @pytest.mark.parametrize("theta", [1e-7, 1e-5, 0.5, np.pi - 1e-7])
+    def test_so3_axis_angle_preimage(self, theta):
+        desc = G.special_orthogonal_odd(3)
+        s = 300
+        q, mats = self._conjugated(desc, np.full((s, 1), theta), 52)
+        for rng in (None, np.random.default_rng(53)):
+            flags, torus = P.preimages_batch(mats, desc, rng)
+            assert np.max(np.abs(P.psi_batch(flags, torus, desc) - mats)) <= 1e-13
+            assert G.unitarity_defect(flags) <= 1e-14
+        flags, torus = P.preimages_batch(mats, desc)
+        np.testing.assert_allclose(torus, theta, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(np.linalg.det(flags), 1.0, rtol=0, atol=1e-14)
+        for i in range(0, s, 37):
+            assert P.same_flag_coset(G.GroupElement(flags[i], desc), G.GroupElement(q[i], desc))
+
+    def test_non_normal_row_fails_the_reconstruction_check(self):
+        desc = G.unitary(2)
+        mats = G.haar_batch(desc, np.random.default_rng(54), 50)
+        mats[17] = [[1.0, 1.0], [0.0, np.exp(1j)]]
+        with pytest.raises(P.DegenerateSpectrumError, match=r"^1 element\(s\) have preimage"):
+            P.preimages_batch(mats, desc)
