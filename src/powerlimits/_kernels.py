@@ -17,13 +17,17 @@ grid axis: an inverse DFT pruned to the box.
 numpy runs a stacked complex matrix product, a QR or eigendecomposition or
 a determinant as one BLAS or LAPACK call per matrix, and at the small N of
 U(2), SU(2) and SO(3) that per-call cost dominates.  The matrix kernels
-replace those calls with closed forms evaluated over the whole stack, each
-up to one measured crossover constant, with numpy's own route above it:
+replace those calls with closed forms evaluated over the whole stack,
+selected by matrix size alone:
 
-* :func:`stack_matmul`: rank-one updates for complex N <= SMALL_COMPLEX_N.
-* :func:`positive_qr_q`: Gram-Schmidt, two passes per column, for
-  N <= GRAM_SCHMIDT_N; ``np.linalg.qr`` and a phase fix above.
-* :func:`det`: cofactor expansion for N <= SMALL_DET_N.
+* :func:`stack_matmul`: rank-one updates for complex N <= SMALL_COMPLEX_N,
+  the measured crossover; ``@`` above.
+* :func:`positive_qr_q`: Gram-Schmidt, two passes per column, at every N.
+  Against ``np.linalg.qr`` plus a phase fix it is faster up to N = 7 and
+  0.83x at complex N = 8; the shipped configs and benchmark workloads all
+  draw N <= 4.
+* :func:`det`: cofactor expansion for N = 2 and 3, ``np.linalg.det``
+  otherwise.
 * :func:`eigvals_2x2`, :func:`eig_normal_2x2` and :func:`so3_axis_angle`
   solve one size each (callers take ``np.linalg.eig`` at any other): the
   2x2 eigenproblem in ``np.linalg.eigvals`` order, and the angle and axis
@@ -45,11 +49,6 @@ NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
 
 # Largest N at which stack_matmul sums rank-one updates: the measured crossover.
 SMALL_COMPLEX_N = 3
-# Largest N at which positive_qr_q runs Gram-Schmidt rather than np.linalg.qr:
-# the measured crossover, the same for complex and real stacks.
-GRAM_SCHMIDT_N = 7
-# Largest N at which det expands cofactors rather than calling np.linalg.det.
-SMALL_DET_N = 3
 
 # Complex entries per Khatri-Rao factor of one row chunk (4 MB each), which
 # bounds the kernels' working memory independently of the sample count.
@@ -84,20 +83,12 @@ def positive_qr_q(z):
     diagonal (with Gaussian z, exactly Haar on U(N) or O(N)), or None if a
     matrix of the stack is singular.
 
-    Up to N = GRAM_SCHMIDT_N, classical Gram-Schmidt over the whole stack,
-    with every column orthogonalized twice: one pass leaves defects near
-    1e-11, two reach rounding level.  Columns are held as (N, S) arrays so
-    each step is an elementwise operation over S.  Above, ``np.linalg.qr``
-    and a rescaling of its columns by the phases of R's diagonal.
+    Classical Gram-Schmidt over the whole stack, with every column
+    orthogonalized twice: one pass leaves defects near 1e-11, two reach
+    rounding level.  Columns are held as (N, S) arrays so each step is an
+    elementwise operation over S.
     """
     n = z.shape[-1]
-    if n > GRAM_SCHMIDT_N:
-        q, r = np.linalg.qr(z)
-        d = np.einsum("sii->si", r)
-        scale = np.abs(d)
-        if np.any(scale == 0.0):
-            return None
-        return q * (d / scale)[:, None, :]
     cols = np.ascontiguousarray(z.transpose(2, 1, 0))  # cols[j, i] = z[:, i, j]
     if np.iscomplexobj(z):
         conj, abs2 = np.conj, lambda x: x.real ** 2 + x.imag ** 2
@@ -123,12 +114,10 @@ def positive_qr_q(z):
 
 def det(a):
     """Determinants of a (..., N, N) stack: the cofactor expansion for
-    N <= SMALL_DET_N, ``np.linalg.det`` above."""
+    N = 2 and 3, ``np.linalg.det`` otherwise."""
     n = a.shape[-1]
-    if n > SMALL_DET_N:
+    if n not in (2, 3):
         return np.linalg.det(a)
-    if n == 1:
-        return a[..., 0, 0].copy()
     if n == 2:
         return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])

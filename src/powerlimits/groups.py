@@ -233,13 +233,26 @@ def haar_sample(desc: GroupDescriptor, rng: np.random.Generator) -> GroupElement
 # ---------------------------------------------------------------------------
 
 
+def _torus_rows(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
+    """Angle rows as a float (S, n) array, n checked against the torus rank."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if rows.shape[1] != desc.torus_rank:
+        raise ValueError(f"expected {desc.torus_rank} angles per row")
+    return rows
+
+
+def embed_phases(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
+    """Diagonals (S, N) of the U or SU torus elements of angle rows (S, n):
+    the monomial values exp(i m.t)."""
+    if desc.is_real:
+        raise ValueError("the SO torus embedding is not diagonal")
+    return np.exp(1j * (_torus_rows(desc, rows) @ desc.monomials.T.astype(np.float64)))
+
+
 def embed_batch(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
     """Torus points (S, n) -> torus elements (S, N, N)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    s, n = rows.shape
-    if n != desc.torus_rank:
-        raise ValueError(f"expected {desc.torus_rank} angles per row")
-    N = desc.matrix_size
+    rows = _torus_rows(desc, rows)
+    s, N = rows.shape[0], desc.matrix_size
     if desc.is_real:
         out = np.zeros((s, N, N))
         c, sn = np.cos(rows), np.sin(rows)
@@ -250,10 +263,9 @@ def embed_batch(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
             out[:, 2 * j + 1, 2 * j + 1] = c[:, j]
         out[:, N - 1, N - 1] = 1.0
         return out
-    phases = rows @ desc.monomials.T.astype(np.float64)
     out = np.zeros((s, N, N), dtype=np.complex128)
     idx = np.arange(N)
-    out[:, idx, idx] = np.exp(1j * phases)
+    out[:, idx, idx] = embed_phases(desc, rows)
     return out
 
 

@@ -31,6 +31,7 @@ from .groups import (
     GroupElement,
     TorusPoint,
     embed_batch,
+    embed_phases,
 )
 
 TAU_GAP = 1e-8       # minimum eigenangle separation for a regular element
@@ -213,8 +214,7 @@ def psi_batch(flags: np.ndarray, rows: np.ndarray, desc: GroupDescriptor) -> np.
     if desc.is_real:
         left = stack_matmul(flags, embed_batch(desc, rows))
     else:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        left = flags * np.exp(1j * (rows @ desc.monomials.T.astype(np.float64)))[:, None, :]
+        left = flags * embed_phases(desc, rows)[:, None, :]
     return stack_matmul(left, flags.conj().swapaxes(-1, -2))
 
 

@@ -95,8 +95,10 @@ class TestTorusEmbed:
         np.testing.assert_allclose(e.matrix @ vec, np.exp(1j * theta) * vec, atol=1e-14)
 
     def test_embed_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 2 angles per row"):
             G.torus_embed(G.unitary(2), G.TorusPoint([0.1]))
+        with pytest.raises(ValueError, match="expected 2 angles per row"):
+            G.embed_phases(G.unitary(2), np.zeros((5, 3)))
 
 
 class TestPower:

@@ -185,7 +185,7 @@ def _lapack_positive_q(z):
     return q * (d / np.abs(d))[:, None, :]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, K.GRAM_SCHMIDT_N, K.GRAM_SCHMIDT_N + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
 @pytest.mark.parametrize("is_complex", [True, False])
 def test_positive_qr_q_is_the_gauged_lapack_q(n, is_complex):
     z = rng.normal(size=(500, n, n))
@@ -200,14 +200,14 @@ def test_positive_qr_q_is_the_gauged_lapack_q(n, is_complex):
     assert np.all(d.real > 0) and np.max(np.abs(d.imag)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, K.GRAM_SCHMIDT_N + 1])
+@pytest.mark.parametrize("n", [2, 3, 8])
 def test_positive_qr_q_refuses_a_singular_draw(n):
     z = rng.normal(size=(20, n, n))
     z[13, :, 0] = 0.0
     assert K.positive_qr_q(z) is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, K.SMALL_DET_N + 1])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("is_complex", [True, False])
 def test_det(n, is_complex):
     a = rng.normal(size=(300, n, n))
