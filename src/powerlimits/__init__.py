@@ -15,14 +15,10 @@ from .groups import (
     TorusPoint,
     UnitarityError,
     descriptor,
-    eigenangles,
-    haar_sample,
     identity,
-    monomial_eval,
     power,
     special_orthogonal_odd,
     special_unitary,
-    torus_embed,
     unitary,
 )
 from .preimage import (
@@ -30,12 +26,10 @@ from .preimage import (
     Preimage,
     WeylElement,
     enumerate_weyl,
-    limit_law_sample,
     power_preimage,
     preimage_sorted,
     preimage_uniform,
     psi,
-    random_weyl,
     weyl_action,
 )
 from .samplers import (
@@ -44,9 +38,6 @@ from .samplers import (
     PerturbedHaarLaw,
     PointMassLaw,
     TorusLaw,
-    sample_mixture_limit,
-    sample_mixture_u2,
-    sample_perturbed_haar,
     symbolic_eigen_density,
 )
 from .stats import (
@@ -63,7 +54,6 @@ from .torus import (
     DensityError,
     FourierDensity,
     GridDensity,
-    evaluate,
     fourier_coefficient,
     fourier_pushforward,
     grid_pushforward,
@@ -71,7 +61,6 @@ from .torus import (
     sample_grid,
     stationarity_threshold,
     to_grid,
-    uniform_density,
 )
 from .experiments import ExperimentConfig, ExperimentReport, run_experiment
 

@@ -318,6 +318,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     that the torus coordinates of U^m are iid uniform at m = threshold, and that
     each power whose symbolic pushforward is not yet uniform detects and matches the
     coefficient designated at the largest such power, or its own largest where that is 0.
+    ``detection_min_samples`` is the largest S that any of these detections needs.
     """
     try:
         dens = samplers.symbolic_eigen_density(law)
@@ -331,21 +332,23 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
                   if any(p)} for m in range(1, thr + 1)}
     largest = lambda m: max(pushed[m], key=lambda p: abs(pushed[m][p]))
 
-    # largest power below thr whose symbolic pushforward is still non-uniform
-    designated = None
-    for m in range(thr - 1, 0, -1):
-        if pushed[m]:
-            designated = largest(m)
-            value = pushed[m][designated]
-            notes["detection_power"] = m
-            notes["designated_coefficient"] = list(designated)
-            notes["designated_value"] = [value.real, value.imag]
-            # the detection z has mean sqrt(S) |value|: below this S it
-            # misses the threshold more often than not
-            need = int(np.ceil((config.threshold / abs(value)) ** 2))
-            notes["detection_min_samples"] = need
-            notes["detection_powered"] = config.samples >= need
-            break
+    # the powers below thr whose symbolic pushforward is still non-uniform,
+    # each with the coefficient its detect@ row tests
+    powers = [m for m in range(1, thr) if pushed[m]]
+    tested = {}
+    if powers:
+        designated = largest(powers[-1])
+        tested = {m: designated if designated in pushed[m] else largest(m) for m in powers}
+        value = pushed[powers[-1]][designated]
+        notes["detection_power"] = powers[-1]
+        notes["designated_coefficient"] = list(designated)
+        notes["designated_value"] = [value.real, value.imag]
+        # the detection z at m has mean sqrt(S) |a| for the coefficient a tested
+        # there: below the largest such need some row misses more often than not
+        need = max(int(np.ceil((config.threshold / abs(pushed[m][p])) ** 2))
+                   for m, p in tested.items())
+        notes["detection_min_samples"] = need
+        notes["detection_powered"] = config.samples >= need
 
     rows = []
     rngs = _rngs(seq, 2 * thr)
@@ -360,7 +363,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
             # the oracle says not yet: a surviving coefficient must be seen
             # (the one row that passes when z *exceeds* the threshold) and
             # must match the symbolic value
-            p = designated if designated in pushed[m] else largest(m)
+            p = tested[m]
             report = stats.empirical_fourier(coords, p)
             z = float(np.sqrt(report.sample_size) * abs(report.estimate))
             rows.append(_row(m, f"detect@{report.statistic}", z, config.threshold, report,

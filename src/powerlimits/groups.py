@@ -136,9 +136,6 @@ class TorusPoint:
         a.setflags(write=False)
         object.__setattr__(self, "angles", a)
 
-    def __len__(self):
-        return self.angles.shape[0]
-
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Max-norm of M M* - I over one matrix or a stack."""
@@ -223,11 +220,6 @@ def haar_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np
     raise UnitarityError("Haar sampling failed to produce a unitary batch")
 
 
-def haar_sample(desc: GroupDescriptor, rng: np.random.Generator) -> GroupElement:
-    """One Haar-distributed element."""
-    return GroupElement(haar_batch(desc, rng, 1)[0], desc)
-
-
 # ---------------------------------------------------------------------------
 # torus embedding and monomial maps
 # ---------------------------------------------------------------------------
@@ -250,7 +242,12 @@ def embed_phases(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
 
 
 def embed_batch(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
-    """Torus points (S, n) -> torus elements (S, N, N)."""
+    """Torus points (S, n) -> torus elements (S, N, N).
+
+    U/SU give the diagonal of monomial values; SO gives the block-rotation
+    matrix.  Each 2x2 rotation block R(theta) has eigenvalue exp(+i*theta)
+    on the eigenvector (1, -i)/sqrt(2), which pins the sign of theta.
+    """
     rows = _torus_rows(desc, rows)
     s, N = rows.shape[0], desc.matrix_size
     if desc.is_real:
@@ -267,23 +264,6 @@ def embed_batch(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
     idx = np.arange(N)
     out[:, idx, idx] = embed_phases(desc, rows)
     return out
-
-
-def torus_embed(desc: GroupDescriptor, t: TorusPoint) -> GroupElement:
-    """The torus element with coordinates ``t``.
-
-    U/SU give the diagonal of monomial values; SO gives the block-rotation
-    matrix.  Each 2x2 rotation block R(theta) has eigenvalue exp(+i*theta)
-    on the eigenvector (1, -i)/sqrt(2), which pins the sign of theta.
-    """
-    return GroupElement(embed_batch(desc, t.angles[None, :])[0], desc)
-
-
-def monomial_eval(desc: GroupDescriptor, t: TorusPoint) -> np.ndarray:
-    """Angles of the N monomial values at ``t`` (row order of the table)."""
-    if len(t) != desc.torus_rank:
-        raise ValueError(f"expected {desc.torus_rank} angles")
-    return wrap_angles(desc.monomials.astype(np.float64) @ t.angles)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +311,6 @@ def eigenangles_batch(mats: np.ndarray) -> np.ndarray:
     if mats.shape[-1] == 2 and np.iscomplexobj(mats):
         return wrap_angles(np.angle(eigvals_2x2(mats)))
     return wrap_angles(np.angle(np.linalg.eigvals(mats)))
-
-
-def eigenangles(g: GroupElement) -> np.ndarray:
-    """Sorted eigenvalue angles of ``g`` (the canonical multiset order)."""
-    return np.sort(eigenangles_batch(g.matrix[None, :, :])[0])
 
 
 # ---------------------------------------------------------------------------

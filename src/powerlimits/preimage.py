@@ -77,37 +77,6 @@ class WeylElement:
         full = _full_angles(desc, np.asarray(angles, dtype=np.float64)[None, :])
         return _act_angles(desc, full, *self._arrays())[0]
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other: (self.compose(other)).apply = self.apply(other.apply)."""
-        perm = tuple(other.perm[j] for j in self.perm)
-        if self.signs is None:
-            return WeylElement(perm)
-        signs = tuple(self.signs[j] * other.signs[self.perm[j]] for j in range(len(perm)))
-        return WeylElement(perm, signs)
-
-    def inverse(self) -> "WeylElement":
-        inv = tuple(int(j) for j in np.argsort(self.perm))
-        if self.signs is None:
-            return WeylElement(inv)
-        signs = tuple(self.signs[inv[j]] for j in range(len(inv)))
-        return WeylElement(inv, signs)
-
-    def matrix(self, desc: GroupDescriptor) -> np.ndarray:
-        """A representative W with W embed(t) W^{-1} = embed(self.apply(t)).
-
-        W^{-1} is the identity flag moved by the batched flag action, so
-        the representative convention lives in :func:`_act_flags` alone.
-        """
-        eye = np.eye(desc.matrix_size, dtype=np.float64 if desc.is_real else np.complex128)
-        return _act_flags(desc, eye[None], *self._arrays())[0].conj().T
-
-    @classmethod
-    def identity(cls, desc: GroupDescriptor) -> "WeylElement":
-        if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-            k = desc.torus_rank
-            return cls(tuple(range(k)), (1,) * k)
-        return cls(tuple(range(desc.matrix_size)))
-
 
 def _weyl_size(desc: GroupDescriptor) -> int:
     return desc.torus_rank if desc.family is Family.SPECIAL_ORTHOGONAL_ODD else desc.matrix_size
@@ -179,13 +148,6 @@ def _act_flags(desc: GroupDescriptor, flags: np.ndarray, perms: np.ndarray,
         scale[np.arange(perms.shape[0]), perms[:, 0]] = _permutation_signs(perms)
         flags = flags * scale[:, None, :]
     return np.ascontiguousarray(np.take_along_axis(flags, perms[:, None, :], axis=2))
-
-
-def random_weyl(desc: GroupDescriptor, rng: np.random.Generator) -> WeylElement:
-    """A uniformly distributed Weyl element."""
-    perms, signs = _weyl_draw(desc, 1, rng)
-    signs = None if signs is None else tuple(map(int, signs[0]))
-    return WeylElement(tuple(map(int, perms[0])), signs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +249,7 @@ def _so_block_angle(block: np.ndarray) -> float:
 
 def _so3_preimages(mats: np.ndarray):
     """Sorted-chamber flags (e0, e1, n) and angles for a (S, 3, 3) rotation
-    stack from its axis n and angle theta: the blocks of ``torus_embed``
+    stack from its axis n and angle theta: the blocks of ``embed_batch``
     rotate e0 toward e1 = n x e0, so R is psi at theta in (0, pi).  e0 is the
     coordinate axis on which n is smallest, made orthogonal to n."""
     theta, axis = so3_axis_angle(mats)
@@ -312,7 +274,7 @@ def _so_preimages(mats: np.ndarray, desc: GroupDescriptor):
     signed eigenangles of a regular element sort to
     [-theta_k..-theta_1, 0, theta_1..theta_k].  An eigenvector v of
     exp(+i theta) spans the rotation plane by sqrt(2) Re v and
-    -sqrt(2) Im v, in the orientation of ``torus_embed`` (whose blocks have
+    -sqrt(2) Im v, in the orientation of ``embed_batch`` (whose blocks have
     eigenvector (1, -i)/sqrt(2) for exp(+i theta)); the eigenvalue-1
     vector is the fixed axis, and its sign sets det(V) = 1.
     """
@@ -401,16 +363,10 @@ def power_preimage(pre: Preimage, m: int) -> Preimage:
     return Preimage(pre.flag, TorusPoint(wrap_angles(m * pre.torus.angles)))
 
 
-def limit_law_sample(pre: Preimage, rng: np.random.Generator) -> GroupElement:
-    """psi(flag, Y) with Y fresh uniform on the torus: one draw from the
-    limiting law of high powers of the decomposed element."""
-    y = rng.uniform(0.0, TAU, size=pre.descriptor.torus_rank)
-    return psi(pre.flag, TorusPoint(y))
-
-
 def limit_law_batch(flags: np.ndarray, desc: GroupDescriptor,
                     rng: np.random.Generator) -> np.ndarray:
-    """Batched limit draws: fresh uniform torus rows conjugated by flags."""
+    """psi(flag, Y) per flag, Y fresh uniform on the torus: draws from the
+    limiting law of high powers of the decomposed elements."""
     y = rng.uniform(0.0, TAU, size=(flags.shape[0], desc.torus_rank))
     return psi_batch(flags, y, desc)
 

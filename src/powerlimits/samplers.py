@@ -82,9 +82,7 @@ class PerturbedHaarLaw:
             raise ValueError("|strength| must be at most 1")
 
     def density(self, mats: np.ndarray) -> np.ndarray:
-        mats = np.asarray(mats)
-        if mats.ndim == 2:
-            mats = mats[None]
+        """Density against Haar of each matrix of a (S, N, N) stack."""
         tr = np.einsum("sii->s", mats)
         return 1.0 + self.strength * tr.real / self.descriptor.matrix_size
 
@@ -92,11 +90,6 @@ class PerturbedHaarLaw:
         return _rejection_fill(rng, size, 1.0 + abs(self.strength),
                                lambda draw: haar_batch(self.descriptor, rng, draw),
                                self.density)
-
-
-def sample_perturbed_haar(law: PerturbedHaarLaw, rng: np.random.Generator) -> GroupElement:
-    """One draw: propose Haar, accept with probability density/(1+|a|)."""
-    return GroupElement(law.sample_batch(rng, 1)[0], law.descriptor)
 
 
 @dataclass(frozen=True)
@@ -130,16 +123,6 @@ def _mixture_rows(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     out[x] = np.exp(1j * t1) @ _BRANCH_OUTER[0]
     out[~x] = np.exp(1j * t2) @ _BRANCH_OUTER[1]
     return out.reshape(-1, 2, 2)
-
-
-def sample_mixture_u2(law: MixtureU2Law, rng: np.random.Generator) -> GroupElement:
-    """One mixture draw: fair X, then a D1 diagonal or a-conjugated D2."""
-    return GroupElement(law.sample_batch(rng, 1)[0], law.descriptor)
-
-
-def sample_mixture_limit(law: MixtureU2Law, rng: np.random.Generator) -> GroupElement:
-    """One draw of the explicit limit X Y + (1 - X) a Y a*, Y uniform."""
-    return GroupElement(law.sample_limit_batch(rng, 1)[0], law.descriptor)
 
 
 @dataclass(frozen=True)

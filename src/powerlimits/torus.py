@@ -164,10 +164,6 @@ def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, 
     raise RuntimeError("rejection sampler failed to fill the batch")
 
 
-def uniform_density(rank: int) -> FourierDensity:
-    return FourierDensity(rank, {(0,) * rank: 1.0})
-
-
 def fourier_coefficient(d: FourierDensity, p) -> complex:
     """Stored coefficient a_p (= the transform at p), 0 outside support."""
     return complex(d.coefficients.get(_as_lattice_key(p), 0.0))
@@ -200,15 +196,6 @@ def stationarity_threshold(d: FourierDensity) -> int:
     return d.max_degree + 1
 
 
-def evaluate(d: FourierDensity, t) -> float:
-    """Series value at one torus point (real part; the imaginary part
-    vanishes to rounding by Hermitian symmetry)."""
-    angles = np.asarray(getattr(t, "angles", t), dtype=np.float64).reshape(1, -1)
-    if angles.shape[1] != d.rank:
-        raise ValueError(f"expected {d.rank} angles")
-    return float(trig_poly_values(d._lattice, d._coeffs, angles)[0])
-
-
 @dataclass(frozen=True)
 class GridDensity:
     """Density values on the uniform (grid_size,)*rank lattice.
@@ -233,17 +220,6 @@ class GridDensity:
             raise DensityError(f"Riemann sum {riemann!r} is not 1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def to_json(self) -> str:
-        return json.dumps({"rank": self.rank, "grid_size": self.grid_size,
-                           "values": [float(x) for x in self.values.ravel()]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridDensity":
-        data = json.loads(text) if isinstance(text, str) else text
-        g, rank = int(data["grid_size"]), int(data["rank"])
-        vals = np.asarray(data["values"], dtype=np.float64).reshape((g,) * rank)
-        return cls(rank, g, vals)
 
 
 def to_grid(d: FourierDensity, grid_size: int) -> GridDensity:

@@ -252,6 +252,24 @@ class TestRunners:
                                                                "match@fourier[2,0]"]
         assert rep.summary_pass
 
+    def test_exact_threshold_detection_need_covers_every_power(self):
+        # (1, 0) is designated at m = 2 with 0.15, but m = 1 tests it at 0.01,
+        # which needs S = (5 / 0.01)^2; the notes must not call S = 20000 powered
+        coeffs = ([{"p": [0, 0], "re": 1.0}] + [{"p": p, "re": 0.02} for p in ([1, 0], [-1, 0])]
+                  + [{"p": p, "re": 0.3} for p in ([2, 0], [-2, 0])])
+        rep = run_experiment(small_config(
+            experiment="exact_threshold", samples=20000, seed=3,
+            law={"type": "torus_density", "density": {"rank": 2, "coeffs": coeffs}}))
+        assert rep.notes["detection_power"] == 2
+        assert rep.notes["designated_coefficient"] == [1, 0]
+        assert rep.notes["detection_min_samples"] == 250000
+        assert rep.notes["detection_powered"] is False
+        detect = {r.m: r for r in rep.rows if r.statistic.startswith("detect@")}
+        assert [(m, r.statistic) for m, r in detect.items()] == [(1, "detect@fourier[1,0]"),
+                                                                 (2, "detect@fourier[1,0]")]
+        assert not detect[1].passed and detect[1].z == pytest.approx(1.5565, abs=1e-4)
+        assert detect[2].passed
+
     def test_preimage_invariance(self):
         rep = run_experiment(small_config(experiment="preimage_invariance",
                                           law={"type": "perturbed_haar", "strength": 0.5},

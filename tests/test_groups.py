@@ -12,6 +12,19 @@ ALL_DESCRIPTORS = [G.unitary(2), G.unitary(3), G.special_unitary(2),
                    G.special_orthogonal_odd(5)]
 
 
+def haar_element(desc, rng):
+    return G.GroupElement(G.haar_batch(desc, rng, 1)[0], desc)
+
+
+def embed(desc, angles):
+    """The torus element with coordinates ``angles``."""
+    return G.embed_batch(desc, np.asarray(angles, dtype=np.float64)[None, :])[0]
+
+
+def sorted_eigenangles(mat):
+    return np.sort(G.eigenangles_batch(np.asarray(mat)[None, :, :])[0])
+
+
 class TestDescriptors:
     def test_unitary_table(self):
         d = G.unitary(3)
@@ -57,7 +70,7 @@ class TestHaar:
 
     def test_single_sample_is_element(self):
         rng = np.random.default_rng(4)
-        g = G.haar_sample(G.special_unitary(3), rng)
+        g = haar_element(G.special_unitary(3), rng)
         assert abs(np.linalg.det(g.matrix) - 1.0) <= 1e-10
 
     def test_mean_trace_vanishes(self):
@@ -71,32 +84,31 @@ class TestHaar:
 
 class TestTorusEmbed:
     def test_u2_zero_is_identity(self):
-        e = G.torus_embed(G.unitary(2), G.TorusPoint([0.0, 0.0]))
-        np.testing.assert_allclose(e.matrix, np.eye(2))
+        np.testing.assert_allclose(embed(G.unitary(2), [0.0, 0.0]), np.eye(2))
 
     def test_su2_conjugate_pair(self):
         theta = 0.7
-        e = G.torus_embed(G.special_unitary(2), G.TorusPoint([theta]))
-        np.testing.assert_allclose(np.diag(e.matrix),
+        e = embed(G.special_unitary(2), [theta])
+        np.testing.assert_allclose(np.diag(e),
                                    [np.exp(1j * theta), np.exp(-1j * theta)], atol=1e-14)
 
     def test_so3_quarter_turn(self):
-        e = G.torus_embed(G.special_orthogonal_odd(3), G.TorusPoint([np.pi / 2]))
+        e = embed(G.special_orthogonal_odd(3), [np.pi / 2])
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(e.matrix, expected, atol=1e-14)
-        vals = np.sort_complex(np.linalg.eigvals(e.matrix))
+        np.testing.assert_allclose(e, expected, atol=1e-14)
+        vals = np.sort_complex(np.linalg.eigvals(e))
         np.testing.assert_allclose(vals, np.sort_complex(np.array([1j, -1j, 1.0])), atol=1e-14)
 
     def test_rotation_sign_convention(self):
         # R(theta) carries eigenvalue exp(+i theta) on (1, -i)/sqrt(2)
         theta = 0.3
-        e = G.torus_embed(G.special_orthogonal_odd(3), G.TorusPoint([theta]))
+        e = embed(G.special_orthogonal_odd(3), [theta])
         vec = np.array([1.0, -1j, 0.0]) / np.sqrt(2)
-        np.testing.assert_allclose(e.matrix @ vec, np.exp(1j * theta) * vec, atol=1e-14)
+        np.testing.assert_allclose(e @ vec, np.exp(1j * theta) * vec, atol=1e-14)
 
     def test_embed_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="expected 2 angles per row"):
-            G.torus_embed(G.unitary(2), G.TorusPoint([0.1]))
+            G.embed_batch(G.unitary(2), np.zeros((5, 1)))
         with pytest.raises(ValueError, match="expected 2 angles per row"):
             G.embed_phases(G.unitary(2), np.zeros((5, 3)))
 
@@ -107,21 +119,21 @@ class TestPower:
         np.testing.assert_allclose(G.power(g, 17).matrix, np.eye(3))
 
     def test_diagonal_power(self):
-        d = G.torus_embed(G.unitary(2), G.TorusPoint([0.4, 1.1]))
+        d = G.GroupElement(embed(G.unitary(2), [0.4, 1.1]), G.unitary(2))
         p = G.power(d, 3)
         np.testing.assert_allclose(np.diag(p.matrix),
                                    [np.exp(3j * 0.4), np.exp(3j * 1.1)], atol=1e-13)
 
     def test_unitarity_after_power(self):
         rng = np.random.default_rng(6)
-        g = G.haar_sample(G.unitary(4), rng)
+        g = haar_element(G.unitary(4), rng)
         p = G.power(g, 8)
         assert G.unitarity_defect(p.matrix) <= 1e-9
 
     def test_power_is_additive(self):
         rng = np.random.default_rng(7)
         for desc in ALL_DESCRIPTORS:
-            g = G.haar_sample(desc, rng)
+            g = haar_element(desc, rng)
             a, b = int(rng.integers(1, 17)), int(rng.integers(1, 17))
             lhs = G.power(g, a + b).matrix
             rhs = G.power(g, a).matrix @ G.power(g, b).matrix
@@ -157,41 +169,47 @@ class TestPower:
 
 class TestEigenangles:
     def test_identity(self):
-        np.testing.assert_allclose(G.eigenangles(G.identity(G.unitary(3))), [0, 0, 0])
+        np.testing.assert_allclose(sorted_eigenangles(G.identity(G.unitary(3)).matrix), [0, 0, 0])
 
     def test_diag_i_minus_i(self):
         g = G.GroupElement(np.diag([1j, -1j]), G.unitary(2))
-        np.testing.assert_allclose(G.eigenangles(g), [np.pi / 2, 3 * np.pi / 2], atol=1e-12)
+        np.testing.assert_allclose(sorted_eigenangles(g.matrix), [np.pi / 2, 3 * np.pi / 2],
+                                   atol=1e-12)
 
     def test_so3_rotation(self):
-        g = G.torus_embed(G.special_orthogonal_odd(3), G.TorusPoint([1.0]))
-        np.testing.assert_allclose(G.eigenangles(g),
+        g = embed(G.special_orthogonal_odd(3), [1.0])
+        np.testing.assert_allclose(sorted_eigenangles(g),
                                    np.sort([1.0, 2 * np.pi - 1.0, 0.0]), atol=1e-12)
 
     def test_spectral_mapping_under_power(self):
         rng = np.random.default_rng(8)
         for desc in ALL_DESCRIPTORS:
-            g = G.haar_sample(desc, rng)
+            g = haar_element(desc, rng)
             m = int(rng.integers(2, 9))
-            lhs = np.sort(G.eigenangles(G.power(g, m)))
-            rhs = np.sort(G.wrap_angles(m * G.eigenangles(g)))
+            lhs = sorted_eigenangles(G.power(g, m).matrix)
+            rhs = np.sort(G.wrap_angles(m * sorted_eigenangles(g.matrix)))
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
+
+
+def monomial_angles(desc, t):
+    """Angles of the N monomial values at the torus point ``t``."""
+    return G.wrap_angles(desc.monomials @ np.asarray(t, dtype=np.float64))
 
 
 class TestMonomialEval:
     def test_su2(self):
         theta = 2.2
-        out = G.monomial_eval(G.special_unitary(2), G.TorusPoint([theta]))
+        out = monomial_angles(G.special_unitary(2), [theta])
         np.testing.assert_allclose(np.sort(out),
                                    np.sort([theta, 2 * np.pi - theta]), atol=1e-12)
 
     def test_so3_contains_zero(self):
-        out = G.monomial_eval(G.special_orthogonal_odd(3), G.TorusPoint([0.9]))
+        out = monomial_angles(G.special_orthogonal_odd(3), [0.9])
         np.testing.assert_allclose(np.sort(out), np.sort([0.9, 2 * np.pi - 0.9, 0.0]), atol=1e-12)
 
     def test_u3_is_coordinates(self):
         t = [0.3, 1.7, 4.4]
-        out = G.monomial_eval(G.unitary(3), G.TorusPoint(t))
+        out = monomial_angles(G.unitary(3), t)
         np.testing.assert_allclose(out, t, atol=1e-12)
 
     @pytest.mark.parametrize("desc", [G.unitary(3), G.special_unitary(3),
@@ -199,9 +217,9 @@ class TestMonomialEval:
     def test_matches_embedded_spectrum(self, desc):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            t = G.TorusPoint(rng.uniform(0, 2 * np.pi, desc.torus_rank))
-            via_monomials = np.sort(G.monomial_eval(desc, t))
-            via_matrix = np.sort(G.eigenangles(G.torus_embed(desc, t)))
+            t = rng.uniform(0, 2 * np.pi, desc.torus_rank)
+            via_monomials = np.sort(monomial_angles(desc, t))
+            via_matrix = sorted_eigenangles(embed(desc, t))
             np.testing.assert_allclose(via_monomials, via_matrix, atol=1e-9)
 
 

@@ -5,7 +5,14 @@ import pytest
 
 from powerlimits import samplers as L
 from powerlimits import torus as T
-from powerlimits.groups import embed_batch, eigenangles_batch, haar_batch, power_batch, unitary
+from powerlimits.groups import (
+    GroupElement,
+    eigenangles_batch,
+    embed_batch,
+    haar_batch,
+    power_batch,
+    unitary,
+)
 from powerlimits.preimage import uniform_torus_rows
 from powerlimits.stats import (
     empirical_fourier_many,
@@ -77,8 +84,8 @@ class TestPerturbedHaar:
 
     def test_single_sample_valid(self):
         rng = np.random.default_rng(42)
-        g = L.sample_perturbed_haar(L.PerturbedHaarLaw(unitary(3), -0.8), rng)
-        assert g.matrix.shape == (3, 3)
+        mats = L.PerturbedHaarLaw(unitary(3), -0.8).sample_batch(rng, 1)
+        assert GroupElement(mats[0], unitary(3)).matrix.shape == (3, 3)
 
 
 class TestMixtureU2:
@@ -118,8 +125,8 @@ class TestMixtureU2:
     def test_single_draws(self):
         rng = np.random.default_rng(47)
         law = L.MixtureU2Law()
-        assert L.sample_mixture_u2(law, rng).matrix.shape == (2, 2)
-        assert L.sample_mixture_limit(law, rng).matrix.shape == (2, 2)
+        for mats in (law.sample_batch(rng, 1), law.sample_limit_batch(rng, 1)):
+            assert GroupElement(mats[0], law.descriptor).matrix.shape == (2, 2)
 
     def test_rank_one_table_is_the_conjugation(self):
         z = np.exp(1j * np.random.default_rng(48).uniform(0.0, TAU, size=(100, 2)))
