@@ -188,7 +188,7 @@ class ExperimentReport:
                 "notes": self.notes, "wall_clock": self.wall_clock}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
         import csv
@@ -398,6 +398,11 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
     rank, g = config.torus_rank, config.grid_size
     r_dens, r_samp, r_sign = _rngs(seq, 3)
     lattice = stats.lattice_ball(rank, _TORUS_SUITE_DEGREE)
+    # m = 1 rows match the density's own series, but the grid sampler jitters
+    # uniformly inside the cell it draws, so coefficient p carries the extra
+    # factor prod_j exp(-i pi p_j / G) sinc(p_j / G), the same for every density.
+    pf = lattice.astype(float)
+    jitter = np.prod(np.exp(-1j * np.pi * pf / g) * np.sinc(pf / g), axis=1)
     rows = []
     for i in range(config.density_count):
         dens = torus.random_fourier_density(r_dens, rank, max_degree=_TORUS_SUITE_DEGREE)
@@ -419,15 +424,9 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
         spun = torus.power_angles(sample, 50)
         rows += _bound_rows(50, stats.empirical_fourier_many(spun, lattice),
                             config.threshold, f"spun[{i}]@")
-        # m = 1: empirical coefficients match the density's own series.
-        # The grid sampler draws a cell by its point value and jitters
-        # uniformly inside it, so coefficient p carries the extra factor
-        # prod_j exp(-i pi p_j / G) sinc(p_j / G); apply it before comparing.
         reports = stats.empirical_fourier_many(sample, lattice)
-        for rep, p in zip(reports, lattice):
-            pf = np.asarray(p, dtype=float)
-            expect = torus.fourier_coefficient(dens, tuple(p))
-            expect *= np.prod(np.exp(-1j * np.pi * pf / g) * np.sinc(pf / g))
+        for rep, p, factor in zip(reports, lattice, jitter):
+            expect = torus.fourier_coefficient(dens, tuple(p)) * factor
             rows.append(_match_row(1, f"match[{i}]@{rep.statistic}", rep, expect,
                                    config.threshold))
     return rows, {}

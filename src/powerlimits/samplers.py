@@ -34,10 +34,9 @@ from .groups import (
 )
 from .torus import AngleSample, FourierDensity, _rejection_fill
 
-# the fixed U(2) mixture matrices: a rotation by pi/4 and the coordinate swap
+# the fixed U(2) mixture matrix a: a rotation by pi/4
 MIXTURE_A = np.array([[np.sqrt(2) / 2, -np.sqrt(2) / 2],
                       [np.sqrt(2) / 2, np.sqrt(2) / 2]], dtype=np.complex128)
-MIXTURE_P = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 # rows b_k b_k* flattened, b = 1 or a per branch: exp(i t) @ rows = b diag(exp(i t)) b*
 _BRANCH_OUTER = np.stack([np.einsum("ik,jk->kij", b, b.conj()).reshape(2, 4)
                           for b in (np.eye(2, dtype=np.complex128), MIXTURE_A)])
@@ -147,10 +146,6 @@ class PointMassLaw:
     atom stay atoms, so no convergence can occur)."""
 
     element: GroupElement
-
-    @property
-    def descriptor(self) -> GroupDescriptor:
-        return self.element.descriptor
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.broadcast_to(self.element.matrix,

@@ -43,17 +43,16 @@ class MomentReport:
 
 @dataclass(frozen=True)
 class TestVerdict:
-    """A z-score compared against a threshold; pass iff |z| <= threshold
-    (the flag is redundant, and checked to agree)."""
+    """A z-score compared against a threshold."""
 
     statistic: str
     z_score: float
     threshold: float
-    passed: bool
 
-    def __post_init__(self):
-        if self.passed != (abs(self.z_score) <= self.threshold):
-            raise ValueError("pass flag must equal |z| <= threshold")
+    @property
+    def passed(self) -> bool:
+        """Pass iff |z| <= threshold."""
+        return bool(abs(self.z_score) <= self.threshold)
 
 
 def _std_error(spread: float, s: int) -> float:
@@ -191,7 +190,7 @@ def two_sample_test(reports_a, reports_b, threshold: float = 5.0) -> list[TestVe
             raise ValueError(f"mismatched statistics: {a.statistic} vs {b.statistic}")
         diff, denom = abs(a.estimate - b.estimate), float(np.hypot(a.std_error, b.std_error))
         z = diff / denom if denom else (0.0 if diff == 0.0 else np.inf)
-        out.append(TestVerdict(a.statistic, z, threshold, bool(z <= threshold)))
+        out.append(TestVerdict(a.statistic, z, threshold))
     return out
 
 
@@ -201,7 +200,7 @@ def coefficient_bound_test(reports, bound_multiple: float = 5.0) -> list[TestVer
     out = []
     for r in reports:
         z = float(np.sqrt(r.sample_size) * abs(r.estimate))
-        out.append(TestVerdict(r.statistic, z, bound_multiple, bool(z <= bound_multiple)))
+        out.append(TestVerdict(r.statistic, z, bound_multiple))
     return out
 
 
@@ -217,4 +216,4 @@ def ks_uniform(angles) -> TestVerdict:
     lower = np.max(cdf - np.arange(0, s) / s)
     d = max(upper, lower)
     z = float(np.sqrt(s) * d)
-    return TestVerdict("ks_uniform", z, KS_THRESHOLD_1PCT, bool(z <= KS_THRESHOLD_1PCT))
+    return TestVerdict("ks_uniform", z, KS_THRESHOLD_1PCT)

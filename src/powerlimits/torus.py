@@ -117,15 +117,11 @@ class FourierDensity:
             raise ValueError(f"grid size {g} must exceed twice the degree {self.max_degree}")
         return trig_poly_grid(self._lattice, self._coeffs, g)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        rows = [{"p": list(map(int, p)), "re": float(a.real), "im": float(a.imag)}
-                for p, a in sorted(self.coefficients.items())]
-        return json.dumps({"rank": self.rank, "coeffs": rows})
+    # -- config input -------------------------------------------------------
 
     @classmethod
     def from_json(cls, text: str) -> "FourierDensity":
+        """A config's density, JSON text or parsed: {"rank": n, "coeffs": [{"p", "re", "im"}]}."""
         data = json.loads(text) if isinstance(text, str) else text
         coeffs = {tuple(row["p"]): complex(row["re"], row.get("im", 0.0))
                   for row in data["coeffs"]}

@@ -329,7 +329,7 @@ class TestReports:
     def test_json_matches_the_asdict_serialization(self, overrides):
         rep = run_experiment(small_config(**overrides))
         data = dict(rep.to_json_dict(), rows=[dataclasses.asdict(r) for r in rep.rows])
-        assert rep.to_json() == json.dumps(data, indent=2, sort_keys=True)
+        assert rep.to_json() == json.dumps(data, sort_keys=True)
 
     def test_seed_changes_estimates(self):
         a = run_experiment(small_config(samples=2000)).to_json_dict()
@@ -427,6 +427,11 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary_pass"] is True
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_passes(self, tmp_path, path):
+        """Each shipped config passes at its own samples and seed."""
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
 
     def test_run_failing_config_exit_code(self, tmp_path):
         path = self._write_config(tmp_path, powers=[1], samples=20000)

@@ -5,7 +5,9 @@ import pytest
 
 from powerlimits import groups as G
 from powerlimits import preimage as P
-from powerlimits.samplers import MIXTURE_A, MIXTURE_P, HaarLaw
+from powerlimits.samplers import MIXTURE_A, HaarLaw
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)  # the coordinate swap
 
 FAMILIES = [G.unitary(2), G.unitary(3), G.special_unitary(2),
             G.special_unitary(3), G.special_orthogonal_odd(3),
@@ -36,7 +38,7 @@ class TestPsi:
     def test_swap_matrix_swaps_diagonal(self):
         desc = G.unitary(2)
         alpha, beta = 0.5, 2.5
-        p = G.GroupElement(MIXTURE_P, desc)
+        p = G.GroupElement(SWAP, desc)
         out = P.psi(p, G.TorusPoint([alpha, beta]))
         np.testing.assert_allclose(np.diag(out.matrix),
                                    [np.exp(1j * beta), np.exp(1j * alpha)], atol=1e-14)

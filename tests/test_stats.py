@@ -158,6 +158,12 @@ class TestEntryMoments:
         assert len(S.entry_moment_schedule(3)) == 9
 
 
+class TestVerdictRule:
+    def test_pass_iff_abs_z_within_threshold(self):
+        assert not S.TestVerdict("x", -6.0, 5.0).passed
+        assert S.TestVerdict("x", 5.0, 5.0).passed
+
+
 class TestTwoSample:
     def test_identical_reports_give_zero(self):
         rng = np.random.default_rng(10)

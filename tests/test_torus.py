@@ -41,13 +41,6 @@ class TestFourierDensityInvariants:
         with pytest.raises(T.DensityError):
             T.FourierDensity(1, {(0,): 1.0, (1,): 1.5, (-1,): 1.5})
 
-    def test_json_round_trip(self):
-        d = T.random_fourier_density(np.random.default_rng(0), 2, 3)
-        back = T.FourierDensity.from_json(d.to_json())
-        assert back.coefficients.keys() == d.coefficients.keys()
-        for p, a in d.coefficients.items():
-            assert abs(back.coefficients[p] - a) < 1e-15
-
 
 class TestFourierPushforward:
     def test_m1_is_identity(self):
