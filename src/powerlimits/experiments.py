@@ -28,7 +28,6 @@ from ._kernels import wrap_angles
 from .groups import (
     GroupDescriptor,
     descriptor,
-    eigenangles_batch,
     fixed_law_trace_moments,
     haar_batch,
     identity,
@@ -248,8 +247,10 @@ def _trace_rows(m: int, desc, reports, threshold: float) -> list:
 
 def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
     """Eigenangle rows of U^m (m times those of U: no matrix is powered) over
-    ``size`` draws of ``law``, and their uniform-preimage torus coordinates."""
-    angles = wrap_angles(m * eigenangles_batch(law.sample_batch(r_samp, size)))
+    ``size`` draws of ``law``, and their uniform-preimage torus coordinates.
+    The rows of U come from :class:`samplers.EigenangleLaw`: Haar and perturbed-Haar
+    angles on U(N <= ``WEYL_MAX_N``) straight from the Weyl density, with no matrix."""
+    angles = wrap_angles(m * samplers.EigenangleLaw(law).sample_batch(r_samp, size))
     return angles, pre.uniform_torus_rows(desc, angles, r_weyl)
 
 
@@ -314,10 +315,12 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
 def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     """Stationarity threshold of the symbolic eigenvalue density.
 
-    Verifies statistically (a fresh U per power; U^m has m times its angles)
-    that the torus coordinates of U^m are iid uniform at m = threshold, and that
-    each power whose symbolic pushforward is not yet uniform detects and matches the
-    coefficient designated at the largest such power, or its own largest where that is 0.
+    Verifies statistically (fresh eigenangles of U per power, drawn by
+    :func:`_torus_rows`, matrix-free for Haar and perturbed-Haar U(N <= 4); U^m
+    has m times its angles) that the torus coordinates of U^m are iid uniform
+    at m = threshold, and that each power whose symbolic pushforward is not yet
+    uniform detects and matches the coefficient designated at the largest such
+    power, or its own largest where that is 0.
     ``detection_min_samples`` is the largest S that any of these detections needs.
     """
     try:

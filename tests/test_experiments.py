@@ -171,6 +171,39 @@ class TestRunners:
         monkeypatch.setattr(experiments, "power_batch", refuse)
         assert run_experiment(small_config(experiment=kind, samples=20000)).summary_pass
 
+    @pytest.mark.parametrize("kind", ["eigen_convergence", "exact_threshold"])
+    @pytest.mark.parametrize("n, law", [
+        (2, {"type": "haar"}), (3, {"type": "perturbed_haar", "strength": 0.5}),
+        (4, {"type": "haar"}), (4, {"type": "perturbed_haar", "strength": -1.0})])
+    def test_spectral_kinds_draw_no_matrix_on_small_unitary(self, monkeypatch, kind, n, law):
+        def refuse(*args):
+            raise AssertionError("a spectral kind drew a matrix")
+        for module in (groups, samplers, experiments):
+            monkeypatch.setattr(module, "haar_batch", refuse)
+        for module in (groups, samplers):
+            monkeypatch.setattr(module, "eigenangles_batch", refuse)
+        rep = run_experiment(small_config(experiment=kind, matrix_size=n, law=law,
+                                          samples=500, max_lattice_degree=1))
+        assert rep.rows
+
+    @pytest.mark.parametrize("kind, n, law", [
+        ("eigen_convergence", 5, {"type": "haar"}),
+        ("eigen_convergence", 5, {"type": "perturbed_haar", "strength": 0.5}),
+        ("eigen_convergence", 2, {"type": "point_mass"}),
+        ("eigen_convergence", 2, {"type": "torus_density"}),
+        ("exact_threshold", 2, {"type": "torus_density"})])
+    def test_spectral_kinds_keep_the_matrix_route_elsewhere(self, monkeypatch, kind, n, law):
+        sizes, eigenangles_batch = [], samplers.eigenangles_batch
+
+        def counted(mats):
+            sizes.append(len(mats))
+            return eigenangles_batch(mats)
+
+        monkeypatch.setattr(samplers, "eigenangles_batch", counted)
+        rep = run_experiment(small_config(experiment=kind, matrix_size=n, law=law, powers=[2, 3],
+                                          samples=500, max_lattice_degree=1))
+        assert sizes == [500] * len({r.m for r in rep.rows})
+
     def test_eigen_convergence_past_the_drift_of_squaring(self):
         # U(2) squared 40 times drifts off the group by about 1e-3; the
         # eigenangles of U^m are m theta, which cannot drift

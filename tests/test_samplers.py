@@ -1,5 +1,7 @@
 """Non-Haar laws: rejection sampling, the U(2) mixture, symbolic densities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from powerlimits.groups import (
     eigenangles_batch,
     embed_batch,
     haar_batch,
+    identity,
     power_batch,
+    special_orthogonal_odd,
+    special_unitary,
     unitary,
 )
 from powerlimits.preimage import uniform_torus_rows
@@ -24,6 +29,9 @@ from powerlimits.stats import (
 )
 
 TAU = 2 * np.pi
+# eigenangle rows of a law: from its matrices, or from the Weyl density where it applies
+ROUTES = {"matrix": lambda law, rng, size: eigenangles_batch(law.sample_batch(rng, size)),
+          "weyl": lambda law, rng, size: L.EigenangleLaw(law).sample_batch(rng, size)}
 
 
 def _test_functions(mats):
@@ -206,34 +214,79 @@ class TestSymbolicEigenDensity:
             assert d.grid_values(grid).min() >= -1e-9
 
     def test_unsupported_family(self):
-        from powerlimits.groups import special_orthogonal_odd
         with pytest.raises(ValueError):
             L.symbolic_eigen_density(L.HaarLaw(special_orthogonal_odd(3)))
         with pytest.raises(ValueError):
             L.symbolic_eigen_density(L.MixtureU2Law())
 
-    def test_empirical_haar_matches_symbolic(self):
-        rng = np.random.default_rng(48)
-        desc = unitary(2)
-        d = L.symbolic_eigen_density(L.HaarLaw(desc))
+    @staticmethod
+    def _assert_matches_symbolic(route, law, seed):
+        """Uniform-preimage coefficients of ``route``'s rows of ``law`` within 5/sqrt(S)
+        of the symbolic ones, over the degree-3 lattice ball."""
+        rng = np.random.default_rng(seed)
+        desc = law.descriptor
+        d = L.symbolic_eigen_density(law)
         s = 100000
-        coords = uniform_torus_rows(desc, eigenangles_batch(haar_batch(desc, rng, s)), rng)
-        for rep, p in zip(empirical_fourier_many(coords, lattice_ball(2, 3)),
-                          lattice_ball(2, 3)):
+        coords = uniform_torus_rows(desc, ROUTES[route](law, rng, s), rng)
+        lattice = lattice_ball(desc.torus_rank, 3)
+        for rep, p in zip(empirical_fourier_many(coords, lattice), lattice):
             expect = T.fourier_coefficient(d, tuple(p))
             assert abs(rep.estimate - expect) <= 5.0 / np.sqrt(s)
 
-    def test_empirical_perturbed_matches_symbolic(self):
-        rng = np.random.default_rng(49)
-        desc = unitary(2)
-        law = L.PerturbedHaarLaw(desc, 0.5)
-        d = L.symbolic_eigen_density(law)
-        s = 100000
-        coords = uniform_torus_rows(desc, eigenangles_batch(law.sample_batch(rng, s)), rng)
-        for rep, p in zip(empirical_fourier_many(coords, lattice_ball(2, 3)),
-                          lattice_ball(2, 3)):
-            expect = T.fourier_coefficient(d, tuple(p))
-            assert abs(rep.estimate - expect) <= 5.0 / np.sqrt(s)
+    @pytest.mark.parametrize("route, n, seed", [
+        ("matrix", 2, 48), ("weyl", 2, 53), ("weyl", 3, 54), ("weyl", 4, 55)],
+        ids=["matrix-U2", "weyl-U2", "weyl-U3", "weyl-U4"])
+    def test_empirical_haar_matches_symbolic(self, route, n, seed):
+        self._assert_matches_symbolic(route, L.HaarLaw(unitary(n)), seed)
+
+    @pytest.mark.parametrize("route, n, strength, seed", [
+        ("matrix", 2, 0.5, 49), ("weyl", 2, 0.5, 56), ("weyl", 2, -1.0, 57),
+        ("weyl", 3, 0.5, 58), ("weyl", 3, -1.0, 59), ("weyl", 4, 0.5, 60),
+        ("weyl", 4, -1.0, 61)],
+        ids=["matrix-U2-a0.5", "weyl-U2-a0.5", "weyl-U2-a-1", "weyl-U3-a0.5", "weyl-U3-a-1",
+             "weyl-U4-a0.5", "weyl-U4-a-1"])
+    def test_empirical_perturbed_matches_symbolic(self, route, n, strength, seed):
+        self._assert_matches_symbolic(route, L.PerturbedHaarLaw(unitary(n), strength), seed)
+
+
+class TestEigenangleLaw:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("strength", [0.0, 0.5, -1.0])
+    def test_trace_moments_match_the_matrix_route(self, n, strength):
+        law = L.PerturbedHaarLaw(unitary(n), strength) if strength else L.HaarLaw(unitary(n))
+        rng = np.random.default_rng(62)
+        s = 20000
+        weyl, matrix = (spectral_trace_moments(ROUTES[route](law, rng, s), 4)
+                        for route in ("weyl", "matrix"))
+        assert all(v.passed for v in two_sample_test(weyl, matrix, 5.0))
+
+    @pytest.mark.parametrize("law", [
+        L.HaarLaw(unitary(5)), L.PerturbedHaarLaw(unitary(5), 0.5),
+        L.HaarLaw(special_unitary(3)), L.PerturbedHaarLaw(special_orthogonal_odd(3), 0.5),
+        L.TorusLaw(unitary(2), L.default_mixture_marginal()), L.MixtureU2Law(),
+        L.PointMassLaw(identity(unitary(3)))],
+        ids=["U5-haar", "U5-perturbed", "SU3-haar", "SO3-perturbed", "torus", "mixture",
+             "point-mass"])
+    def test_other_laws_keep_the_matrix_stream(self, law):
+        got = L.EigenangleLaw(law).sample_batch(np.random.default_rng(63), 300)
+        assert np.array_equal(got, ROUTES["matrix"](law, np.random.default_rng(63), 300))
+
+    def test_rows_fill_across_chunks(self):
+        law = L.EigenangleLaw(L.PerturbedHaarLaw(unitary(3), 0.5))
+        rows = law.sample_batch(np.random.default_rng(64), 2 * L._WEYL_CHUNK + 5)
+        assert rows.shape == (2 * L._WEYL_CHUNK + 5, 3)
+        assert rows.min() >= 0.0 and rows.max() < TAU
+
+    def test_density_bound_is_attained_at_the_roots_of_unity(self):
+        for n in (2, 3, 4):
+            roots = TAU * np.arange(n)[None] / n
+            bound = n ** n / math.factorial(n)
+            assert L._weyl_density(roots, 0.0)[0] == pytest.approx(bound, rel=1e-12)
+            rng = np.random.default_rng(65)
+            theta = rng.uniform(0.0, TAU, size=(100000, n))
+            assert L._weyl_density(theta, -1.0).max() <= 2 * bound
+            # mean 1 against uniform angles: a probability density, as the fill assumes
+            assert L._weyl_density(theta, 0.5).mean() == pytest.approx(1.0, abs=0.05)
 
 
 class TestSU2SharpStationarity:
@@ -241,7 +294,6 @@ class TestSU2SharpStationarity:
     its powers freeze at m >= 3, with density 1 - cos(theta) at m = 2."""
 
     def test_su2_eigen_density_and_thresholds(self):
-        from powerlimits.groups import special_unitary
         rng = np.random.default_rng(50)
         desc = special_unitary(2)
         s = 100000
@@ -267,7 +319,6 @@ class TestOtherLaws:
         assert off == 0.0  # embedded diagonals
 
     def test_point_mass(self):
-        from powerlimits.groups import identity
         law = L.PointMassLaw(identity(unitary(2)))
         mats = law.sample_batch(np.random.default_rng(52), 7)
         assert np.all(mats == np.eye(2))
