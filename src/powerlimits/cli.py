@@ -10,7 +10,8 @@ usage or config error (an unreadable file, bad JSON, a config that does
 not validate, or an ``--out`` path that cannot be written), which is
 always found before any sampling, and 3 when a program check aborts the
 run (a power drifting off the group, or a spectrum too degenerate for a
-preimage).  ``--seed`` and ``--samples`` replace the file's fields before
+preimage); an aborted run removes the ``--out`` file if it made it.
+``--seed`` and ``--samples`` replace the file's fields before
 the config is validated.  The README lists the fields each experiment
 kind reads and the values they may take.  ``list`` enumerates the kinds.
 """
@@ -47,6 +48,7 @@ def main(argv=None) -> int:
         for name in sorted(EXPERIMENT_KINDS):
             print(f"{name:22s} {EXPERIMENT_KINDS[name]}")
         return 0
+    created, report = False, None   # created: the --out check below made the file
     try:
         data = json.loads(args.config.read_text())
         for key in ("seed", "samples"):
@@ -54,6 +56,7 @@ def main(argv=None) -> int:
                 data[key] = getattr(args, key)
         config = ExperimentConfig.from_json(data)
         if args.out is not None:
+            created = not args.out.exists()
             args.out.open("a").close()  # an unwritable --out fails here, before sampling
         report = run_experiment(config)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
@@ -62,6 +65,9 @@ def main(argv=None) -> int:
     except (groups.UnitarityError, preimage.DegenerateSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if created and report is None:
+            args.out.unlink(missing_ok=True)   # an aborted run leaves no empty report behind
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out is not None:
         args.out.write_text(text)

@@ -144,7 +144,7 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown {kind} law keys: {sorted(extra)}")
         if kind == "haar":
-            return samplers.HaarLaw(desc)
+            return samplers.PerturbedHaarLaw(desc, 0.0)
         if kind == "perturbed_haar":
             return samplers.PerturbedHaarLaw(desc, float(self.law.get("strength", 0.5)))
         dens = lambda key: (torus.FourierDensity.from_json(self.law[key]) if self.law.get(key)
@@ -248,8 +248,9 @@ def _trace_rows(m: int, desc, reports, threshold: float) -> list:
 def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
     """Eigenangle rows of U^m (m times those of U: no matrix is powered) over
     ``size`` draws of ``law``, and their uniform-preimage torus coordinates.
-    The rows of U come from :class:`samplers.EigenangleLaw`: Haar and perturbed-Haar
-    angles on U(N <= ``WEYL_MAX_N``) straight from the Weyl density, with no matrix."""
+    The rows of U come from :class:`samplers.EigenangleLaw`: perturbed-Haar angles
+    (Haar at strength 0) on U(N <= ``WEYL_MAX_N``) straight from the Weyl density,
+    with no matrix."""
     angles = wrap_angles(m * samplers.EigenangleLaw(law).sample_batch(r_samp, size))
     return angles, pre.uniform_torus_rows(desc, angles, r_weyl)
 
@@ -282,15 +283,21 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     return rows, {}
 
 
+def _preimage_limit_moments(desc, law, size: int, r_law, r_pre, r_y) -> list:
+    """Entry moments of psi(flag, Y) over the preimages of ``size`` fresh draws of
+    ``law``: uniform preimages with ``r_pre``, sorted ones when it is None.  The
+    matrices are freed here, before the caller draws its next side."""
+    flags, _ = pre.preimages_batch(law.sample_batch(r_law, size), desc, r_pre)
+    return stats.entry_moments(pre.limit_law_batch(flags, desc, r_y))
+
+
 def _limit_entry_moments(config: ExperimentConfig, desc, law, r_b, r_pre, r_y) -> list:
     """Entry moments of the m-free limit side, Haar^D or psi(flag, Y) over uniform
     preimages of an independent run of ``law``; its matrices are freed here."""
     if config.target == "haar_power":
-        limit = power_batch(haar_batch(desc, r_b, config.samples), desc.stationarity_exponent)
-    else:
-        flags, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples), desc, r_pre)
-        limit = pre.limit_law_batch(flags, desc, r_y)
-    return stats.entry_moments(limit)
+        return stats.entry_moments(power_batch(haar_batch(desc, r_b, config.samples),
+                                               desc.stationarity_exponent))
+    return _preimage_limit_moments(desc, law, config.samples, r_b, r_pre, r_y)
 
 
 def _group_limit(config: ExperimentConfig, desc, law, seq):
@@ -381,12 +388,9 @@ def _preimage_invariance(config: ExperimentConfig, desc, law, seq):
     same law must agree in entry moments (Tr psi(V, Y)^k does not depend
     on the flag V, so trace moments would test nothing)."""
     r_a, r_b, r_w, r_y1, r_y2 = _rngs(seq, 5)
-    flags_sorted, _ = pre.preimages_batch(law.sample_batch(r_a, config.samples), desc)
-    flags_uniform, _ = pre.preimages_batch(law.sample_batch(r_b, config.samples), desc, r_w)
-    side_a = pre.limit_law_batch(flags_sorted, desc, r_y1)
-    side_b = pre.limit_law_batch(flags_uniform, desc, r_y2)
-    return _two_sample_rows(0, stats.entry_moments(side_a), stats.entry_moments(side_b),
-                            config.threshold), {}
+    side_a = _preimage_limit_moments(desc, law, config.samples, r_a, None, r_y1)
+    side_b = _preimage_limit_moments(desc, law, config.samples, r_b, r_w, r_y2)
+    return _two_sample_rows(0, side_a, side_b, config.threshold), {}
 
 
 def _torus_suite(config: ExperimentConfig, desc, law, seq):

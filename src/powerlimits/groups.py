@@ -21,7 +21,6 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,6 @@ class GroupDescriptor:
     torus_rank: int
     monomials: np.ndarray
     stationarity_exponent: int
-    weyl_order: int
 
     def __post_init__(self):
         mono = np.asarray(self.monomials, dtype=np.int64)
@@ -86,7 +84,7 @@ def unitary(n: int) -> GroupDescriptor:
     if n < 1:
         raise ValueError("U(n) requires n >= 1")
     return GroupDescriptor(Family.UNITARY, n, n, np.eye(n, dtype=np.int64),
-                           stationarity_exponent=n, weyl_order=math.factorial(n))
+                           stationarity_exponent=n)
 
 
 def special_unitary(n: int) -> GroupDescriptor:
@@ -96,7 +94,7 @@ def special_unitary(n: int) -> GroupDescriptor:
         raise ValueError("SU(n) requires n >= 2")
     mono = np.vstack([np.eye(n - 1, dtype=np.int64), -np.ones((1, n - 1), dtype=np.int64)])
     return GroupDescriptor(Family.SPECIAL_UNITARY, n, n - 1, mono,
-                           stationarity_exponent=n + 1, weyl_order=math.factorial(n))
+                           stationarity_exponent=n + 1)
 
 
 def special_orthogonal_odd(n: int) -> GroupDescriptor:
@@ -107,8 +105,7 @@ def special_orthogonal_odd(n: int) -> GroupDescriptor:
     mono = np.vstack([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64),
                       np.zeros((1, k), dtype=np.int64)])
     return GroupDescriptor(Family.SPECIAL_ORTHOGONAL_ODD, n, k, mono,
-                           stationarity_exponent=n,
-                           weyl_order=(2 ** k) * math.factorial(k))
+                           stationarity_exponent=n)
 
 
 def descriptor(family: str | Family, n: int) -> GroupDescriptor:

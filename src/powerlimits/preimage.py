@@ -83,7 +83,7 @@ def _weyl_size(desc: GroupDescriptor) -> int:
 
 
 def enumerate_weyl(desc: GroupDescriptor):
-    """All ``desc.weyl_order`` Weyl elements."""
+    """All Weyl elements: n! permutations on U(n) and SU(n), 2^k k! signed ones on SO(2k+1)."""
     n = _weyl_size(desc)
     perms = itertools.permutations(range(n))
     if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:

@@ -1,7 +1,8 @@
-"""Absolutely continuous non-Haar laws used to exercise the limit behavior.
+"""Laws of a random U, Haar and non-Haar, used to exercise the limit behavior.
 
 * :class:`PerturbedHaarLaw`: density 1 + a ReTr(g)/N against Haar,
-  conjugate invariant, sampled by rejection.
+  conjugate invariant, sampled by rejection; at a = 0 it is Haar itself,
+  drawn with no rejection step.
 * :class:`MixtureU2Law`: the U(2) two-branch mixture X D1 + (1-X) a D2 a*,
   supported on T union aTa* (not absolutely continuous on the group, yet
   its torus marginal is), plus its explicit limit X Y + (1-X) a Y a*.
@@ -10,14 +11,14 @@
 * :class:`PointMassLaw`: an atom, the standing negative control.
 
 :class:`EigenangleLaw` is the law of the eigenangle rows of a draw of any of
-these, which is all the spectral experiments read.  For Haar and
-perturbed-Haar laws on U(N), N <= ``WEYL_MAX_N``, it draws the angles
+these, which is all the spectral experiments read.  For perturbed-Haar
+laws (Haar among them) on U(N), N <= ``WEYL_MAX_N``, it draws the angles
 directly by exact rejection from the Weyl density (no matrix, no QR, no
 eigensolver); every other law draws matrices and takes their eigenangles.
 
 ``symbolic_eigen_density`` expands the exact torus-marginal density of the
-uniform random preimage of a perturbed-Haar law on U(N), N <= 4: the
-squared-Vandermonde eigenvalue density times 1 + (a/N) sum_j cos(theta_j),
+uniform random preimage of a perturbed-Haar law on U(N), N <= ``WEYL_MAX_N``:
+the squared-Vandermonde eigenvalue density times 1 + (a/N) sum_j cos(theta_j),
 organized as exact lattice coefficients.
 """
 
@@ -63,21 +64,13 @@ def default_mixture_marginal() -> FourierDensity:
 
 
 @dataclass(frozen=True)
-class HaarLaw:
-    """Haar measure itself (the absolutely continuous baseline)."""
-
-    descriptor: GroupDescriptor
-
-    def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return haar_batch(self.descriptor, rng, size)
-
-
-@dataclass(frozen=True)
 class PerturbedHaarLaw:
     """Density 1 + strength * ReTr(g)/N against Haar; |strength| <= 1.
 
     Dividing by N keeps |density - 1| <= |strength| uniformly in N, and
-    the rejection acceptance rate at exactly 1/(1 + |strength|).
+    the rejection acceptance rate at exactly 1/(1 + |strength|).  Strength 0
+    is Haar measure itself, drawn straight from ``haar_batch`` with no
+    rejection step.
     """
 
     descriptor: GroupDescriptor
@@ -93,6 +86,8 @@ class PerturbedHaarLaw:
         return 1.0 + self.strength * tr.real / self.descriptor.matrix_size
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if not self.strength:
+            return haar_batch(self.descriptor, rng, size)
         return _rejection_fill(rng, size, 1.0 + abs(self.strength),
                                lambda draw: haar_batch(self.descriptor, rng, draw),
                                self.density)
@@ -163,22 +158,13 @@ class PointMassLaw:
 # eigenangle laws
 # ---------------------------------------------------------------------------
 
-# Largest U(N) whose eigenangles are drawn from the Weyl density.  The acceptance
+# Largest U(N) whose eigenangles are drawn from the Weyl density, and whose
+# symbolic eigenvalue density is expanded (it grows as 3^(N(N-1)/2)).  The acceptance
 # rate N!/(N^N (1 + |a|)) falls fast with N: against haar_batch + eigenangles_batch
 # (a = 0.5, S = 20000, 2-core x86-64) the direct draw ran 2.0x, 5.1x and 3.2x faster
 # at N = 2, 3, 4, only 1.4x at N = 5, and 0.62x as fast at N = 6.
 WEYL_MAX_N = 4
 _WEYL_CHUNK = 4096   # accepted rows per rejection fill, so proposal memory stays flat in S
-
-
-def _strength(law) -> float | None:
-    """a of the density 1 + a ReTr(g)/N against Haar (0 for Haar itself); None for
-    laws of another kind."""
-    if isinstance(law, HaarLaw):
-        return 0.0
-    if isinstance(law, PerturbedHaarLaw):
-        return law.strength
-    return None
 
 
 def _weyl_density(theta: np.ndarray, strength: float) -> np.ndarray:
@@ -201,7 +187,7 @@ def _weyl_density(theta: np.ndarray, strength: float) -> np.ndarray:
 class EigenangleLaw:
     """The law of the eigenangle rows of a draw of ``law``.
 
-    Haar and perturbed-Haar laws on U(N), N <= ``WEYL_MAX_N``, are sampled
+    Perturbed-Haar laws (Haar at strength 0) on U(N), N <= ``WEYL_MAX_N``, are sampled
     by exact rejection from iid uniform angles against :func:`_weyl_density`,
     bounded by N^N/N! (1 + |a|): |Delta|^2 <= N^N, with equality at the N-th
     roots of unity.  Rows come in exchangeable order.  Every other law takes
@@ -213,11 +199,11 @@ class EigenangleLaw:
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, N) eigenangle rows in [0, 2 pi)."""
-        law, strength = self.law, _strength(self.law)
-        if (strength is None or law.descriptor.family is not Family.UNITARY
+        law = self.law
+        if (not isinstance(law, PerturbedHaarLaw) or law.descriptor.family is not Family.UNITARY
                 or law.descriptor.matrix_size > WEYL_MAX_N):
             return eigenangles_batch(law.sample_batch(rng, size))
-        n = law.descriptor.matrix_size
+        n, strength = law.descriptor.matrix_size, law.strength
         bound = n ** n / math.factorial(n) * (1.0 + abs(strength))
         # uniforms drawn (N, draw) and transposed: each angle column stays contiguous
         propose = lambda draw: rng.uniform(0.0, TAU, size=(n, draw)).T
@@ -244,8 +230,8 @@ def _convolve(a: dict, b: dict) -> dict:
 def symbolic_eigen_density(law) -> FourierDensity:
     """Exact Fourier coefficients of the uniform-preimage torus marginal.
 
-    Supported for Haar and perturbed-Haar laws on U(N), N <= 4 (the
-    expansion grows as 3^(N(N-1)/2)), and for torus laws, whose marginal
+    Supported for perturbed-Haar laws (Haar at strength 0) on U(N),
+    N <= ``WEYL_MAX_N``, and for torus laws, whose marginal
     is the symmetrization of the defining density.  The U(N) eigenvalue
     density of Haar is the squared Vandermonde prod_{j<k} |z_j - z_k|^2,
     whose factors contribute {0: 2, e_j - e_k: -1, e_k - e_j: -1}; the
@@ -256,15 +242,13 @@ def symbolic_eigen_density(law) -> FourierDensity:
         if law.descriptor.family is not Family.UNITARY:
             raise ValueError("symbolic marginals for torus laws are U(N)-only")
         return _symmetrize(law.density)
-    strength = _strength(law)
-    if strength is None:
+    if not isinstance(law, PerturbedHaarLaw):
         raise ValueError(f"no symbolic eigenvalue density for {type(law).__name__}")
-    desc = law.descriptor
-    if desc.family is not Family.UNITARY:
+    if law.descriptor.family is not Family.UNITARY:
         raise ValueError("symbolic eigenvalue densities are implemented for U(N) only")
-    n = desc.matrix_size
-    if n > 4:
-        raise ValueError("symbolic expansion kept to N <= 4")
+    n, strength = law.descriptor.matrix_size, law.strength
+    if n > WEYL_MAX_N:
+        raise ValueError(f"symbolic expansion kept to N <= {WEYL_MAX_N}")
     zero = (0,) * n
     weyl = {zero: 1.0 + 0.0j}
     for j in range(n):

@@ -536,6 +536,20 @@ class TestCli:
                                   **overrides)
         assert cli.main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+        # the --out file the run made is removed; one that was there keeps its bytes
+        out = tmp_path / "report.json"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+        out.write_text("kept")
+        assert cli.main(["run", str(path), "--out", str(out)]) == 3
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("family, n", [("SU", 2), ("U", 3)])
+    def test_mixture_law_is_refused_off_u2(self, tmp_path, capsys, family, n):
+        path = self._write_config(tmp_path, family=family, matrix_size=n,
+                                  law={"type": "mixture_u2"})
+        assert cli.main(["run", str(path)]) == 2
+        assert "the mixture law lives on U(2)" in capsys.readouterr().err
 
     def test_degenerate_spectrum_exits_3(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):

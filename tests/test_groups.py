@@ -1,6 +1,5 @@
 """Group descriptors, Haar sampling, torus embeddings, powers, eigenangles."""
 
-import math
 
 import numpy as np
 import pytest
@@ -31,21 +30,18 @@ class TestDescriptors:
         assert d.torus_rank == 3
         np.testing.assert_array_equal(d.monomials, np.eye(3))
         assert d.stationarity_exponent == 3
-        assert d.weyl_order == 6
 
     def test_special_unitary_table(self):
         d = G.special_unitary(3)
         assert d.torus_rank == 2
         np.testing.assert_array_equal(d.monomials, [[1, 0], [0, 1], [-1, -1]])
         assert d.stationarity_exponent == 4
-        assert d.weyl_order == 6
 
     def test_special_orthogonal_table(self):
         d = G.special_orthogonal_odd(5)
         assert d.torus_rank == 2
         np.testing.assert_array_equal(d.monomials, [[1, 0], [0, 1], [-1, 0], [0, -1], [0, 0]])
         assert d.stationarity_exponent == 5
-        assert d.weyl_order == 8
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -292,10 +288,6 @@ class TestValidation:
     def test_so_rejects_complex(self):
         with pytest.raises(G.UnitarityError):
             G.GroupElement(np.diag([1j, -1j, 1.0]), G.special_orthogonal_odd(3))
-
-    def test_weyl_orders(self):
-        assert G.unitary(4).weyl_order == math.factorial(4)
-        assert G.special_orthogonal_odd(7).weyl_order == 8 * 6
 
 
 class TestClosedFormHaar:

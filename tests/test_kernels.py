@@ -8,7 +8,7 @@ import pytest
 
 from powerlimits import _kernels as K
 from powerlimits import groups as G
-from powerlimits.samplers import HaarLaw, PerturbedHaarLaw
+from powerlimits.samplers import PerturbedHaarLaw
 
 
 rng = np.random.default_rng(2024)
@@ -175,7 +175,7 @@ def _draws(family, n, s, seed):
     """Haar and perturbed-Haar (strength 0.5) draws on one group, stacked."""
     desc = G.descriptor(family, n)
     r = np.random.default_rng(seed)
-    return np.concatenate([HaarLaw(desc).sample_batch(r, s),
+    return np.concatenate([PerturbedHaarLaw(desc, 0.0).sample_batch(r, s),
                            PerturbedHaarLaw(desc, 0.5).sample_batch(r, s)])
 
 

@@ -1,11 +1,13 @@
 """psi, random preimages, the Weyl action, and the limit-law draws."""
 
+import math
+
 import numpy as np
 import pytest
 
 from powerlimits import groups as G
 from powerlimits import preimage as P
-from powerlimits.samplers import MIXTURE_A, HaarLaw
+from powerlimits.samplers import MIXTURE_A, PerturbedHaarLaw
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)  # the coordinate swap
 
@@ -55,7 +57,10 @@ class TestPsi:
 class TestWeylElements:
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_enumeration_size(self, desc):
-        assert len(P.enumerate_weyl(desc)) == desc.weyl_order
+        # n! permutations on U(n) and SU(n); 2^k k! signed permutations on SO(2k+1)
+        k = desc.torus_rank
+        size = 2 ** k * math.factorial(k) if desc.is_real else math.factorial(desc.matrix_size)
+        assert len(P.enumerate_weyl(desc)) == size
 
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_matrix_consistency(self, desc):
@@ -202,7 +207,7 @@ class TestSortedPreimage:
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_reconstruction_thousand_draws(self, desc):
         rng = np.random.default_rng(28)
-        mats = HaarLaw(desc).sample_batch(rng, 1000)
+        mats = PerturbedHaarLaw(desc, 0.0).sample_batch(rng, 1000)
         flags, torus = P.preimages_batch(mats, desc)
         err = np.max(np.abs(P.psi_batch(flags, torus, desc) - mats))
         assert err <= 1e-8
@@ -222,7 +227,7 @@ class TestBatchedOrthogonalPreimage:
     @pytest.mark.parametrize("desc", SO_FAMILIES, ids=repr)
     def test_sorted_preimage_invariants(self, desc, m):
         rng = np.random.default_rng(40 + m)
-        mats = G.power_batch(HaarLaw(desc).sample_batch(rng, 500), m)
+        mats = G.power_batch(PerturbedHaarLaw(desc, 0.0).sample_batch(rng, 500), m)
         flags, torus = P.preimages_batch(mats, desc)
         assert np.all(np.diff(torus, axis=1) > 0)
         assert np.all((torus > 0) & (torus < np.pi))
@@ -279,7 +284,7 @@ class TestUniformPreimage:
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_reconstruction_thousand_draws(self, desc):
         rng = np.random.default_rng(31)
-        mats = HaarLaw(desc).sample_batch(rng, 1000)
+        mats = PerturbedHaarLaw(desc, 0.0).sample_batch(rng, 1000)
         flags, torus = P.preimages_batch(mats, desc, rng)
         err = np.max(np.abs(P.psi_batch(flags, torus, desc) - mats))
         assert err <= 1e-8
@@ -351,7 +356,7 @@ class TestLimitLawSample:
         rng = np.random.default_rng(38)
         desc = G.unitary(2)
         s = 20000
-        mats = HaarLaw(desc).sample_batch(rng, s)
+        mats = PerturbedHaarLaw(desc, 0.0).sample_batch(rng, s)
         flags, _ = preimages_batch(mats, desc, rng)
         draws = limit_law_batch(flags, desc, rng)
         a = spectral_trace_moments(G.eigenangles_batch(draws), 3)
@@ -370,7 +375,7 @@ class TestSameConstructionSanity:
 
         def one_run(seed):
             rng = np.random.default_rng(seed)
-            flags, _ = preimages_batch(HaarLaw(desc).sample_batch(rng, s), desc, rng)
+            flags, _ = preimages_batch(PerturbedHaarLaw(desc, 0.0).sample_batch(rng, s), desc, rng)
             return entry_moments(limit_law_batch(flags, desc, rng))
 
         verdicts = two_sample_test(one_run(60), one_run(61), 5.0)
@@ -383,7 +388,7 @@ class TestNoAtoms:
         rng = np.random.default_rng(39)
         desc = G.unitary(2)
         s = 20000
-        mats = HaarLaw(desc).sample_batch(rng, s)
+        mats = PerturbedHaarLaw(desc, 0.0).sample_batch(rng, s)
         for use_rng in (None, rng):
             _, torus = P.preimages_batch(mats, desc, use_rng)
             for j in range(desc.torus_rank):

@@ -71,12 +71,10 @@ class TestPerturbedHaar:
             L.PerturbedHaarLaw(unitary(2), 1.5)
 
     def test_zero_strength_is_haar(self):
-        rng = np.random.default_rng(40)
-        law = L.PerturbedHaarLaw(unitary(2), 0.0)
-        s = 20000
-        a = trace_moments(law.sample_batch(rng, s), 2)
-        b = trace_moments(haar_batch(unitary(2), rng, s), 2)
-        assert all(v.passed for v in two_sample_test(a, b, 5.0))
+        # strength 0 is Haar itself, on haar_batch's own stream: no rejection round
+        for desc in (unitary(2), unitary(5), special_unitary(3), special_orthogonal_odd(3)):
+            got = L.PerturbedHaarLaw(desc, 0.0).sample_batch(np.random.default_rng(40), 300)
+            assert np.array_equal(got, haar_batch(desc, np.random.default_rng(40), 300))
 
     def test_unbiased_against_weighted_oracle(self):
         rng = np.random.default_rng(41)
@@ -197,7 +195,7 @@ class TestMixtureU2:
 
 class TestSymbolicEigenDensity:
     def test_u2_haar_coefficients(self):
-        d = L.symbolic_eigen_density(L.HaarLaw(unitary(2)))
+        d = L.symbolic_eigen_density(L.PerturbedHaarLaw(unitary(2), 0.0))
         assert d.coefficients == {(0, 0): 1.0, (1, -1): -0.5, (-1, 1): -0.5}
         assert T.stationarity_threshold(d) == 2
 
@@ -206,7 +204,7 @@ class TestSymbolicEigenDensity:
         assert T.stationarity_threshold(d) == 3
 
     def test_normalized_and_nonnegative(self):
-        for law in (L.HaarLaw(unitary(3)), L.PerturbedHaarLaw(unitary(2), 0.5),
+        for law in (L.PerturbedHaarLaw(unitary(3), 0.0), L.PerturbedHaarLaw(unitary(2), 0.5),
                     L.PerturbedHaarLaw(unitary(4), 1.0)):
             d = L.symbolic_eigen_density(law)
             assert d.coefficients[(0,) * d.rank] == 1.0
@@ -215,7 +213,7 @@ class TestSymbolicEigenDensity:
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
-            L.symbolic_eigen_density(L.HaarLaw(special_orthogonal_odd(3)))
+            L.symbolic_eigen_density(L.PerturbedHaarLaw(special_orthogonal_odd(3), 0.0))
         with pytest.raises(ValueError):
             L.symbolic_eigen_density(L.MixtureU2Law())
 
@@ -237,7 +235,7 @@ class TestSymbolicEigenDensity:
         ("matrix", 2, 48), ("weyl", 2, 53), ("weyl", 3, 54), ("weyl", 4, 55)],
         ids=["matrix-U2", "weyl-U2", "weyl-U3", "weyl-U4"])
     def test_empirical_haar_matches_symbolic(self, route, n, seed):
-        self._assert_matches_symbolic(route, L.HaarLaw(unitary(n)), seed)
+        self._assert_matches_symbolic(route, L.PerturbedHaarLaw(unitary(n), 0.0), seed)
 
     @pytest.mark.parametrize("route, n, strength, seed", [
         ("matrix", 2, 0.5, 49), ("weyl", 2, 0.5, 56), ("weyl", 2, -1.0, 57),
@@ -253,7 +251,7 @@ class TestEigenangleLaw:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("strength", [0.0, 0.5, -1.0])
     def test_trace_moments_match_the_matrix_route(self, n, strength):
-        law = L.PerturbedHaarLaw(unitary(n), strength) if strength else L.HaarLaw(unitary(n))
+        law = L.PerturbedHaarLaw(unitary(n), strength)
         rng = np.random.default_rng(62)
         s = 20000
         weyl, matrix = (spectral_trace_moments(ROUTES[route](law, rng, s), 4)
@@ -261,8 +259,9 @@ class TestEigenangleLaw:
         assert all(v.passed for v in two_sample_test(weyl, matrix, 5.0))
 
     @pytest.mark.parametrize("law", [
-        L.HaarLaw(unitary(5)), L.PerturbedHaarLaw(unitary(5), 0.5),
-        L.HaarLaw(special_unitary(3)), L.PerturbedHaarLaw(special_orthogonal_odd(3), 0.5),
+        L.PerturbedHaarLaw(unitary(5), 0.0), L.PerturbedHaarLaw(unitary(5), 0.5),
+        L.PerturbedHaarLaw(special_unitary(3), 0.0),
+        L.PerturbedHaarLaw(special_orthogonal_odd(3), 0.5),
         L.TorusLaw(unitary(2), L.default_mixture_marginal()), L.MixtureU2Law(),
         L.PointMassLaw(identity(unitary(3)))],
         ids=["U5-haar", "U5-perturbed", "SU3-haar", "SO3-perturbed", "torus", "mixture",
