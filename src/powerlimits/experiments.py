@@ -30,7 +30,6 @@ from .groups import (
     descriptor,
     fixed_law_trace_moments,
     haar_batch,
-    identity,
     power_batch,
 )
 
@@ -153,7 +152,8 @@ class ExperimentConfig:
             return samplers.MixtureU2Law(dens("d1"), dens("d2"), desc)
         if kind == "torus_density":
             return samplers.TorusLaw(desc, dens("density"))
-        return samplers.PointMassLaw(identity(desc))
+        return samplers.PointMassLaw(np.eye(desc.matrix_size,
+                                             dtype=np.float64 if desc.is_real else np.complex128))
 
 
 @dataclass

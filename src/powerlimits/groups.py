@@ -10,18 +10,20 @@ representation:
 
 A :class:`GroupDescriptor` carries, besides sizes, the integer exponent
 matrix of the N Laurent monomials that map torus coordinates to
-eigenvalues, the power ``D`` at which Haar eigenvalue laws freeze, and the
-order of the Weyl group.  Everything downstream (torus embeddings, the
-fixed high-power eigenvalue law, preimages) is driven by this table.
+eigenvalues and the stationarity exponent ``D``: the power at which Haar
+eigenvalue laws freeze, i.e. from which on the eigenvalues of H^m, H Haar,
+follow the fixed high-power law.  Everything downstream (torus embeddings,
+the fixed high-power eigenvalue law, preimages) is driven by this table.
 
-All sampling takes an explicit ``numpy.random.Generator``; values are
+Every operation works on stacks: (S, N, N) matrices and (S, n) angle rows.
+All sampling takes an explicit ``numpy.random.Generator``; descriptors are
 immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,14 +100,16 @@ def special_unitary(n: int) -> GroupDescriptor:
 
 
 def special_orthogonal_odd(n: int) -> GroupDescriptor:
-    """Descriptor for SO(n) with n = 2k+1; torus coordinates are the k block angles."""
+    """Descriptor for SO(n) with n = 2k+1; torus coordinates are the k block angles.
+    Haar eigenvalues freeze at D = n - 1 = 2k: E Tr(g^(2k-1)) = 0 for Haar g,
+    against 1 under the fixed law."""
     if n < 3 or n % 2 == 0:
         raise ValueError("SO(n) requires odd n >= 3")
     k = (n - 1) // 2
     mono = np.vstack([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64),
                       np.zeros((1, k), dtype=np.int64)])
     return GroupDescriptor(Family.SPECIAL_ORTHOGONAL_ODD, n, k, mono,
-                           stationarity_exponent=n)
+                           stationarity_exponent=n - 1)
 
 
 def descriptor(family: str | Family, n: int) -> GroupDescriptor:
@@ -118,69 +122,11 @@ def descriptor(family: str | Family, n: int) -> GroupDescriptor:
     return special_orthogonal_odd(n)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of the maximal torus: ``torus_rank`` angles in [0, 2*pi)."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("angles must be finite")
-        if np.any(a < 0.0) or np.any(a >= TAU):
-            raise ValueError("angles must lie in [0, 2*pi)")
-        a.setflags(write=False)
-        object.__setattr__(self, "angles", a)
-
-
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Max-norm of M M* - I over one matrix or a stack."""
     m = np.asarray(matrix)
     n = m.shape[-1]
     return float(np.max(np.abs(stack_matmul(m, m.conj().swapaxes(-1, -2)) - np.eye(n))))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A validated element of one of the three families.
-
-    Construction enforces ``|M M* - I|_max <= tolerance``, realness for the
-    SO family, and ``|det M - 1| <= tolerance`` for SU and SO.  The default
-    budget is the construction tolerance; :func:`power` re-validates its
-    results under the looser drift budget instead.
-    """
-
-    matrix: np.ndarray
-    descriptor: GroupDescriptor
-    tolerance: float = field(default=TAU_UNIT, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.descriptor.matrix_size
-        tol = self.tolerance
-        m = np.asarray(self.matrix)
-        if m.shape != (n, n):
-            raise ValueError(f"matrix must be {n}x{n}")
-        if self.descriptor.is_real:
-            if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > tol:
-                raise UnitarityError("SO elements must be real matrices")
-            m = np.ascontiguousarray(m.real, dtype=np.float64)
-        else:
-            m = np.ascontiguousarray(m, dtype=np.complex128)
-        defect = unitarity_defect(m)
-        if defect > tol:
-            raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {tol:.0e}")
-        if self.descriptor.family is not Family.UNITARY:
-            det_err = abs(np.linalg.det(m) - 1.0)
-            if det_err > tol:
-                raise UnitarityError(f"determinant defect {det_err:.3e} exceeds {tol:.0e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def identity(desc: GroupDescriptor) -> GroupElement:
-    eye = np.eye(desc.matrix_size)
-    return GroupElement(eye if desc.is_real else eye.astype(np.complex128), desc)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +217,8 @@ def embed_batch(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
 def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
     """Repeated-squaring m-th power of a (S, N, N) stack.
 
+    Squaring is used (rather than an eigendecomposition) so the operation
+    stays independent of the spectral code it is later used to test.
     Raises :class:`PowerDriftError` with the worst row's defect when any
     result leaves the group by more than ``TAU_DRIFT``.
     """
@@ -290,16 +238,6 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
     if defect > TAU_DRIFT:
         raise PowerDriftError(defect)
     return result
-
-
-def power(g: GroupElement, m: int) -> GroupElement:
-    """g**m by repeated squaring, checked against the drift budget.
-
-    Squaring is used (rather than an eigendecomposition) so the operation
-    stays independent of the spectral code it is later used to test.
-    """
-    return GroupElement(power_batch(g.matrix[None, :, :], m)[0], g.descriptor,
-                        tolerance=TAU_DRIFT)
 
 
 def eigenangles_batch(mats: np.ndarray) -> np.ndarray:

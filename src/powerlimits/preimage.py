@@ -1,4 +1,4 @@
-"""Conjugacy decompositions: the psi map, random preimages, Weyl actions.
+"""Conjugacy decompositions over stacks: psi, random preimages, the Weyl action.
 
 Every regular group element u factors as u = V t V^{-1} with t a torus
 element and V a flag representative; the pair (V, t) is a *preimage* of u
@@ -12,6 +12,10 @@ constructions are provided: the deterministic *sorted* preimage (angles
 strictly increasing; for SO, all angles in (0, pi)) and the *uniform*
 preimage (a uniformly random Weyl translate, drawn independently of u).
 
+The API is batched only: elements and flags are (S, N, N) stacks, torus
+points (S, n) angle rows, and Weyl elements (S, n) arrays of gather
+permutations (plus +/-1 signs for SO), one per row.
+
 Determinism of the sorted preimage is pinned by scaling each eigenvector
 so that its largest-modulus entry is real positive; SO(3) flags are pinned
 by their construction from the rotation axis instead.
@@ -19,20 +23,10 @@ by their construction from the rotation axis instead.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import TAU, det, eig_normal_2x2, so3_axis_angle, stack_matmul, wrap_angles
-from .groups import (
-    Family,
-    GroupDescriptor,
-    GroupElement,
-    TorusPoint,
-    embed_batch,
-    embed_phases,
-)
+from .groups import Family, GroupDescriptor, embed_batch, embed_phases
 
 TAU_GAP = 1e-8       # minimum eigenangle separation for a regular element
 _RECON_TOL = 1e-8    # psi(V, t) must reproduce u within this max-norm
@@ -43,53 +37,12 @@ class DegenerateSpectrumError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Weyl elements
+# the Weyl action
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """One element of N(T)/T, acting on torus coordinates.
-
-    ``perm`` uses the gather convention: new angle j is old angle perm[j].
-    For the SO family ``signs[j] = -1`` additionally flips new angle j to
-    2*pi - theta; for U/SU ``signs`` is None.
-    """
-
-    perm: tuple
-    signs: tuple | None = None
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        if self.signs is not None:
-            if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
-                raise ValueError("signs must be a +/-1 vector matching perm")
-
-    def _arrays(self):
-        """This element as row 0 of a batched draw: (perms, signs | None)."""
-        signs = None if self.signs is None else np.array([self.signs], dtype=np.float64)
-        return np.array([self.perm], dtype=np.int64), signs
-
-    def apply_torus(self, desc: GroupDescriptor, angles: np.ndarray) -> np.ndarray:
-        """Action on torus coordinates, completing the dependent SU angle."""
-        full = _full_angles(desc, np.asarray(angles, dtype=np.float64)[None, :])
-        return _act_angles(desc, full, *self._arrays())[0]
 
 
 def _weyl_size(desc: GroupDescriptor) -> int:
     return desc.torus_rank if desc.family is Family.SPECIAL_ORTHOGONAL_ODD else desc.matrix_size
-
-
-def enumerate_weyl(desc: GroupDescriptor):
-    """All Weyl elements: n! permutations on U(n) and SU(n), 2^k k! signed ones on SO(2k+1)."""
-    n = _weyl_size(desc)
-    perms = itertools.permutations(range(n))
-    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-        return [WeylElement(p, s) for p in perms
-                for s in itertools.product((1, -1), repeat=n)]
-    return [WeylElement(p) for p in perms]
 
 
 def _weyl_draw(desc: GroupDescriptor, s: int, rng: np.random.Generator):
@@ -155,18 +108,6 @@ def _act_flags(desc: GroupDescriptor, flags: np.ndarray, perms: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Preimage:
-    """A flag representative and torus point with psi(flag, torus) = u."""
-
-    flag: GroupElement
-    torus: TorusPoint
-
-    @property
-    def descriptor(self) -> GroupDescriptor:
-        return self.flag.descriptor
-
-
 def psi_batch(flags: np.ndarray, rows: np.ndarray, desc: GroupDescriptor) -> np.ndarray:
     """V embed(t) V^{-1} for stacked flags (S, N, N) and angle rows (S, n).
 
@@ -178,12 +119,6 @@ def psi_batch(flags: np.ndarray, rows: np.ndarray, desc: GroupDescriptor) -> np.
     else:
         left = flags * embed_phases(desc, rows)[:, None, :]
     return stack_matmul(left, flags.conj().swapaxes(-1, -2))
-
-
-def psi(v: GroupElement, t: TorusPoint) -> GroupElement:
-    """Conjugate the torus element with coordinates ``t`` by ``v``."""
-    out = psi_batch(v.matrix[None, :, :], np.asarray(t.angles)[None, :], v.descriptor)[0]
-    return GroupElement(out, v.descriptor)
 
 
 def _polish_unitary(vecs: np.ndarray) -> np.ndarray:
@@ -241,10 +176,6 @@ def _unitary_preimages(mats: np.ndarray, desc: GroupDescriptor):
     else:
         torus = angles
     return vecs, torus
-
-
-def _so_block_angle(block: np.ndarray) -> float:
-    return float(np.arctan2(0.5 * (block[1, 0] - block[0, 1]), 0.5 * (block[0, 0] + block[1, 1])))
 
 
 def _so3_preimages(mats: np.ndarray):
@@ -327,42 +258,6 @@ def preimages_batch(mats: np.ndarray, desc: GroupDescriptor,
             _act_angles(desc, _full_angles(desc, torus), perms, signs))
 
 
-def _element_from_matrix(u: GroupElement) -> np.ndarray:
-    m = u.matrix
-    return m[None, :, :].astype(np.float64 if u.descriptor.is_real else np.complex128)
-
-
-def preimage_sorted(u: GroupElement) -> Preimage:
-    """The deterministic chamber preimage of a regular element.
-
-    U/SU: the full eigenangle tuple strictly increasing (torus coordinates
-    are its first n entries).  SO: all block angles in (0, pi), increasing.
-    """
-    flags, torus = preimages_batch(_element_from_matrix(u), u.descriptor)
-    return Preimage(GroupElement(flags[0], u.descriptor), TorusPoint(torus[0]))
-
-
-def preimage_uniform(u: GroupElement, rng: np.random.Generator) -> Preimage:
-    """A uniformly random preimage: the sorted one moved by a uniform Weyl
-    element drawn independently of ``u``."""
-    flags, torus = preimages_batch(_element_from_matrix(u), u.descriptor, rng)
-    return Preimage(GroupElement(flags[0], u.descriptor), TorusPoint(torus[0]))
-
-
-def weyl_action(w: WeylElement, pre: Preimage) -> Preimage:
-    """(V, t) -> (V W^{-1}, w . t); psi is preserved exactly."""
-    desc = pre.descriptor
-    flag = _act_flags(desc, pre.flag.matrix[None], *w._arrays())[0]
-    return Preimage(GroupElement(flag, desc), TorusPoint(w.apply_torus(desc, pre.torus.angles)))
-
-
-def power_preimage(pre: Preimage, m: int) -> Preimage:
-    """Same flag, torus angles multiplied by m: a preimage of psi(pre)**m."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return Preimage(pre.flag, TorusPoint(wrap_angles(m * pre.torus.angles)))
-
-
 def limit_law_batch(flags: np.ndarray, desc: GroupDescriptor,
                     rng: np.random.Generator) -> np.ndarray:
     """psi(flag, Y) per flag, Y fresh uniform on the torus: draws from the
@@ -391,39 +286,3 @@ def uniform_torus_rows(desc: GroupDescriptor, eigenangle_rows: np.ndarray,
             raise DegenerateSpectrumError("no rows carry k angles strictly inside (0, pi)")
         rows = rows[good][mask[good]].reshape(-1, k)
     return _act_angles(desc, rows, *_weyl_draw(desc, rows.shape[0], rng))
-
-
-def same_flag_coset(a: GroupElement, b: GroupElement, tol: float = 1e-6) -> bool:
-    """Whether two flag representatives name the same coset, i.e. whether
-    a^{-1} b is a torus element."""
-    desc = a.descriptor
-    ratio = a.matrix.conj().T @ b.matrix
-    e = embed_batch(desc, _torus_coordinates_of(ratio, desc)[None, :])[0]
-    return bool(np.max(np.abs(ratio - e)) <= tol)
-
-
-def matching_weyl_element(source: Preimage, target: Preimage,
-                          tol: float = 1e-6) -> WeylElement | None:
-    """Search the finite Weyl group for w with w . source = target.
-
-    Matches torus angles (the action is free on regular points, so the
-    angles determine w) and then verifies the flags agree as cosets, i.e.
-    the transported flag differs from the target by a torus element.
-    """
-    desc = source.descriptor
-    for w in enumerate_weyl(desc):
-        moved = w.apply_torus(desc, source.torus.angles)
-        delta = np.abs(moved - target.torus.angles)
-        if np.max(np.minimum(delta, TAU - delta)) > tol:
-            continue
-        if same_flag_coset(weyl_action(w, source).flag, target.flag, tol):
-            return w
-    return None
-
-
-def _torus_coordinates_of(mat: np.ndarray, desc: GroupDescriptor) -> np.ndarray:
-    """Coordinates of the nearest torus element (used for coset comparison)."""
-    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-        return np.array([_so_block_angle(mat[2 * j:2 * j + 2, 2 * j:2 * j + 2]) % TAU
-                         for j in range(desc.torus_rank)])
-    return wrap_angles(np.angle(np.diagonal(mat)))[:desc.torus_rank]

@@ -34,7 +34,6 @@ from ._kernels import TAU
 from .groups import (
     Family,
     GroupDescriptor,
-    GroupElement,
     eigenangles_batch,
     embed_batch,
     haar_batch,
@@ -144,14 +143,13 @@ class TorusLaw:
 
 @dataclass(frozen=True)
 class PointMassLaw:
-    """A point mass at a fixed element (negative control: powers of an
+    """A point mass at a fixed (N, N) matrix (negative control: powers of an
     atom stay atoms, so no convergence can occur)."""
 
-    element: GroupElement
+    matrix: np.ndarray
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.broadcast_to(self.element.matrix,
-                               (size,) + self.element.matrix.shape).copy()
+        return np.broadcast_to(self.matrix, (size,) + self.matrix.shape).copy()
 
 
 # ---------------------------------------------------------------------------

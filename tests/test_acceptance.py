@@ -41,6 +41,7 @@ from powerlimits import samplers as L
 from powerlimits import stats as S
 from powerlimits import torus as T
 from powerlimits.experiments import ExperimentConfig, run_experiment
+from test_preimage import act, in_group, weyl_converts
 
 TAU = 2 * np.pi
 SAMPLES = 100_000
@@ -242,6 +243,7 @@ def test_criterion_9_machinery_invariants():
     constructive preimage conversion, across the implemented families."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(109)
+    on_torus_chart = lambda rows: bool(np.all((rows >= 0.0) & (rows < TAU)))  # NaN fails too
     ok = True
     for desc in (G.unitary(2), G.unitary(3), G.special_unitary(2),
                  G.special_unitary(3), G.special_orthogonal_odd(3),
@@ -255,20 +257,25 @@ def test_criterion_9_machinery_invariants():
         recon = float(np.max(np.abs(P.psi_batch(flags, torus, desc) - mats)))
         ok = ok and recon <= 1e-8
 
-        weyl = P.enumerate_weyl(desc)
-        for _ in range(25):
-            g = G.GroupElement(mats[int(rng.integers(1000))], desc,
-                               tolerance=G.TAU_DRIFT)
-            pre = P.preimage_sorted(g)
-            for w in weyl:
-                moved = P.weyl_action(w, pre)
-                err = float(np.max(np.abs(P.psi(moved.flag, moved.torus).matrix - g.matrix)))
-                ok = ok and err <= 1e-9
-            m = int(rng.integers(2, 9))
-            lhs = P.psi(pre.flag, P.power_preimage(pre, m).torus).matrix
-            ok = ok and float(np.max(np.abs(lhs - G.power(g, m).matrix))) <= 1e-8
-            pu = P.preimage_uniform(g, rng)
-            ok = ok and P.matching_weyl_element(pre, pu) is not None
+        # 25 drawn rows, each checked against every Weyl element at once
+        g = mats[rng.integers(1000, size=25)]
+        ok = ok and in_group(desc, g, G.TAU_DRIFT)
+        flags, torus = P.preimages_batch(g, desc)
+        moved_flags, moved_torus = act(desc, flags, torus)
+        out = P.psi_batch(moved_flags, moved_torus, desc)
+        ok = ok and all(in_group(desc, x) for x in (flags, moved_flags, out))
+        ok = ok and all(on_torus_chart(x) for x in (torus, moved_torus))
+        ok = ok and float(np.max(np.abs(out - np.repeat(g, len(out) // 25, axis=0)))) <= 1e-9
+        ms = rng.integers(2, 9, size=25)
+        for m in np.unique(ms):
+            powered = G.wrap_angles(m * torus[ms == m])
+            lhs = P.psi_batch(flags[ms == m], powered, desc)
+            rhs = G.power_batch(g[ms == m], int(m))
+            ok = (ok and on_torus_chart(powered) and in_group(desc, lhs)
+                  and in_group(desc, rhs, G.TAU_DRIFT) and float(np.max(np.abs(lhs - rhs))) <= 1e-8)
+        uniform = P.preimages_batch(g, desc, rng)
+        ok = ok and in_group(desc, uniform[0]) and on_torus_chart(uniform[1])
+        ok = ok and bool(weyl_converts(desc, (flags, torus), uniform).all())
         if not ok:
             break
     _report(9, "unitarity, psi-invariance, power compatibility, Weyl conversion",

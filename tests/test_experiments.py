@@ -157,6 +157,17 @@ class TestRunners:
         assert not rep.raw_pass
         assert rep.summary_pass
 
+    def test_point_mass_keeps_the_family_dtype_and_fails_every_row(self):
+        # the dtype picks the spectral path: complex 2x2 stacks take eigvals_2x2
+        for family, n, dtype in (("U", 2, np.complex128), ("SO", 3, np.float64)):
+            law = small_config(family=family, matrix_size=n, law={"type": "point_mass"}).build_law()
+            draws = law.sample_batch(np.random.default_rng(0), 3)
+            assert draws.dtype == dtype and np.all(draws == np.eye(n))
+        rep = run_experiment(ExperimentConfig.from_json(FILE_CONFIGS["eigen_point_mass_negative"]))
+        assert rep.summary_pass and not any(r.passed for r in rep.rows)
+        assert all((r.estimate_re, r.estimate_im) == (1.0, 0.0)
+                   for r in rep.rows if r.statistic.startswith("fourier["))
+
     def test_eigen_m1_detects_weyl_coefficient(self):
         rep = run_experiment(small_config(powers=[1], samples=20000))
         assert not rep.raw_pass
@@ -314,12 +325,13 @@ class TestRunners:
                                           density_count=3, samples=4000))
         assert rep.summary_pass
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_group_limit_haar_power_su(self, n):
-        # SU(n) Haar eigenvalues freeze at n + 1; the limit side Haar^n
-        # is a different law and fails these entry and trace rows
+    @pytest.mark.parametrize("family, n", [("SU", 2), ("SU", 3), ("SO", 3), ("SO", 5)],
+                             ids=["2", "3", "SO(3)", "SO(5)"])
+    def test_group_limit_haar_power_su(self, family, n):
+        # Haar eigenvalues freeze at D = n + 1 on SU(n), n - 1 on SO(n); the
+        # limit side Haar^(D-1) is a different law and fails these rows
         rep = run_experiment(small_config(
-            experiment="group_limit", family="SU", matrix_size=n,
+            experiment="group_limit", family=family, matrix_size=n,
             law={"type": "perturbed_haar", "strength": 0.5}, powers=[64], samples=20000,
             seed=3, target="haar_power"))
         assert rep.raw_pass and rep.summary_pass

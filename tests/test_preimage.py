@@ -1,5 +1,6 @@
 """psi, random preimages, the Weyl action, and the limit-law draws."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,42 +17,76 @@ FAMILIES = [G.unitary(2), G.unitary(3), G.special_unitary(2),
             G.special_orthogonal_odd(5)]
 
 
-def haar_element(desc, rng):
-    return G.GroupElement(G.haar_batch(desc, rng, 1)[0], desc)
+def enumerate_weyl(desc):
+    """All Weyl elements as (perms, signs | None) arrays in the ``_weyl_draw``
+    layout: n! permutations on U(n) and SU(n), 2^k k! signed ones on SO(2k+1)."""
+    perms = np.array(list(itertools.permutations(range(P._weyl_size(desc)))))
+    if not desc.is_real:
+        return perms, None
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=perms.shape[1])))
+    return np.repeat(perms, len(signs), axis=0), np.tile(signs, (len(perms), 1))
 
 
-def draw_weyl(weyl, rng):
-    """A uniform draw from the list of all Weyl elements."""
-    return weyl[int(rng.integers(len(weyl)))]
+def act(desc, flags, torus, weyl=None):
+    """Row i of (flags, torus) moved by row i of the Weyl arrays ``weyl``; by
+    default every row by every Weyl element, row i * |W| + j by element j."""
+    if weyl is None:
+        w, s = len(enumerate_weyl(desc)[0]), len(torus)
+        weyl = tuple(None if a is None else np.tile(a, (s, 1)) for a in enumerate_weyl(desc))
+        flags, torus = np.repeat(flags, w, axis=0), np.repeat(torus, w, axis=0)
+    return (P._act_flags(desc, flags, *weyl),
+            P._act_angles(desc, P._full_angles(desc, torus), *weyl))
+
+
+def in_group(desc, mats, tol=G.TAU_UNIT):
+    """Every matrix unitary within ``tol``, real on SO, and of det 1 on SU and SO."""
+    ok = G.unitarity_defect(mats) <= tol and not (desc.is_real and np.iscomplexobj(mats))
+    return ok and (desc.family is G.Family.UNITARY
+                   or float(np.max(np.abs(np.linalg.det(mats) - 1.0))) <= tol)
+
+
+def in_torus(desc, mats, tol):
+    """Per matrix, whether it is a torus element within ``tol``: at a regular point
+    the torus is the centralizer, so this tests commuting with a regular one."""
+    t = G.embed_batch(desc, 0.7 * np.arange(1, desc.torus_rank + 1))
+    return np.max(np.abs(mats @ t - t @ mats), axis=(1, 2)) <= tol
 
 
 def circular_distance(a, b):
     delta = np.abs(np.asarray(a) - np.asarray(b))
-    return np.max(np.minimum(delta, 2 * np.pi - delta))
+    return np.max(np.minimum(delta, 2 * np.pi - delta), axis=-1)
+
+
+def weyl_converts(desc, source, target, tol=1e-6):
+    """Per row, whether some Weyl element moves the preimage ``source`` to ``target``:
+    angles within ``tol``, and V_w* V_target a torus element within ``tol``."""
+    moved_flags, moved_torus = act(desc, *source)
+    flags, torus = (np.repeat(x, len(moved_torus) // len(x), axis=0) for x in target)
+    ok = ((circular_distance(moved_torus, torus) <= tol)
+          & in_torus(desc, moved_flags.conj().swapaxes(-1, -2) @ flags, tol))
+    return ok.reshape(len(target[1]), -1).any(axis=1)
 
 
 class TestPsi:
     def test_identity_flag(self):
         desc = G.unitary(2)
-        t = G.TorusPoint([0.4, 1.3])
-        out = P.psi(G.identity(desc), t)
-        np.testing.assert_allclose(out.matrix, G.embed_batch(desc, t.angles[None])[0])
+        t = np.array([[0.4, 1.3]])
+        out = P.psi_batch(np.eye(2, dtype=np.complex128)[None], t, desc)
+        np.testing.assert_allclose(out, G.embed_batch(desc, t))
 
     def test_swap_matrix_swaps_diagonal(self):
         desc = G.unitary(2)
         alpha, beta = 0.5, 2.5
-        p = G.GroupElement(SWAP, desc)
-        out = P.psi(p, G.TorusPoint([alpha, beta]))
-        np.testing.assert_allclose(np.diag(out.matrix),
-                                   [np.exp(1j * beta), np.exp(1j * alpha)], atol=1e-14)
+        out = P.psi_batch(SWAP[None], np.array([[alpha, beta]]), desc)[0]
+        np.testing.assert_allclose(np.diag(out), [np.exp(1j * beta), np.exp(1j * alpha)],
+                                   atol=1e-14)
 
     def test_a_conjugation(self):
         desc = G.unitary(2)
-        a = G.GroupElement(MIXTURE_A, desc)
-        t = G.TorusPoint([1.0, 2.0])
-        d = G.embed_batch(desc, t.angles[None])[0]
-        out = P.psi(a, t)
-        np.testing.assert_allclose(out.matrix, MIXTURE_A @ d @ MIXTURE_A.conj().T, atol=1e-14)
+        t = np.array([[1.0, 2.0]])
+        out = P.psi_batch(MIXTURE_A[None], t, desc)
+        np.testing.assert_allclose(out, MIXTURE_A @ G.embed_batch(desc, t) @ MIXTURE_A.conj().T,
+                                   atol=1e-14)
 
 
 class TestWeylElements:
@@ -60,22 +95,20 @@ class TestWeylElements:
         # n! permutations on U(n) and SU(n); 2^k k! signed permutations on SO(2k+1)
         k = desc.torus_rank
         size = 2 ** k * math.factorial(k) if desc.is_real else math.factorial(desc.matrix_size)
-        assert len(P.enumerate_weyl(desc)) == size
+        assert len(enumerate_weyl(desc)[0]) == size
 
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_matrix_consistency(self, desc):
         rng = np.random.default_rng(20)
-        t = rng.uniform(0, 2 * np.pi, desc.torus_rank)
-        emb = G.embed_batch(desc, t[None])[0]
+        t = rng.uniform(0, 2 * np.pi, (1, desc.torus_rank))
         eye = np.eye(desc.matrix_size, dtype=np.float64 if desc.is_real else np.complex128)
-        for w in P.enumerate_weyl(desc):
-            # W^{-1} is the identity flag moved by the flag action
-            wm = P._act_flags(desc, eye[None], *w._arrays())[0].conj().T
-            lhs = wm @ emb @ wm.conj().T
-            rhs = G.embed_batch(desc, w.apply_torus(desc, t)[None])[0]
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-            if desc.family is not G.Family.UNITARY:
-                assert abs(np.linalg.det(wm) - 1.0) < 1e-12
+        # W^{-1} is the identity flag moved by the flag action
+        w_inv, moved = act(desc, eye[None], t)
+        wm = w_inv.conj().swapaxes(-1, -2)
+        lhs = wm @ G.embed_batch(desc, t) @ w_inv
+        np.testing.assert_allclose(lhs, G.embed_batch(desc, moved), atol=1e-12)
+        if desc.family is not G.Family.UNITARY:
+            assert np.max(np.abs(np.linalg.det(wm) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_compose_and_inverse(self, desc):
@@ -83,65 +116,59 @@ class TestWeylElements:
         # under composition and inversion; at a regular point the moved
         # angles name exactly one element
         rng = np.random.default_rng(21)
-        t = rng.uniform(0, 2 * np.pi, desc.torus_rank)
-        weyl = P.enumerate_weyl(desc)
+        t = rng.uniform(0, 2 * np.pi, (10, desc.torus_rank))
+        w1, w2 = P._weyl_draw(desc, 10, rng), P._weyl_draw(desc, 10, rng)
+        w = len(enumerate_weyl(desc)[0])
+        eye = np.broadcast_to(np.eye(desc.matrix_size), (10,) + (desc.matrix_size,) * 2)
+        moved = lambda rows, weyl=None: act(desc, eye, rows, weyl)[1]
 
         def acting_as(source, target):
-            return [w for w in weyl
-                    if circular_distance(w.apply_torus(desc, source), target) <= 1e-10]
+            hits = circular_distance(moved(source), np.repeat(target, w, axis=0)) <= 1e-10
+            return hits.reshape(10, w).sum(axis=1)
 
-        for _ in range(10):
-            w1, w2 = draw_weyl(weyl, rng), draw_weyl(weyl, rng)
-            assert len(acting_as(t, w1.apply_torus(desc, w2.apply_torus(desc, t)))) == 1
-            assert len(acting_as(w1.apply_torus(desc, t), t)) == 1
+        assert np.all(acting_as(t, moved(moved(t, w2), w1)) == 1)
+        assert np.all(acting_as(moved(t, w1), t) == 1)
 
     def test_identity_element(self):
         desc = G.special_orthogonal_odd(5)
-        w = P.WeylElement((0, 1), (1, 1))
-        t = np.array([0.5, 2.0])
-        np.testing.assert_array_equal(w.apply_torus(desc, t), t)
+        t = np.array([[0.5, 2.0]])
+        np.testing.assert_array_equal(
+            P._act_angles(desc, t, np.array([[0, 1]]), np.array([[1.0, 1.0]])), t)
 
 
 class TestWeylAction:
     def test_identity_element_fixes(self):
-        rng = np.random.default_rng(22)
-        g = haar_element(G.unitary(3), rng)
-        pre = P.preimage_sorted(g)
-        out = P.weyl_action(P.WeylElement((0, 1, 2)), pre)
-        np.testing.assert_allclose(out.torus.angles, pre.torus.angles)
-        np.testing.assert_allclose(out.flag.matrix, pre.flag.matrix)
+        desc = G.unitary(3)
+        flags, torus = P.preimages_batch(G.haar_batch(desc, np.random.default_rng(22), 1), desc)
+        out_flags, out_torus = act(desc, flags, torus, (np.array([[0, 1, 2]]), None))
+        np.testing.assert_allclose(out_torus, torus)
+        np.testing.assert_allclose(out_flags, flags)
 
     def test_u2_transposition(self):
         desc = G.unitary(2)
         alpha, beta = 0.7, 2.1
-        pre = P.Preimage(G.identity(desc), G.TorusPoint([alpha, beta]))
-        out = P.weyl_action(P.WeylElement((1, 0)), pre)
-        np.testing.assert_allclose(out.torus.angles, [beta, alpha])
-        np.testing.assert_allclose(P.psi(out.flag, out.torus).matrix,
-                                   P.psi(pre.flag, pre.torus).matrix, atol=1e-12)
+        flags, torus = np.eye(2, dtype=np.complex128)[None], np.array([[alpha, beta]])
+        out_flags, out_torus = act(desc, flags, torus, (np.array([[1, 0]]), None))
+        np.testing.assert_allclose(out_torus, [[beta, alpha]])
+        np.testing.assert_allclose(P.psi_batch(out_flags, out_torus, desc),
+                                   P.psi_batch(flags, torus, desc), atol=1e-12)
 
     @pytest.mark.parametrize("desc", [G.unitary(3), G.special_unitary(3),
                                       G.special_orthogonal_odd(5)], ids=repr)
     def test_psi_invariance_full_group(self, desc):
-        rng = np.random.default_rng(23)
-        weyl = P.enumerate_weyl(desc)
-        for _ in range(100):
-            g = haar_element(desc, rng)
-            pre = P.preimage_sorted(g)
-            for w in weyl:
-                moved = P.weyl_action(w, pre)
-                err = np.max(np.abs(P.psi(moved.flag, moved.torus).matrix - g.matrix))
-                assert err <= 1e-9
+        mats = G.haar_batch(desc, np.random.default_rng(23), 100)
+        flags, torus = act(desc, *P.preimages_batch(mats, desc))
+        out = P.psi_batch(flags, torus, desc)
+        assert in_group(desc, flags) and in_group(desc, out)
+        w = len(torus) // len(mats)
+        assert np.max(np.abs(out - np.repeat(mats, w, axis=0))) <= 1e-9
 
     def test_composition_is_group_action(self):
         rng = np.random.default_rng(24)
         for desc in FAMILIES:
-            weyl = P.enumerate_weyl(desc)
-            g = haar_element(desc, rng)
-            pre = P.preimage_sorted(g)
-            w1, w2 = draw_weyl(weyl, rng), draw_weyl(weyl, rng)
-            twice = P.weyl_action(w1, P.weyl_action(w2, pre))
-            assert P.matching_weyl_element(pre, twice) is not None
+            pre = P.preimages_batch(G.haar_batch(desc, rng, 1), desc)
+            w1, w2 = (P._weyl_draw(desc, 1, rng) for _ in range(2))
+            assert weyl_converts(desc, pre, act(desc, *act(desc, *pre, w2), w1)).all()
 
 
 class TestBatchedWeylAction:
@@ -152,57 +179,45 @@ class TestBatchedWeylAction:
         s = 40
         mats = G.haar_batch(desc, np.random.default_rng(27), s)
         flags, torus = P.preimages_batch(mats, desc, np.random.default_rng(28))
-        perms, signs = P._weyl_draw(desc, s, np.random.default_rng(28))
-        sorted_flags, sorted_torus = P.preimages_batch(mats, desc)
-        for i in range(s):
-            w = P.WeylElement(tuple(perms[i]), None if signs is None else tuple(signs[i]))
-            moved = P.weyl_action(w, P.Preimage(G.GroupElement(sorted_flags[i], desc),
-                                                G.TorusPoint(sorted_torus[i])))
-            np.testing.assert_array_equal(moved.flag.matrix, flags[i])
-            np.testing.assert_array_equal(moved.torus.angles, torus[i])
+        weyl = P._weyl_draw(desc, s, np.random.default_rng(28))
+        moved_flags, moved_torus = act(desc, *P.preimages_batch(mats, desc), weyl)
+        np.testing.assert_array_equal(moved_flags, flags)
+        np.testing.assert_array_equal(moved_torus, torus)
 
 
 class TestSortedPreimage:
     def test_sorted_diagonal(self):
         desc = G.unitary(2)
-        u = G.GroupElement(np.diag([np.exp(2j), np.exp(1j)]), desc)
-        pre = P.preimage_sorted(u)
-        np.testing.assert_allclose(pre.torus.angles, [1.0, 2.0], atol=1e-12)
+        _, torus = P.preimages_batch(np.diag([np.exp(2j), np.exp(1j)])[None], desc)
+        np.testing.assert_allclose(torus, [[1.0, 2.0]], atol=1e-12)
 
     def test_already_sorted_diagonal_gives_identity_coset(self):
         desc = G.unitary(2)
-        u = G.GroupElement(np.diag([np.exp(1j), np.exp(2j)]), desc)
-        pre = P.preimage_sorted(u)
-        np.testing.assert_allclose(np.abs(pre.flag.matrix), np.eye(2), atol=1e-12)
+        flags, _ = P.preimages_batch(np.diag([np.exp(1j), np.exp(2j)])[None], desc)
+        np.testing.assert_allclose(np.abs(flags[0]), np.eye(2), atol=1e-12)
 
     def test_deterministic(self):
-        rng = np.random.default_rng(25)
-        g = haar_element(G.special_unitary(3), rng)
-        a, b = P.preimage_sorted(g), P.preimage_sorted(g)
-        np.testing.assert_array_equal(a.torus.angles, b.torus.angles)
-        np.testing.assert_array_equal(a.flag.matrix, b.flag.matrix)
+        desc = G.special_unitary(3)
+        g = G.haar_batch(desc, np.random.default_rng(25), 1)
+        (fa, ta), (fb, tb) = P.preimages_batch(g, desc), P.preimages_batch(g, desc)
+        np.testing.assert_array_equal(ta, tb)
+        np.testing.assert_array_equal(fa, fb)
 
     def test_so_chamber(self):
-        rng = np.random.default_rng(26)
-        for _ in range(20):
-            g = haar_element(G.special_orthogonal_odd(5), rng)
-            pre = P.preimage_sorted(g)
-            t = pre.torus.angles
-            assert np.all(t > 0) and np.all(t < np.pi)
-            assert t[0] < t[1]
+        desc = G.special_orthogonal_odd(5)
+        _, t = P.preimages_batch(G.haar_batch(desc, np.random.default_rng(26), 20), desc)
+        assert np.all(t > 0) and np.all(t < np.pi)
+        assert np.all(t[:, 0] < t[:, 1])
 
     def test_u_chamber_increasing(self):
-        rng = np.random.default_rng(27)
-        for _ in range(20):
-            g = haar_element(G.unitary(3), rng)
-            t = P.preimage_sorted(g).torus.angles
-            assert np.all(np.diff(t) > 0)
+        desc = G.unitary(3)
+        _, t = P.preimages_batch(G.haar_batch(desc, np.random.default_rng(27), 20), desc)
+        assert np.all(np.diff(t, axis=1) > 0)
 
     def test_degenerate_spectrum_rejected(self):
-        desc = G.unitary(2)
-        u = G.GroupElement(np.diag([np.exp(1j), np.exp(1j + 5e-10j)]), desc)
+        u = np.diag([np.exp(1j), np.exp(1j + 5e-10j)])[None]
         with pytest.raises(P.DegenerateSpectrumError):
-            P.preimage_sorted(u)
+            P.preimages_batch(u, G.unitary(2))
 
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_reconstruction_thousand_draws(self, desc):
@@ -237,9 +252,9 @@ class TestBatchedOrthogonalPreimage:
         again_flags, again_torus = P.preimages_batch(mats, desc)
         np.testing.assert_array_equal(again_flags, flags)
         np.testing.assert_array_equal(again_torus, torus)
-        one = P.preimage_sorted(G.GroupElement(mats[7], desc))
-        np.testing.assert_array_equal(one.flag.matrix, flags[7])
-        np.testing.assert_array_equal(one.torus.angles, torus[7])
+        one_flag, one_torus = P.preimages_batch(mats[7:8], desc)
+        np.testing.assert_array_equal(one_flag[0], flags[7])
+        np.testing.assert_array_equal(one_torus[0], torus[7])
 
     @pytest.mark.parametrize("desc, angles", [
         (G.special_orthogonal_odd(3), [1e-9]),
@@ -268,18 +283,15 @@ class TestBatchedOrthogonalPreimage:
 
 class TestUniformPreimage:
     def test_u2_diagonal_fifty_fifty(self):
-        desc = G.unitary(2)
-        u = G.GroupElement(np.diag([np.exp(1j), np.exp(2j)]), desc)
-        rng = np.random.default_rng(29)
-        first = sum(P.preimage_uniform(u, rng).torus.angles[0] < 1.5 for _ in range(1000))
-        assert 420 <= first <= 580  # Binomial(1000, 1/2) at ~5 sigma
+        u = np.broadcast_to(np.diag([np.exp(1j), np.exp(2j)]), (1000, 2, 2))
+        _, torus = P.preimages_batch(u, G.unitary(2), np.random.default_rng(29))
+        assert 420 <= np.sum(torus[:, 0] < 1.5) <= 580  # Binomial(1000, 1/2) at ~5 sigma
 
     def test_so3_sign_fifty_fifty(self):
         desc = G.special_orthogonal_odd(3)
-        u = G.GroupElement(G.embed_batch(desc, [[1.0]])[0], desc)
-        rng = np.random.default_rng(30)
-        low = sum(P.preimage_uniform(u, rng).torus.angles[0] < np.pi for _ in range(1000))
-        assert 420 <= low <= 580
+        u = np.broadcast_to(G.embed_batch(desc, [[1.0]]), (1000, 3, 3))
+        _, torus = P.preimages_batch(u, desc, np.random.default_rng(30))
+        assert 420 <= np.sum(torus[:, 0] < np.pi) <= 580
 
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)
     def test_reconstruction_thousand_draws(self, desc):
@@ -291,10 +303,9 @@ class TestUniformPreimage:
 
     def test_postcondition_single(self):
         rng = np.random.default_rng(32)
-        u = haar_element(G.unitary(3), rng)
-        pre = P.preimage_uniform(u, rng)
-        err = np.max(np.abs(P.psi(pre.flag, pre.torus).matrix - u.matrix))
-        assert err <= 1e-8
+        u = G.haar_batch(G.unitary(3), rng, 1)
+        flags, torus = P.preimages_batch(u, G.unitary(3), rng)
+        assert np.max(np.abs(P.psi_batch(flags, torus, G.unitary(3)) - u)) <= 1e-8
 
 
 class TestConstructiveWeylConversion:
@@ -303,40 +314,35 @@ class TestConstructiveWeylConversion:
     def test_sorted_to_uniform_via_weyl(self, desc):
         # the converting random Weyl element exists draw by draw
         rng = np.random.default_rng(33)
-        for _ in range(100):
-            g = haar_element(desc, rng)
-            ps, pu = P.preimage_sorted(g), P.preimage_uniform(g, rng)
-            assert P.matching_weyl_element(ps, pu) is not None
+        mats = G.haar_batch(desc, rng, 100)
+        sorted_pre, uniform_pre = P.preimages_batch(mats, desc), P.preimages_batch(mats, desc, rng)
+        assert weyl_converts(desc, sorted_pre, uniform_pre).all()
 
 
 class TestPowerPreimage:
     def test_m1_identity(self):
-        rng = np.random.default_rng(34)
-        g = haar_element(G.unitary(2), rng)
-        pre = P.preimage_sorted(g)
-        out = P.power_preimage(pre, 1)
-        np.testing.assert_array_equal(out.torus.angles, pre.torus.angles)
+        desc = G.unitary(2)
+        _, torus = P.preimages_batch(G.haar_batch(desc, np.random.default_rng(34), 1), desc)
+        np.testing.assert_array_equal(G.wrap_angles(1 * torus), torus)
 
     def test_quarter_angle_wraps(self):
-        pre = P.Preimage(G.identity(G.unitary(1)), G.TorusPoint([np.pi / 2]))
-        assert P.power_preimage(pre, 4).torus.angles[0] == 0.0
+        assert G.wrap_angles(4 * np.array([np.pi / 2]))[0] == 0.0
 
     def test_compatible_with_matrix_power(self):
         rng = np.random.default_rng(35)
+        m = 5  # same flag, torus angles times m: a preimage of u**m
         for desc in FAMILIES:
-            g = haar_element(desc, rng)
-            pre = P.preimage_uniform(g, rng)
-            m = 5
-            lhs = P.psi(pre.flag, P.power_preimage(pre, m).torus).matrix
-            rhs = G.power(g, m).matrix
-            np.testing.assert_allclose(lhs, rhs, atol=1e-8)
+            mats = G.haar_batch(desc, rng, 1)
+            flags, torus = P.preimages_batch(mats, desc, rng)
+            lhs = P.psi_batch(flags, G.wrap_angles(m * torus), desc)
+            np.testing.assert_allclose(lhs, G.power_batch(mats, m), atol=1e-8)
 
 
 class TestLimitLawSample:
     def test_identity_flag_gives_diagonal(self):
         rng = np.random.default_rng(36)
         desc = G.unitary(2)
-        out = P.limit_law_batch(G.identity(desc).matrix[None], desc, rng)[0]
+        out = P.limit_law_batch(np.eye(2, dtype=np.complex128)[None], desc, rng)[0]
         off = out[~np.eye(2, dtype=bool)]
         np.testing.assert_allclose(off, 0.0, atol=1e-14)
         np.testing.assert_allclose(np.abs(np.diag(out)), 1.0, atol=1e-12)
@@ -420,9 +426,7 @@ class TestClosedFormPreimages:
         np.testing.assert_allclose(torus, angles, rtol=0, atol=1e-9)
         assert np.max(np.abs(P.psi_batch(flags, torus, desc) - mats)) <= 1e-13
         assert G.unitarity_defect(flags) <= 1e-14
-        for i in range(0, s, 37):
-            assert P.same_flag_coset(G.GroupElement(flags[i], desc), G.GroupElement(q[i], desc),
-                                     tol=1e-9 / gap)
+        assert in_torus(desc, flags.conj().swapaxes(-1, -2) @ q, 1e-9 / gap).all()
 
     @pytest.mark.parametrize("theta", [1e-7, 1e-5, 0.5, np.pi - 1e-7])
     def test_so3_axis_angle_preimage(self, theta):
@@ -436,8 +440,7 @@ class TestClosedFormPreimages:
         flags, torus = P.preimages_batch(mats, desc)
         np.testing.assert_allclose(torus, theta, rtol=1e-9, atol=0)
         np.testing.assert_allclose(np.linalg.det(flags), 1.0, rtol=0, atol=1e-14)
-        for i in range(0, s, 37):
-            assert P.same_flag_coset(G.GroupElement(flags[i], desc), G.GroupElement(q[i], desc))
+        assert in_torus(desc, flags.swapaxes(-1, -2) @ q, 1e-6).all()
 
     def test_non_normal_row_fails_the_reconstruction_check(self):
         desc = G.unitary(2)
