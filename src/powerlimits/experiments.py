@@ -118,6 +118,10 @@ class ExperimentConfig:
         if self.law.get("type") == "point_mass" and (self.experiment == "preimage_invariance" or (
                 self.experiment == "group_limit" and self.target == "preimage_limit")):
             raise ConfigError(f"{self.experiment} needs preimages, undefined for a point mass")
+        if self.law.get("type") == "point_mass" and self.experiment == "eigen_convergence" and (
+                self.descriptor().is_real):
+            raise ConfigError("eigen_convergence on SO needs eigenangles strictly inside (0, pi), "
+                              "and a point mass at the identity has none")
         return self
 
     @classmethod

@@ -9,11 +9,11 @@ representation:
   acting on coordinate pairs (2j-1, 2j), last coordinate fixed.
 
 A :class:`GroupDescriptor` carries, besides sizes, the integer exponent
-matrix of the N Laurent monomials that map torus coordinates to
-eigenvalues and the stationarity exponent ``D``: the power at which Haar
-eigenvalue laws freeze, i.e. from which on the eigenvalues of H^m, H Haar,
-follow the fixed high-power law.  Everything downstream (torus embeddings,
-the fixed high-power eigenvalue law, preimages) is driven by this table.
+matrix of the N Laurent monomials that map torus coordinates to eigenvalues,
+the positive roots as pairs of monomial rows, the Weyl group order |W| and
+the stationarity exponent ``D``: the power from which on the eigenvalues of
+H^m, H Haar, follow the fixed high-power law.  Everything downstream (torus
+embeddings, Weyl densities, the fixed law, preimages) is driven by this table.
 
 Every operation works on stacks: (S, N, N) matrices and (S, n) angle rows.
 All sampling takes an explicit ``numpy.random.Generator``; descriptors are
@@ -23,6 +23,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +59,25 @@ class GroupDescriptor:
 
     ``monomials`` has shape (N, n); row j holds the exponent vector of the
     Laurent monomial giving the j-th eigenvalue of a torus element.
+    Row (j, k) of ``root_pairs`` (R, 2) is the positive root monomials[j] - monomials[k];
+    ``weyl_order`` = |W| is the constant term of prod over roots a of |1 - e^{i a.t}|^2.
     """
 
     family: Family
     matrix_size: int
     torus_rank: int
     monomials: np.ndarray
+    root_pairs: np.ndarray
+    weyl_order: int
     stationarity_exponent: int
 
     def __post_init__(self):
-        mono = np.asarray(self.monomials, dtype=np.int64)
-        if mono.shape != (self.matrix_size, self.torus_rank):
+        for name in ("monomials", "root_pairs"):
+            table = np.asarray(getattr(self, name), dtype=np.int64)
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+        if self.monomials.shape != (self.matrix_size, self.torus_rank):
             raise ValueError("monomial matrix must be (matrix_size, torus_rank)")
-        mono.setflags(write=False)
-        object.__setattr__(self, "monomials", mono)
 
     @property
     def is_real(self) -> bool:
@@ -86,6 +92,7 @@ def unitary(n: int) -> GroupDescriptor:
     if n < 1:
         raise ValueError("U(n) requires n >= 1")
     return GroupDescriptor(Family.UNITARY, n, n, np.eye(n, dtype=np.int64),
+                           np.transpose(np.triu_indices(n, 1)), math.factorial(n),
                            stationarity_exponent=n)
 
 
@@ -96,11 +103,13 @@ def special_unitary(n: int) -> GroupDescriptor:
         raise ValueError("SU(n) requires n >= 2")
     mono = np.vstack([np.eye(n - 1, dtype=np.int64), -np.ones((1, n - 1), dtype=np.int64)])
     return GroupDescriptor(Family.SPECIAL_UNITARY, n, n - 1, mono,
+                           np.transpose(np.triu_indices(n, 1)), math.factorial(n),
                            stationarity_exponent=n + 1)
 
 
 def special_orthogonal_odd(n: int) -> GroupDescriptor:
     """Descriptor for SO(n) with n = 2k+1; torus coordinates are the k block angles.
+    Positive roots e_j - e_l, e_j + e_l (j < l), e_j: rows (j, l), (j, k + l), (j, 2k).
     Haar eigenvalues freeze at D = n - 1 = 2k: E Tr(g^(2k-1)) = 0 for Haar g,
     against 1 under the fixed law."""
     if n < 3 or n % 2 == 0:
@@ -108,8 +117,10 @@ def special_orthogonal_odd(n: int) -> GroupDescriptor:
     k = (n - 1) // 2
     mono = np.vstack([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64),
                       np.zeros((1, k), dtype=np.int64)])
-    return GroupDescriptor(Family.SPECIAL_ORTHOGONAL_ODD, n, k, mono,
-                           stationarity_exponent=n - 1)
+    pairs = [(j, l) for j in range(k) for l in range(j + 1, k)]
+    pairs += [(j, k + l) for j, l in pairs] + [(j, 2 * k) for j in range(k)]
+    return GroupDescriptor(Family.SPECIAL_ORTHOGONAL_ODD, n, k, mono, pairs,
+                           2 ** k * math.factorial(k), stationarity_exponent=n - 1)
 
 
 def descriptor(family: str | Family, n: int) -> GroupDescriptor:

@@ -17,15 +17,15 @@ directly by exact rejection from the Weyl density (no matrix, no QR, no
 eigensolver); every other law draws matrices and takes their eigenangles.
 
 ``symbolic_eigen_density`` expands the exact torus-marginal density of the
-uniform random preimage of a perturbed-Haar law on U(N), N <= ``WEYL_MAX_N``:
-the squared-Vandermonde eigenvalue density times 1 + (a/N) sum_j cos(theta_j),
-organized as exact lattice coefficients.
+uniform random preimage of a perturbed-Haar law on U(N), SU(N) or SO(2k+1)
+with at most as many positive roots as U(``WEYL_MAX_N``): the Weyl density read
+from the descriptor's root pairs times 1 + (a/N) ReTr, organized as exact
+lattice coefficients.  The Weyl sampler reads the same root pairs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,8 +156,9 @@ class PointMassLaw:
 # eigenangle laws
 # ---------------------------------------------------------------------------
 
-# Largest U(N) whose eigenangles are drawn from the Weyl density, and whose
-# symbolic eigenvalue density is expanded (it grows as 3^(N(N-1)/2)).  The acceptance
+# Largest U(N) whose eigenangles are drawn from the Weyl density; its N(N-1)/2
+# positive roots also cap the root count of any family whose symbolic eigenvalue
+# density is expanded (the expansion grows as 3^roots).  The acceptance
 # rate N!/(N^N (1 + |a|)) falls fast with N: against haar_batch + eigenangles_batch
 # (a = 0.5, S = 20000, 2-core x86-64) the direct draw ran 2.0x, 5.1x and 3.2x faster
 # at N = 2, 3, 4, only 1.4x at N = 5, and 0.62x as fast at N = 6.
@@ -165,19 +166,17 @@ WEYL_MAX_N = 4
 _WEYL_CHUNK = 4096   # accepted rows per rejection fill, so proposal memory stays flat in S
 
 
-def _weyl_density(theta: np.ndarray, strength: float) -> np.ndarray:
-    """|Delta(e^{i theta})|^2 / N! * (1 + (a/N) sum_j cos theta_j) of each row of a
-    (S, N) angle array: the eigenangle density of the perturbed-Haar law on U(N)
-    against uniform angles (Weyl integration formula).  |e^{i x} - e^{i y}|^2 is
-    2 - 2 (cos x cos y + sin x sin y), a product over the columns of cos and sin."""
-    n = theta.shape[1]
+def _weyl_density(desc: GroupDescriptor, theta: np.ndarray, strength: float) -> np.ndarray:
+    """prod over root pairs (j, k) of |e^{i theta_j} - e^{i theta_k}|^2 / |W| * (1 + (a/N)
+    sum_j cos theta_j) per row of (S, N) eigenangles in monomial order: the perturbed-Haar
+    eigenangle density against uniform torus angles (Weyl integration formula), with
+    |e^{i x} - e^{i y}|^2 = 2 - 2 (cos x cos y + sin x sin y) over columns of cos and sin."""
     c, s = np.cos(theta), np.sin(theta)
-    out = np.full(theta.shape[0], 1.0 / math.factorial(n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            out *= 2.0 - 2.0 * (c[:, j] * c[:, k] + s[:, j] * s[:, k])
+    out = np.full(theta.shape[0], 1.0 / desc.weyl_order)
+    for j, k in desc.root_pairs:
+        out *= 2.0 - 2.0 * (c[:, j] * c[:, k] + s[:, j] * s[:, k])
     if strength:
-        out *= 1.0 + (strength / n) * c.sum(axis=1)
+        out *= 1.0 + (strength / theta.shape[1]) * c.sum(axis=1)
     return out
 
 
@@ -202,10 +201,10 @@ class EigenangleLaw:
                 or law.descriptor.matrix_size > WEYL_MAX_N):
             return eigenangles_batch(law.sample_batch(rng, size))
         n, strength = law.descriptor.matrix_size, law.strength
-        bound = n ** n / math.factorial(n) * (1.0 + abs(strength))
+        bound = n ** n / law.descriptor.weyl_order * (1.0 + abs(strength))
         # uniforms drawn (N, draw) and transposed: each angle column stays contiguous
         propose = lambda draw: rng.uniform(0.0, TAU, size=(n, draw)).T
-        density = lambda theta: _weyl_density(theta, strength)
+        density = lambda theta: _weyl_density(law.descriptor, theta, strength)
         parts = [_rejection_fill(rng, min(_WEYL_CHUNK, size - start), bound, propose, density)
                  for start in range(0, size, _WEYL_CHUNK)]
         return np.concatenate(parts)
@@ -228,13 +227,14 @@ def _convolve(a: dict, b: dict) -> dict:
 def symbolic_eigen_density(law) -> FourierDensity:
     """Exact Fourier coefficients of the uniform-preimage torus marginal.
 
-    Supported for perturbed-Haar laws (Haar at strength 0) on U(N),
-    N <= ``WEYL_MAX_N``, and for torus laws, whose marginal
-    is the symmetrization of the defining density.  The U(N) eigenvalue
-    density of Haar is the squared Vandermonde prod_{j<k} |z_j - z_k|^2,
-    whose factors contribute {0: 2, e_j - e_k: -1, e_k - e_j: -1}; the
-    perturbation multiplies by 1 + (a/N) sum cos(theta_j).  The constant
-    term of the bare product is exactly N!, which normalizes a_0 to 1.
+    Supported for perturbed-Haar laws (Haar at strength 0) on any family
+    with no more positive roots than U(``WEYL_MAX_N``), and for torus laws on
+    U(N), whose marginal is the symmetrization of the defining density.  The
+    Haar density is the Weyl product over the descriptor's positive roots a of
+    |1 - e^{i a.t}|^2, whose factors contribute {0: 2, a: -1, -a: -1}; the
+    perturbation multiplies by 1 + (a/N) sum_j cos(M_j.t) over the monomial
+    rows M_j.  The constant term of the bare product is exactly |W|, which
+    normalizes a_0 to 1.
     """
     if isinstance(law, TorusLaw):
         if law.descriptor.family is not Family.UNITARY:
@@ -242,29 +242,24 @@ def symbolic_eigen_density(law) -> FourierDensity:
         return _symmetrize(law.density)
     if not isinstance(law, PerturbedHaarLaw):
         raise ValueError(f"no symbolic eigenvalue density for {type(law).__name__}")
-    if law.descriptor.family is not Family.UNITARY:
-        raise ValueError("symbolic eigenvalue densities are implemented for U(N) only")
-    n, strength = law.descriptor.matrix_size, law.strength
-    if n > WEYL_MAX_N:
-        raise ValueError(f"symbolic expansion kept to N <= {WEYL_MAX_N}")
-    zero = (0,) * n
+    desc, strength = law.descriptor, law.strength
+    if len(desc.root_pairs) > WEYL_MAX_N * (WEYL_MAX_N - 1) // 2:
+        raise ValueError(f"symbolic expansion kept to as many roots as U({WEYL_MAX_N})")
+    zero = (0,) * desc.torus_rank
     weyl = {zero: 1.0 + 0.0j}
-    for j in range(n):
-        for k in range(j + 1, n):
-            plus = tuple(1 if i == j else (-1 if i == k else 0) for i in range(n))
-            minus = tuple(-x for x in plus)
-            weyl = _convolve(weyl, {zero: 2.0, plus: -1.0, minus: -1.0})
-    assert abs(weyl[zero] - math.factorial(n)) < 1e-9
+    for j, k in desc.root_pairs:
+        plus = tuple((desc.monomials[j] - desc.monomials[k]).tolist())
+        weyl = _convolve(weyl, {zero: 2.0, plus: -1.0, tuple(-x for x in plus): -1.0})
+    assert abs(weyl[zero] - desc.weyl_order) < 1e-9
     if strength != 0.0:
         pert = {zero: 1.0 + 0.0j}
-        half = strength / (2.0 * n)
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            pert[e] = half
-            pert[tuple(-x for x in e)] = half
+        half = strength / (2.0 * desc.matrix_size)
+        for row in desc.monomials.tolist():
+            for e in (tuple(row), tuple(-x for x in row)):
+                pert[e] = pert.get(e, 0.0) + half
         weyl = _convolve(weyl, pert)
     norm = weyl[zero].real
-    return FourierDensity(n, {p: c / norm for p, c in weyl.items()})
+    return FourierDensity(desc.torus_rank, {p: c / norm for p, c in weyl.items()})
 
 
 def _symmetrize(d: FourierDensity) -> FourierDensity:

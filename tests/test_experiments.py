@@ -270,6 +270,17 @@ class TestRunners:
         assert rep.notes["detection_min_samples"] == 1600
         assert rep.notes["detection_powered"] is powered
 
+    @pytest.mark.parametrize("family, n, threshold, need", [("SU", 2, 4, 1600),
+                                                            ("SO", 3, 3, 3600)])
+    def test_exact_threshold_off_unitary(self, family, n, threshold, need):
+        # the symbolic density comes from the descriptor's roots; U^m from matrices
+        rep = run_experiment(small_config(experiment="exact_threshold", family=family,
+                                          matrix_size=n, samples=20000,
+                                          law={"type": "perturbed_haar", "strength": 0.5}))
+        assert rep.notes["threshold"] == threshold
+        assert rep.notes["detection_min_samples"] == need and rep.notes["detection_powered"]
+        assert rep.summary_pass
+
     def test_exact_threshold_requires_symbolic_density(self):
         with pytest.raises(ConfigError):
             run_experiment(small_config(experiment="exact_threshold",
@@ -562,6 +573,19 @@ class TestCli:
                                   law={"type": "mixture_u2"})
         assert cli.main(["run", str(path)]) == 2
         assert "the mixture law lives on U(2)" in capsys.readouterr().err
+
+    def test_so_point_mass_eigen_convergence_is_refused_before_sampling(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # the identity atom of SO has no angle inside (0, pi), so it has no torus coordinates
+        monkeypatch.setattr(samplers.PointMassLaw, "sample_batch",
+                            lambda *args: pytest.fail("sampled"))
+        path = self._write_config(tmp_path, family="SO", matrix_size=3, powers=[10],
+                                  law={"type": "point_mass"}, samples=1000, seed=7,
+                                  negative_control=True)
+        out = tmp_path / "report.json"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert "strictly inside (0, pi)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_spectrum_exits_3(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):

@@ -43,6 +43,18 @@ class TestDescriptors:
         np.testing.assert_array_equal(d.monomials, [[1, 0], [0, 1], [-1, 0], [0, -1], [0, 0]])
         assert d.stationarity_exponent == 4
 
+    @pytest.mark.parametrize("desc, roots, order", [
+        (G.unitary(3), [[1, -1, 0], [1, 0, -1], [0, 1, -1]], 6),
+        (G.special_unitary(3), [[1, -1], [2, 1], [1, 2]], 6),
+        (G.special_orthogonal_odd(3), [[1]], 2),
+        (G.special_orthogonal_odd(5), [[1, -1], [1, 1], [1, 0], [0, 1]], 8)], ids=repr)
+    def test_positive_roots_and_weyl_order(self, desc, roots, order):
+        # SO(2k+1): long roots e_j -+ e_l and short roots e_j; |W| = 2^k k!
+        pairs = desc.root_pairs
+        np.testing.assert_array_equal(desc.monomials[pairs[:, 0]] - desc.monomials[pairs[:, 1]],
+                                      roots)
+        assert desc.weyl_order == order
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             G.special_unitary(1)
@@ -257,15 +269,20 @@ class TestRainsLimit:
             assert abs(r.estimate - expect) <= 5 * r.std_error, r.statistic
 
     @pytest.mark.parametrize("family, n, mean", [
-        ("SU", 2, -1), ("SU", 3, 1), ("SU", 4, -1), ("SO", 3, 0), ("SO", 5, 0), ("SO", 7, 0)],
-        ids=["2", "3", "4", "SO(3)", "SO(5)", "SO(7)"])
+        ("SU", 2, -1), ("SU", 3, 1), ("SU", 4, -1), ("SO", 3, 0), ("SO", 5, 0), ("SO", 7, 0),
+        ("U", 2, 0), ("U", 3, 0), ("U", 4, 0)],
+        ids=["2", "3", "4", "SO(3)", "SO(5)", "SO(7)", "U(2)", "U(3)", "U(4)"])
     def test_su_haar_one_power_below_the_exponent_is_not_frozen(self, family, n, mean):
-        # E Tr(H^(D-1)), H Haar: (-1)^(n+1) on SU(n), 0 on SO(n); the fixed law's 0 and 1
+        # E Tr(H^(D-1)), H Haar: (-1)^(n+1) on SU(n), 0 on SO(n); the fixed law's 0 and 1.
+        # On U(n) both means are 0, but E|Tr(H^(n-1))|^2 = n - 1 against the fixed law's n
         desc = G.descriptor(family, n)
         rng = np.random.default_rng(16)
         angles = G.eigenangles_batch(G.haar_batch(desc, rng, 20000))
         tr = np.exp(1j * (desc.stationarity_exponent - 1) * angles).sum(axis=1)
         assert abs(tr.mean() - mean) < 0.05
+        if family == "U":
+            assert G.fixed_law_trace_moments(desc)[1] == n
+            assert abs(np.mean(np.abs(tr) ** 2) - (n - 1)) < 0.1
 
 
 class TestClosedFormHaar:

@@ -9,6 +9,7 @@ from powerlimits import samplers as L
 from powerlimits import torus as T
 from powerlimits.groups import (
     TAU_UNIT,
+    descriptor,
     eigenangles_batch,
     embed_batch,
     haar_batch,
@@ -212,10 +213,36 @@ class TestSymbolicEigenDensity:
             assert d.grid_values(grid).min() >= -1e-9
 
     def test_unsupported_family(self):
-        with pytest.raises(ValueError):
-            L.symbolic_eigen_density(L.PerturbedHaarLaw(special_orthogonal_odd(3), 0.0))
-        with pytest.raises(ValueError):
-            L.symbolic_eigen_density(L.MixtureU2Law())
+        # the mixture has no symbolic density; U(5) (10 roots) and SO(7) (9) pass the
+        # root cap of U(WEYL_MAX_N) = U(4) (6 roots)
+        for law in (L.MixtureU2Law(), L.PerturbedHaarLaw(unitary(5), 0.0),
+                    L.PerturbedHaarLaw(special_orthogonal_odd(7), 0.5)):
+            with pytest.raises(ValueError):
+                L.symbolic_eigen_density(law)
+
+    @pytest.mark.parametrize("desc", [unitary(2), unitary(3), unitary(4), special_unitary(2),
+                                      special_unitary(3), special_unitary(4),
+                                      special_orthogonal_odd(3), special_orthogonal_odd(5)],
+                             ids=repr)
+    def test_haar_support_pins_the_stationarity_exponent(self, desc):
+        # the pushforward through m keeps exactly the support points that m divides, so
+        # Haar eigenvalues freeze from 1 + the largest gcd over the nonzero support on
+        d = L.symbolic_eigen_density(L.PerturbedHaarLaw(desc, 0.0))
+        assert 1 + max(math.gcd(*map(abs, p)) for p in d.coefficients if any(p)) == (
+            desc.stationarity_exponent)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pushforward_gives_the_diaconis_shahshahani_moments(self, n):
+        # E|Tr H^(mk)|^2 = N + sum_{j != l} E exp(i k (phi_j - phi_l)), phi the angles of
+        # H^m, equals min(mk, N) for Haar H on U(N)
+        d = L.symbolic_eigen_density(L.PerturbedHaarLaw(unitary(n), 0.0))
+        eye = np.eye(n, dtype=np.int64)
+        for m in (1, 2, 3):
+            pushed = T.fourier_pushforward(d, m)
+            for k in (1, 2, 3):
+                got = n + sum(T.fourier_coefficient(pushed, (-k * (eye[j] - eye[l])).tolist())
+                              for j in range(n) for l in range(n) if j != l)
+                assert abs(got - min(m * k, n)) <= 1e-12
 
     @staticmethod
     def _assert_matches_symbolic(route, law, seed):
@@ -231,20 +258,31 @@ class TestSymbolicEigenDensity:
             expect = T.fourier_coefficient(d, tuple(p))
             assert abs(rep.estimate - expect) <= 5.0 / np.sqrt(s)
 
-    @pytest.mark.parametrize("route, n, seed", [
-        ("matrix", 2, 48), ("weyl", 2, 53), ("weyl", 3, 54), ("weyl", 4, 55)],
-        ids=["matrix-U2", "weyl-U2", "weyl-U3", "weyl-U4"])
-    def test_empirical_haar_matches_symbolic(self, route, n, seed):
-        self._assert_matches_symbolic(route, L.PerturbedHaarLaw(unitary(n), 0.0), seed)
+    # The Weyl route and the symbolic density read the same root table, so the matrix
+    # route (Haar QR, eigvals) is the independent check of that table on every family.
+    @pytest.mark.parametrize("route, family, n, seed", [
+        ("matrix", "U", 2, 48), ("weyl", "U", 2, 53), ("weyl", "U", 3, 54), ("weyl", "U", 4, 55),
+        ("matrix", "U", 3, 66), ("matrix", "U", 4, 67), ("matrix", "SU", 2, 68),
+        ("matrix", "SU", 3, 69), ("matrix", "SO", 3, 70), ("matrix", "SO", 5, 71)],
+        ids=["matrix-U2", "weyl-U2", "weyl-U3", "weyl-U4", "matrix-U3", "matrix-U4",
+             "matrix-SU2", "matrix-SU3", "matrix-SO3", "matrix-SO5"])
+    def test_empirical_haar_matches_symbolic(self, route, family, n, seed):
+        self._assert_matches_symbolic(route, L.PerturbedHaarLaw(descriptor(family, n), 0.0), seed)
 
-    @pytest.mark.parametrize("route, n, strength, seed", [
-        ("matrix", 2, 0.5, 49), ("weyl", 2, 0.5, 56), ("weyl", 2, -1.0, 57),
-        ("weyl", 3, 0.5, 58), ("weyl", 3, -1.0, 59), ("weyl", 4, 0.5, 60),
-        ("weyl", 4, -1.0, 61)],
+    @pytest.mark.parametrize("route, family, n, strength, seed", [
+        ("matrix", "U", 2, 0.5, 49), ("weyl", "U", 2, 0.5, 56), ("weyl", "U", 2, -1.0, 57),
+        ("weyl", "U", 3, 0.5, 58), ("weyl", "U", 3, -1.0, 59), ("weyl", "U", 4, 0.5, 60),
+        ("weyl", "U", 4, -1.0, 61), ("matrix", "U", 3, 0.5, 72), ("matrix", "U", 4, 0.5, 73),
+        ("matrix", "SU", 2, 0.5, 74), ("matrix", "SU", 3, 0.5, 75),
+        ("matrix", "SO", 3, 0.5, 76), ("matrix", "SO", 3, -1.0, 77),
+        ("matrix", "SO", 5, 0.5, 78)],
         ids=["matrix-U2-a0.5", "weyl-U2-a0.5", "weyl-U2-a-1", "weyl-U3-a0.5", "weyl-U3-a-1",
-             "weyl-U4-a0.5", "weyl-U4-a-1"])
-    def test_empirical_perturbed_matches_symbolic(self, route, n, strength, seed):
-        self._assert_matches_symbolic(route, L.PerturbedHaarLaw(unitary(n), strength), seed)
+             "weyl-U4-a0.5", "weyl-U4-a-1", "matrix-U3-a0.5", "matrix-U4-a0.5",
+             "matrix-SU2-a0.5", "matrix-SU3-a0.5", "matrix-SO3-a0.5", "matrix-SO3-a-1",
+             "matrix-SO5-a0.5"])
+    def test_empirical_perturbed_matches_symbolic(self, route, family, n, strength, seed):
+        self._assert_matches_symbolic(route, L.PerturbedHaarLaw(descriptor(family, n), strength),
+                                      seed)
 
 
 class TestEigenangleLaw:
@@ -280,12 +318,12 @@ class TestEigenangleLaw:
         for n in (2, 3, 4):
             roots = TAU * np.arange(n)[None] / n
             bound = n ** n / math.factorial(n)
-            assert L._weyl_density(roots, 0.0)[0] == pytest.approx(bound, rel=1e-12)
+            assert L._weyl_density(unitary(n), roots, 0.0)[0] == pytest.approx(bound, rel=1e-12)
             rng = np.random.default_rng(65)
             theta = rng.uniform(0.0, TAU, size=(100000, n))
-            assert L._weyl_density(theta, -1.0).max() <= 2 * bound
+            assert L._weyl_density(unitary(n), theta, -1.0).max() <= 2 * bound
             # mean 1 against uniform angles: a probability density, as the fill assumes
-            assert L._weyl_density(theta, 0.5).mean() == pytest.approx(1.0, abs=0.05)
+            assert L._weyl_density(unitary(n), theta, 0.5).mean() == pytest.approx(1.0, abs=0.05)
 
 
 class TestSU2SharpStationarity:
