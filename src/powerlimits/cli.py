@@ -9,8 +9,9 @@ report, and exits 0 when the summary passes, 1 when it fails, 2 on a
 usage or config error (an unreadable file, bad JSON, a config that does
 not validate, or an ``--out`` path that cannot be written), which is
 always found before any sampling, and 3 when a program check aborts the
-run (a power drifting off the group, or a spectrum too degenerate for a
-preimage); an aborted run removes the ``--out`` file if it made it.
+run (a power drifting off the group, a spectrum too degenerate for a
+preimage, or a rejection sampler whose bound is broken or that cannot
+fill its batch); an aborted run removes the ``--out`` file if it made it.
 ``--seed`` and ``--samples`` replace the file's fields before
 the config is validated.  The README lists the fields each experiment
 kind reads and the values they may take.  ``list`` enumerates the kinds.
@@ -23,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import groups, preimage
+from . import groups, preimage, torus
 from .experiments import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, run_experiment
 
 
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (groups.UnitarityError, preimage.DegenerateSpectrumError) as exc:
+    except (groups.UnitarityError, preimage.DegenerateSpectrumError, torus.RejectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -254,7 +254,8 @@ def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
     ``size`` draws of ``law``, and their uniform-preimage torus coordinates.
     The rows of U come from :class:`samplers.EigenangleLaw`: perturbed-Haar angles
     (Haar at strength 0) on U(N <= ``WEYL_MAX_N``) straight from the Weyl density,
-    with no matrix."""
+    with no matrix, in counterclockwise rather than exchangeable order; the trace
+    moments are symmetric in the row and the preimage coordinates permute it."""
     angles = wrap_angles(m * samplers.EigenangleLaw(law).sample_batch(r_samp, size))
     return angles, pre.uniform_torus_rows(desc, angles, r_weyl)
 

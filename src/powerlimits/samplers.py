@@ -14,7 +14,8 @@
 these, which is all the spectral experiments read.  For perturbed-Haar
 laws (Haar among them) on U(N), N <= ``WEYL_MAX_N``, it draws the angles
 directly by exact rejection from the Weyl density (no matrix, no QR, no
-eigensolver); every other law draws matrices and takes their eigenangles.
+eigensolver), proposing a uniform first angle and Dirichlet(3) spacings;
+every other law draws matrices and takes their eigenangles.
 
 ``symbolic_eigen_density`` expands the exact torus-marginal density of the
 uniform random preimage of a perturbed-Haar law on U(N), SU(N) or SO(2k+1)
@@ -26,6 +27,7 @@ lattice coefficients.  The Weyl sampler reads the same root pairs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,10 +160,11 @@ class PointMassLaw:
 
 # Largest U(N) whose eigenangles are drawn from the Weyl density; its N(N-1)/2
 # positive roots also cap the root count of any family whose symbolic eigenvalue
-# density is expanded (the expansion grows as 3^roots).  The acceptance
-# rate N!/(N^N (1 + |a|)) falls fast with N: against haar_batch + eigenangles_batch
-# (a = 0.5, S = 20000, 2-core x86-64) the direct draw ran 2.0x, 5.1x and 3.2x faster
-# at N = 2, 3, 4, only 1.4x at N = 5, and 0.62x as fast at N = 6.
+# density is expanded (the expansion grows as 3^roots).  The cap rests on the proved
+# envelope of the spacing proposal (see _spacing_bound), which covers N <= 4 only.
+# On U(5) and U(6) the largest ratio found is the one at the roots of unity, 2.24
+# and 3.05 (acceptance 0.45 and 0.33 at a = 0), but no proof bounds it there, and
+# raising the cap needs one first.
 WEYL_MAX_N = 4
 _WEYL_CHUNK = 4096   # accepted rows per rejection fill, so proposal memory stays flat in S
 
@@ -180,15 +183,60 @@ def _weyl_density(desc: GroupDescriptor, theta: np.ndarray, strength: float) -> 
     return out
 
 
+def _spacing_proposal(rng: np.random.Generator, n: int, draw: int) -> np.ndarray:
+    """(draw, n) unwrapped angle rows x_1 = phi ~ U[0, 2 pi), x_{j+1} = x_j + 2 pi u_j with
+    u ~ Dirichlet(3, ..., 3): n points counterclockwise from a uniform first one, gaps 2 pi u.
+    Each Gamma(3) is a sum of three standard exponentials (cheaper than standard_gamma)."""
+    gam = rng.standard_exponential((3, n, draw)).sum(axis=0)
+    x = np.empty((n, draw))
+    x[0] = rng.uniform(0.0, TAU, size=draw)
+    np.cumsum(gam[:-1], axis=0, out=x[1:])
+    x[1:] *= TAU / gam.sum(axis=0)
+    x[1:] += x[0]
+    return x.T   # built (n, draw) and transposed: each angle column stays contiguous
+
+
+def _spacing_ratio(desc: GroupDescriptor, x: np.ndarray, strength: float) -> np.ndarray:
+    """r = _weyl_density / q per unwrapped row of :func:`_spacing_proposal`, where
+    q = (N/N!) Gamma(3N)/2^N prod_j u_j^2 is the proposal's density against uniform angles
+    once its rows are symmetrized (each unordered set is reached from its N cyclic starts).
+    The gaps 2 pi u_j are read back from x: its column differences, then x_1 + 2 pi - x_N."""
+    n = x.shape[1]
+    gap_prod = x[:, 0] + TAU - x[:, -1]
+    for j in range(n - 1):
+        gap_prod = gap_prod * (x[:, j + 1] - x[:, j])
+    scale = desc.weyl_order * 2.0 ** n * TAU ** (2 * n) / (n * math.gamma(3 * n))
+    return _weyl_density(desc, x, strength) * (scale / gap_prod ** 2)
+
+
+# Why r at the N-th roots of unity bounds r everywhere (a = 0; the perturbation adds at
+# most a factor 1 + |a|).  Up to constants r is |Delta|^2 / prod_j g_j^2 over the N gaps
+# g_j = 2 pi u_j, which sum to 2 pi.  N = 1: r = 1.  N = 2: |Delta|^2 = 4 sin^2(g_1/2), and
+# with t = g_1/2 - pi/2, sqrt(r) is 4 cos t / (1 - (2t/pi)^2) up to constants, at most 4 at
+# t = 0 since cos t <= 1 - (2t/pi)^2 on |t| <= pi/2.  N >= 3: each adjacent pair gives
+# 4 sin^2(g_j/2) / g_j^2 = sinc^2(g_j/2), whose product is largest at equal gaps (log sinc
+# is concave on (0, pi) and the g_j/2 sum to pi); each non-adjacent pair is a factor
+# 4 sin^2 <= 4, and on U(4) the two diagonals of the square are pi apart, so they are 4 there
+# too.  Both maxima meet at equal spacing, so the roots of unity attain the bound.
+def _spacing_bound(desc: GroupDescriptor, strength: float) -> float:
+    """Envelope of :func:`_spacing_ratio` on U(N <= 4): its value at the N-th roots of unity
+    times 1 + |a|."""
+    roots = TAU * np.arange(desc.matrix_size)[None] / desc.matrix_size
+    return float(_spacing_ratio(desc, roots, 0.0)[0]) * (1.0 + abs(strength))
+
+
 @dataclass(frozen=True)
 class EigenangleLaw:
     """The law of the eigenangle rows of a draw of ``law``.
 
     Perturbed-Haar laws (Haar at strength 0) on U(N), N <= ``WEYL_MAX_N``, are sampled
-    by exact rejection from iid uniform angles against :func:`_weyl_density`,
-    bounded by N^N/N! (1 + |a|): |Delta|^2 <= N^N, with equality at the N-th
-    roots of unity.  Rows come in exchangeable order.  Every other law takes
-    the eigenangles of its matrix draws, on the same stream as
+    by exact rejection against :func:`_weyl_density` from the spacing proposal: a
+    uniform first angle, then gaps 2 pi u with u ~ Dirichlet(3, ..., 3), a law shaped
+    like the Weyl density's |Delta|^2, which vanishes like gap^2 at a collision.  The
+    envelope is :func:`_spacing_bound`: 1.07, 1.30 and 1.68 (1 + |a|) at N = 2, 3, 4.
+    Rows run counterclockwise from their first angle, so their order is not
+    exchangeable; every consumer is symmetric in the row or permutes it.  Every other
+    law takes the eigenangles of its matrix draws, on the same stream as
     ``eigenangles_batch(law.sample_batch(rng, size))``.
     """
 
@@ -200,14 +248,15 @@ class EigenangleLaw:
         if (not isinstance(law, PerturbedHaarLaw) or law.descriptor.family is not Family.UNITARY
                 or law.descriptor.matrix_size > WEYL_MAX_N):
             return eigenangles_batch(law.sample_batch(rng, size))
-        n, strength = law.descriptor.matrix_size, law.strength
-        bound = n ** n / law.descriptor.weyl_order * (1.0 + abs(strength))
-        # uniforms drawn (N, draw) and transposed: each angle column stays contiguous
-        propose = lambda draw: rng.uniform(0.0, TAU, size=(n, draw)).T
-        density = lambda theta: _weyl_density(law.descriptor, theta, strength)
-        parts = [_rejection_fill(rng, min(_WEYL_CHUNK, size - start), bound, propose, density)
-                 for start in range(0, size, _WEYL_CHUNK)]
-        return np.concatenate(parts)
+        desc, strength = law.descriptor, law.strength
+        n = desc.matrix_size
+        bound = _spacing_bound(desc, strength)
+        propose = lambda draw: _spacing_proposal(rng, n, draw)
+        density = lambda x: _spacing_ratio(desc, x, strength)
+        x = np.concatenate([_rejection_fill(rng, min(_WEYL_CHUNK, size - start), bound,
+                                            propose, density)
+                            for start in range(0, size, _WEYL_CHUNK)])
+        return x - TAU * (x >= TAU)   # x lies in [0, 4 pi), where subtracting 2 pi is exact
 
 
 # ---------------------------------------------------------------------------

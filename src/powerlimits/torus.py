@@ -36,10 +36,16 @@ _RIEMANN_TOL = 1e-9     # grid normalization tolerance
 _HERMITIAN_TOL = 1e-12
 _COEFF_PRUNE = 1e-15    # treat smaller moduli as structural zeros
 _REJECTION_ROUNDS = 64  # cap on rejection-sampling rounds per batch
+_BOUND_RTOL = 1e-9      # a density value above bound * (1 + this) breaks the envelope
 
 
 class DensityError(ValueError):
     """Input does not describe a probability density."""
+
+
+class RejectionError(RuntimeError):
+    """A rejection fill that cannot give exact draws: its bound is below 1, a density
+    value exceeds the bound (a wrong envelope), or its rounds ran out."""
 
 
 def _as_lattice_key(p) -> tuple[int, ...]:
@@ -145,19 +151,28 @@ class FourierDensity:
 
 def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, density):
     """``size`` exact draws by rejection, keeping x with probability density(x)/bound: each of
-    at most ``_REJECTION_ROUNDS`` rounds proposes the mean count still needed + 4 sd + 64."""
+    at most ``_REJECTION_ROUNDS`` rounds proposes the mean count still needed + 4 sd + 64.
+    Raises :class:`RejectionError` on a bound below 1 (no density against a probability
+    proposal stays under it), on a density value above the bound, and when the rounds run
+    out."""
+    if not bound >= 1.0:
+        raise RejectionError(f"rejection bound {bound} is below 1, so it bounds no density")
     parts, got = [], 0
     for _ in range(_REJECTION_ROUNDS):
         need = (size - got) * bound   # mean proposals for the rest; variance need (bound - 1)
         draw = int(need + 4.0 * np.sqrt(need * (bound - 1.0))) + 64
         props = propose(draw)
         values = density(props)   # before the uniforms: one fewer array at its peak
+        top = values.max()
+        if not top <= bound * (1.0 + _BOUND_RTOL):
+            raise RejectionError(f"density value {top} exceeds the rejection bound {bound}")
         keep = rng.uniform(0.0, bound, size=draw) < values
         parts.append(props[keep][:size - got])
         got += parts[-1].shape[0]
         if got >= size:
             return np.concatenate(parts)
-    raise RuntimeError("rejection sampler failed to fill the batch")
+    raise RejectionError(f"rejection sampler failed to fill the batch in "
+                         f"{_REJECTION_ROUNDS} rounds ({got} of {size} draws)")
 
 
 def fourier_coefficient(d: FourierDensity, p) -> complex:

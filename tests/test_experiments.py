@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerlimits import cli, experiments, groups, preimage, samplers, stats
+from powerlimits import cli, experiments, groups, preimage, samplers, stats, torus
 from powerlimits.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -585,6 +585,14 @@ class TestCli:
         out = tmp_path / "report.json"
         assert cli.main(["run", str(path), "--out", str(out)]) == 2
         assert "strictly inside (0, pi)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_rejection_fill_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(torus, "_REJECTION_ROUNDS", 0)
+        out = tmp_path / "report.json"
+        path = CONFIGS / "threshold_perturbed.json"
+        assert cli.main(["run", str(path), "--samples", "500", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: rejection sampler failed to fill")
         assert not out.exists()
 
     def test_degenerate_spectrum_exits_3(self, tmp_path, capsys, monkeypatch):

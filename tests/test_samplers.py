@@ -1,5 +1,6 @@
 """Non-Haar laws: rejection sampling, the U(2) mixture, symbolic densities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -261,22 +262,22 @@ class TestSymbolicEigenDensity:
     # The Weyl route and the symbolic density read the same root table, so the matrix
     # route (Haar QR, eigvals) is the independent check of that table on every family.
     @pytest.mark.parametrize("route, family, n, seed", [
-        ("matrix", "U", 2, 48), ("weyl", "U", 2, 53), ("weyl", "U", 3, 54), ("weyl", "U", 4, 55),
+        ("matrix", "U", 2, 48), ("weyl", "U", 1, 79), ("weyl", "U", 2, 53), ("weyl", "U", 3, 54), ("weyl", "U", 4, 55),
         ("matrix", "U", 3, 66), ("matrix", "U", 4, 67), ("matrix", "SU", 2, 68),
         ("matrix", "SU", 3, 69), ("matrix", "SO", 3, 70), ("matrix", "SO", 5, 71)],
-        ids=["matrix-U2", "weyl-U2", "weyl-U3", "weyl-U4", "matrix-U3", "matrix-U4",
+        ids=["matrix-U2", "weyl-U1", "weyl-U2", "weyl-U3", "weyl-U4", "matrix-U3", "matrix-U4",
              "matrix-SU2", "matrix-SU3", "matrix-SO3", "matrix-SO5"])
     def test_empirical_haar_matches_symbolic(self, route, family, n, seed):
         self._assert_matches_symbolic(route, L.PerturbedHaarLaw(descriptor(family, n), 0.0), seed)
 
     @pytest.mark.parametrize("route, family, n, strength, seed", [
-        ("matrix", "U", 2, 0.5, 49), ("weyl", "U", 2, 0.5, 56), ("weyl", "U", 2, -1.0, 57),
+        ("matrix", "U", 2, 0.5, 49), ("weyl", "U", 1, 0.5, 80), ("weyl", "U", 2, 0.5, 56), ("weyl", "U", 2, -1.0, 57),
         ("weyl", "U", 3, 0.5, 58), ("weyl", "U", 3, -1.0, 59), ("weyl", "U", 4, 0.5, 60),
         ("weyl", "U", 4, -1.0, 61), ("matrix", "U", 3, 0.5, 72), ("matrix", "U", 4, 0.5, 73),
         ("matrix", "SU", 2, 0.5, 74), ("matrix", "SU", 3, 0.5, 75),
         ("matrix", "SO", 3, 0.5, 76), ("matrix", "SO", 3, -1.0, 77),
         ("matrix", "SO", 5, 0.5, 78)],
-        ids=["matrix-U2-a0.5", "weyl-U2-a0.5", "weyl-U2-a-1", "weyl-U3-a0.5", "weyl-U3-a-1",
+        ids=["matrix-U2-a0.5", "weyl-U1-a0.5", "weyl-U2-a0.5", "weyl-U2-a-1", "weyl-U3-a0.5", "weyl-U3-a-1",
              "weyl-U4-a0.5", "weyl-U4-a-1", "matrix-U3-a0.5", "matrix-U4-a0.5",
              "matrix-SU2-a0.5", "matrix-SU3-a0.5", "matrix-SO3-a0.5", "matrix-SO3-a-1",
              "matrix-SO5-a0.5"])
@@ -314,16 +315,82 @@ class TestEigenangleLaw:
         assert rows.shape == (2 * L._WEYL_CHUNK + 5, 3)
         assert rows.min() >= 0.0 and rows.max() < TAU
 
+    @staticmethod
+    def _gap_simplex_rows(n, grid, rng):
+        """Unwrapped rows with gaps 2 pi k/grid, k over the positive compositions of
+        ``grid`` into n parts (so the roots of unity come first when n divides grid), each
+        row turned by its own uniform first angle."""
+        comps = [c for c in itertools.product(range(1, grid), repeat=n - 1) if sum(c) < grid]
+        comps.sort(key=lambda c: max(c + (grid - sum(c),)) - min(c + (grid - sum(c),)))
+        steps = TAU * np.array(comps, dtype=float).reshape(len(comps), n - 1) / grid
+        first = rng.uniform(0.0, TAU, size=(len(comps), 1))
+        return first + np.concatenate([np.zeros((len(comps), 1)), np.cumsum(steps, axis=1)],
+                                      axis=1)
+
     def test_density_bound_is_attained_at_the_roots_of_unity(self):
+        # r = weyl / q over a dense grid of the gap simplex: at most the bound, which the
+        # equal gaps (the roots of unity, turned) attain; and at most (1 + |a|) times it
+        # under the perturbation.  At a = 0 the bound is 2^N N^(3N-1)/Gamma(3N): 1, 1.07,
+        # 1.30, 1.68.
+        rng = np.random.default_rng(65)
+        for n in (1, 2, 3, 4):
+            desc = unitary(n)
+            rows = self._gap_simplex_rows(n, 48, rng)
+            assert len(rows) == math.comb(47, n - 1)
+            bound = L._spacing_bound(desc, 0.0)
+            assert bound == pytest.approx(2 ** n * n ** (3 * n - 1) / math.gamma(3 * n),
+                                          rel=1e-12)
+            ratio = L._spacing_ratio(desc, rows, 0.0)
+            assert ratio.max() <= bound * (1 + 1e-12)
+            assert ratio[0] == pytest.approx(bound, rel=1e-12)
+            assert (ratio[1:] < bound * (1 - 1e-6)).all()
+            for a in (0.5, -1.0):
+                assert L._spacing_ratio(desc, rows, a).max() <= L._spacing_bound(desc, a) * (
+                    1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strength", [0.0, 0.5])
+    def test_ratio_has_mean_one_under_the_proposal(self, n, strength):
+        # E_q[weyl / q] = 1 exactly when q is the proposal's normalized density; a slip in
+        # its constant (N!, 2^N, Gamma(3N)) moves the mean by that factor
+        rng = np.random.default_rng(66)
+        ratio = L._spacing_ratio(unitary(n), L._spacing_proposal(rng, n, 200000), strength)
+        se = ratio.std() / np.sqrt(ratio.size)
+        assert abs(ratio.mean() - 1.0) <= 4 * se + 1e-12
+
+    def test_weyl_density_has_mean_one_against_uniform_angles(self):
+        rng = np.random.default_rng(67)
         for n in (2, 3, 4):
-            roots = TAU * np.arange(n)[None] / n
-            bound = n ** n / math.factorial(n)
-            assert L._weyl_density(unitary(n), roots, 0.0)[0] == pytest.approx(bound, rel=1e-12)
-            rng = np.random.default_rng(65)
             theta = rng.uniform(0.0, TAU, size=(100000, n))
-            assert L._weyl_density(unitary(n), theta, -1.0).max() <= 2 * bound
-            # mean 1 against uniform angles: a probability density, as the fill assumes
+            # a probability density against uniform angles, as the ratio's constant assumes
             assert L._weyl_density(unitary(n), theta, 0.5).mean() == pytest.approx(1.0, abs=0.05)
+
+    def test_proposal_rows_run_counterclockwise(self):
+        x = L._spacing_proposal(np.random.default_rng(68), 4, 1000)
+        assert x.shape == (1000, 4)
+        assert (np.diff(x, axis=1) > 0).all() and (x[:, -1] - x[:, 0] < TAU).all()
+        assert (x[:, 0] >= 0).all() and (x[:, 0] < TAU).all()
+
+    @staticmethod
+    def _smallest_gap_reports(rows):
+        """Mean of the smallest circular gap of each row and of its square."""
+        from powerlimits.stats import MomentReport
+
+        s = np.sort(rows, axis=1)
+        gap = np.diff(s, axis=1, append=s[:, :1] + TAU).min(axis=1)
+        return [MomentReport(name, complex(v.mean()), float(v.std() / np.sqrt(v.size)), v.size)
+                for name, v in (("gap", gap), ("gap_sq", gap ** 2))]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("strength", [0.0, 0.5])
+    def test_smallest_gap_matches_the_matrix_route(self, n, strength):
+        # the collision region, where the proposal is thinnest, seen by its own statistic
+        law = L.PerturbedHaarLaw(unitary(n), strength)
+        rng = np.random.default_rng(69)
+        s = 20000
+        weyl, matrix = (self._smallest_gap_reports(ROUTES[route](law, rng, s))
+                        for route in ("weyl", "matrix"))
+        assert all(v.passed for v in two_sample_test(weyl, matrix, 5.0))
 
 
 class TestSU2SharpStationarity:

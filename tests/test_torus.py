@@ -346,10 +346,33 @@ class TestRejectionFill:
             proposals.append(draw)
             return np.zeros((draw, 1))
 
-        with pytest.raises(RuntimeError, match="failed to fill"):
+        with pytest.raises(T.RejectionError, match="failed to fill"):
             T._rejection_fill(np.random.default_rng(0), 10, 1.0, propose,
                               lambda x: np.zeros(x.shape[0]))
         assert len(proposals) == T._REJECTION_ROUNDS
+
+    @pytest.mark.parametrize("top", [1.5, np.nan])
+    def test_density_above_the_bound_is_refused(self, top):
+        # a wrong envelope fails loudly instead of sampling a biased law
+        def density(x):
+            out = np.full(x.shape[0], 0.5)
+            out[-1] = top
+            return out
+
+        with pytest.raises(T.RejectionError, match="exceeds the rejection bound"):
+            T._rejection_fill(np.random.default_rng(0), 10, 1.2, lambda draw: np.zeros((draw, 1)),
+                              density)
+        # float noise at the bound itself is not a breach
+        out = T._rejection_fill(np.random.default_rng(0), 10, 1.2,
+                                lambda draw: np.zeros((draw, 1)),
+                                lambda x: np.full(x.shape[0], 1.2 * (1 + 1e-12)))
+        assert out.shape == (10, 1)
+
+    @pytest.mark.parametrize("bound", [0.5, np.nan])
+    def test_bound_below_one_is_refused_before_proposing(self, bound):
+        with pytest.raises(T.RejectionError, match="below 1"):
+            T._rejection_fill(np.random.default_rng(0), 10, bound,
+                              lambda draw: pytest.fail("proposed"), lambda x: x[:, 0])
 
     def test_low_acceptance_fills_over_several_rounds(self):
         rng = np.random.default_rng(1)
