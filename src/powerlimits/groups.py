@@ -235,13 +235,13 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("power requires m >= 1")
-    n = mats.shape[-1]
-    result = np.broadcast_to(np.eye(n, dtype=mats.dtype), mats.shape).copy()
+    result = None
     base = mats.copy()
     e = int(m)
     while e:
         if e & 1:
-            result = stack_matmul(result, base)
+            # the first set bit starts the product: no multiplication by the identity
+            result = base if result is None else stack_matmul(result, base)
         e >>= 1
         if e:
             base = stack_matmul(base, base)

@@ -15,6 +15,11 @@ that each can serve as an oracle for the other:
 :func:`to_grid` synthesizes the grid directly from the coefficient box
 (no FFT); its grid_size > 2 * max_degree precondition is a resolution one.
 
+:meth:`FourierDensity.sample` draws exactly by rejection from the uniform
+proposal.  A piecewise-constant bound on a table of cells, built once per
+density, is a squeeze: it turns most proposals away before the series is
+evaluated, and keeps the same draws as rejection against the flat bound.
+
 Conventions: the density series is rho(theta) = sum_p a_p exp(+i p.theta);
 the transform hat(nu)(p) = E exp(-i p.theta) then equals a_p, which makes
 the coefficient identity hat(nu^(m))(p) = hat(nu)(m p) literal for the
@@ -24,6 +29,7 @@ stored coefficients.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +43,7 @@ _HERMITIAN_TOL = 1e-12
 _COEFF_PRUNE = 1e-15    # treat smaller moduli as structural zeros
 _REJECTION_ROUNDS = 64  # cap on rejection-sampling rounds per batch
 _BOUND_RTOL = 1e-9      # a density value above bound * (1 + this) breaks the envelope
+_CELLS = 4096           # cells of a density's squeeze table, at most: 64^2 at rank 2
 
 
 class DensityError(ValueError):
@@ -45,7 +52,7 @@ class DensityError(ValueError):
 
 class RejectionError(RuntimeError):
     """A rejection fill that cannot give exact draws: its bound is below 1, a density
-    value exceeds the bound (a wrong envelope), or its rounds ran out."""
+    value exceeds the bound or the squeeze (a wrong envelope), or its rounds ran out."""
 
 
 def _as_lattice_key(p) -> tuple[int, ...]:
@@ -136,25 +143,78 @@ class FourierDensity:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> "AngleSample":
-        """Exact draws by rejection against the uniform proposal.
+        """Exact draws by rejection from the uniform proposal.
 
-        The proposal bound is 1 + sum_{p != 0} |a_p| >= max(rho), so the
-        accepted law is exactly the density (no grid discretization).
+        The envelope is 1 + sum_{p != 0} |a_p| >= max(rho), so the accepted law
+        is exactly the density (no grid discretization).  The cell bound of
+        :meth:`_cell_table` is the squeeze: a proposal whose uniform lies above
+        its cell's bound is turned away without evaluating the series, so each
+        draw costs about (mean cell bound) series evaluations rather than the
+        envelope's, with the same draws.
         """
-        bound = max(float(np.sum(np.abs(self._coeffs))), 1.0)  # >= max(rho)
+        bound, g, table = self._cell_table()
         rows = _rejection_fill(
             rng, size, bound,
             lambda draw: rng.uniform(0.0, TAU, size=(draw, self.rank)),
-            lambda theta: trig_poly_values(self._lattice, self._coeffs, theta))
+            lambda theta: trig_poly_values(self._lattice, self._coeffs, theta),
+            lambda theta: _cell_values(g, table, theta))
         return AngleSample(self.rank, rows)
 
+    def _cell_table(self):
+        """(bound, G, flat C-order table): the envelope max(sum_p |a_p|, 1) >= max(rho),
+        and an upper bound on rho over each of the G**rank cells
+        [2 pi k_j / G, 2 pi (k_j + 1) / G) of the torus, at most the envelope.
 
-def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, density):
+        Built on first use and kept on the density, like ``_lattice``.  G is the
+        largest grid with at most ``_CELLS`` cells.
+        """
+        cached = self.__dict__.get("_cells")
+        if cached is not None:
+            return cached
+        lattice, coeffs = self._lattice, self._coeffs
+        bound = max(float(np.sum(np.abs(coeffs))), 1.0)
+        g = round(_CELLS ** (1.0 / self.rank))
+        while g ** self.rank > _CELLS:
+            g -= 1
+        h = math.pi / g   # half-width of a cell
+        # Within the cell of centre c, |p.(theta - c)| <= |p|_1 h, and
+        # |e^{i phi} - 1| = 2 |sin(phi / 2)|, so
+        #   rho(theta) = rho(c) + Re sum_p a_p e^{i p.c} (e^{i p.(theta - c)} - 1)
+        #             <= rho(c) + sum_p |a_p| 2 sin(min(|p|_1 h, pi) / 2).
+        # rho at the centres 2 pi k / G + h is one grid synthesis with every a_p
+        # shifted by e^{i h sum_j p_j}.  The _BOUND_RTOL * bound term covers
+        # rounding there and in the cell lookup of a point on a cell edge.
+        centres = trig_poly_grid(lattice, coeffs * np.exp(1j * h * lattice.sum(axis=1)), g)
+        reach = np.minimum(np.abs(lattice).sum(axis=1) * h, math.pi)
+        slack = float(np.sum(np.abs(coeffs) * 2.0 * np.sin(0.5 * reach)))
+        table = np.minimum(centres.ravel() + (slack + _BOUND_RTOL * bound), bound)
+        table.setflags(write=False)
+        cached = (bound, g, table)
+        object.__setattr__(self, "_cells", cached)
+        return cached
+
+
+def _cell_values(g: int, table: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The entry of a flat C-order (G,)*n cell table at the cell of each (S, n) row."""
+    flat = np.zeros(theta.shape[0], dtype=np.intp)
+    for column in theta.T:   # a uniform can round up to 2 pi: clip to the last cell
+        flat *= g
+        flat += np.minimum((column * (g / TAU)).astype(np.intp), g - 1)
+    return table[flat]
+
+
+def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, density,
+                    upper=None):
     """``size`` exact draws by rejection, keeping x with probability density(x)/bound: each of
     at most ``_REJECTION_ROUNDS`` rounds proposes the mean count still needed + 4 sd + 64.
-    Raises :class:`RejectionError` on a bound below 1 (no density against a probability
-    proposal stays under it), on a density value above the bound, and when the rounds run
-    out."""
+
+    ``upper``, if given, is a cheap squeeze with density <= upper: a proposal whose uniform
+    u ~ U(0, bound) is not below upper(x) is turned away unevaluated, and ``density`` is
+    evaluated only at the rest.  Neither callback draws randomness, so the uniforms, and
+    the accepted draws, are the same with or without it.  Raises :class:`RejectionError`
+    on a bound below 1 (no density against a probability proposal stays under it), on a
+    density value above the bound or above ``upper`` where evaluated, and when the rounds
+    run out."""
     if not bound >= 1.0:
         raise RejectionError(f"rejection bound {bound} is below 1, so it bounds no density")
     parts, got = [], 0
@@ -162,12 +222,19 @@ def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, 
         need = (size - got) * bound   # mean proposals for the rest; variance need (bound - 1)
         draw = int(need + 4.0 * np.sqrt(need * (bound - 1.0))) + 64
         props = propose(draw)
-        values = density(props)   # before the uniforms: one fewer array at its peak
-        top = values.max()
-        if not top <= bound * (1.0 + _BOUND_RTOL):
-            raise RejectionError(f"density value {top} exceeds the rejection bound {bound}")
-        keep = rng.uniform(0.0, bound, size=draw) < values
-        parts.append(props[keep][:size - got])
+        u = rng.uniform(0.0, bound, size=draw)
+        cap = bound
+        if upper is not None:
+            cap = np.minimum(upper(props), bound)
+            live = np.flatnonzero(u < cap)
+            props, u, cap = props.take(live, axis=0), u[live], cap[live]
+        values = density(props)
+        fits = values <= cap * (1.0 + _BOUND_RTOL)
+        if not fits.all():
+            bad = np.argmin(fits)
+            raise RejectionError(f"density value {values[bad]} exceeds the rejection bound "
+                                 f"{np.broadcast_to(cap, values.shape)[bad]}")
+        parts.append(props[u < values][:size - got])
         got += parts[-1].shape[0]
         if got >= size:
             return np.concatenate(parts)

@@ -595,6 +595,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: rejection sampler failed to fill")
         assert not out.exists()
 
+    def test_cell_bound_below_the_density_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one cell bounding the mixture marginal (maximum 4) by 1: a wrong squeeze
+        monkeypatch.setattr(torus.FourierDensity, "_cell_table",
+                            lambda self: (4.0, 1, np.ones(1)))
+        out = tmp_path / "report.json"
+        path = CONFIGS / "mixture_limit.json"
+        assert cli.main(["run", str(path), "--samples", "500", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: density value")
+        assert not out.exists()
+
     def test_degenerate_spectrum_exits_3(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise preimage.DegenerateSpectrumError("3 elements have a degenerate spectrum")

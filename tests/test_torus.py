@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from powerlimits import torus as T
+from powerlimits.samplers import default_mixture_marginal
 from powerlimits._kernels import trig_poly_values
 from powerlimits.stats import empirical_fourier, empirical_fourier_many, ks_uniform, lattice_ball
 
@@ -399,3 +400,105 @@ class TestRejectionFill:
 
             out = T._rejection_fill(rng, 30000, 4.0, propose, lambda x: np.ones(x.shape[0]))
             assert out.shape == (30000, 1) and proposals == [expected]
+
+
+def geometric_density():
+    """Rank 1, degree 6: a_p = 0.3^|p|."""
+    coeffs = {(0,): 1.0 + 0j}
+    for p in range(1, 7):
+        coeffs[(p,)] = coeffs[(-p,)] = 0.3 ** p
+    return T.FourierDensity(1, coeffs)
+
+
+SQUEEZED = ([("mixture", default_mixture_marginal), ("geometric", geometric_density)]
+            + [(f"random-rank{r}-degree{k}",
+                lambda r=r, k=k: T.random_fourier_density(np.random.default_rng(10 * r + k), r, k))
+               for r in range(1, 5) for k in range(1, 4)])
+
+
+class TestCellBound:
+    @pytest.mark.parametrize("name, make", SQUEEZED, ids=[n for n, _ in SQUEEZED])
+    def test_bounds_the_density_throughout_every_cell(self, name, make):
+        d = make()
+        bound, g, table = d._cell_table()
+        assert bound == max(np.abs(d._coeffs).sum(), 1.0)
+        assert table.shape == (g ** d.rank,) and table.max() <= bound
+        assert table.mean() <= bound * (1 + 1e-12)   # all at the envelope, it sums a rounding over
+        # every cell's lower corner, a jittered interior point, and its upper corner
+        # just inside the cell, which ends the torus at 2 pi - eps
+        k = np.stack(np.unravel_index(np.arange(g ** d.rank), (g,) * d.rank), axis=1)
+        jitter = np.random.default_rng(0).uniform(size=k.shape)
+        edge = np.nextafter(k + 1.0, 0.0)
+        for where in (k, k + jitter, edge):
+            theta = np.minimum(where * (TAU / g), np.nextafter(TAU, 0.0))
+            values = trig_poly_values(d._lattice, d._coeffs, theta)
+            upper = T._cell_values(g, table, theta)
+            # a cell capped at the envelope may sit a rounding below a maximum that
+            # reaches it, but every uniform lies below the envelope
+            assert np.all((values <= upper) | (upper == bound))
+            assert np.all(values <= bound * (1 + T._BOUND_RTOL))
+        assert T._cell_values(g, table, np.full((1, d.rank), TAU - 1e-12))[0] == table[-1]
+
+    def test_mixture_marginal_sheds_most_of_its_envelope(self):
+        # 64 x 64 cells: about 1.19 evaluations per draw against the envelope's 4
+        bound, _, table = default_mixture_marginal()._cell_table()
+        assert bound == 4.0 and table.mean() < 1.25
+
+    def test_table_is_built_once_per_density(self, monkeypatch):
+        d = default_mixture_marginal()
+        d.sample(np.random.default_rng(0), 100)
+        monkeypatch.setattr(T, "trig_poly_grid", lambda *args: pytest.fail("rebuilt"))
+        d.sample(np.random.default_rng(1), 100)
+
+
+class TestSqueezeFill:
+    def _fill(self, d, seed, size, upper):
+        bound, _, _ = d._cell_table()
+        rng = np.random.default_rng(seed)
+        return T._rejection_fill(rng, size, bound,
+                                 lambda draw: rng.uniform(0.0, TAU, size=(draw, d.rank)),
+                                 lambda x: trig_poly_values(d._lattice, d._coeffs, x), upper)
+
+    @pytest.mark.parametrize("name, make", SQUEEZED[:3], ids=[n for n, _ in SQUEEZED[:3]])
+    def test_squeeze_keeps_the_same_draws(self, name, make):
+        d = make()
+        bound, g, table = d._cell_table()
+        plain = self._fill(d, 5, 5000, None)
+        assert np.array_equal(plain, self._fill(d, 5, 5000, lambda x: T._cell_values(g, table, x)))
+        assert np.array_equal(plain, self._fill(d, 5, 5000, lambda x: np.full(len(x), 2 * bound)))
+        assert np.array_equal(plain, d.sample(np.random.default_rng(5), 5000).rows)
+
+    def test_upper_below_the_density_is_refused(self):
+        with pytest.raises(T.RejectionError, match="exceeds the rejection bound"):
+            self._fill(default_mixture_marginal(), 0, 1000, lambda x: np.full(len(x), 0.5))
+
+    def test_round_without_candidates_fills_on(self):
+        # density x on [0, 1] with upper = density: the first round proposes only
+        # x = 0, where upper is 0, so no proposal is evaluated there
+        rng = np.random.default_rng(2)
+        rounds = []
+
+        def propose(draw):
+            rounds.append(draw)
+            return np.zeros((draw, 1)) if len(rounds) == 1 else rng.uniform(size=(draw, 1))
+
+        evaluated = []
+
+        def density(x):
+            evaluated.append(len(x))
+            return x[:, 0]
+
+        out = T._rejection_fill(rng, 1000, 1.0, propose, density, lambda x: x[:, 0])
+        assert out.shape == (1000, 1) and len(rounds) > 1 and evaluated[0] == 0
+
+    def test_mixture_marginal_is_evaluated_under_one_and_a_half_times_per_draw(self, monkeypatch):
+        points = []
+
+        def counted(lattice, coeffs, x):
+            points.append(len(x))
+            return trig_poly_values(lattice, coeffs, x)
+
+        monkeypatch.setattr(T, "trig_poly_values", counted)
+        size = 20000
+        assert default_mixture_marginal().sample(np.random.default_rng(3), size).size == size
+        assert 0 < sum(points) <= 1.5 * size
