@@ -225,10 +225,21 @@ def _row(m: int, statistic: str, z, threshold, report=None, passed=None) -> Verd
                       bool(abs(z) <= threshold if passed is None else passed))
 
 
-def _bound_rows(m: int, reports, threshold: float, prefix: str = "") -> list:
-    verdicts = stats.coefficient_bound_test(reports, threshold)
-    return [_row(m, prefix + v.statistic, v.z_score, v.threshold, r)
-            for v, r in zip(verdicts, reports)]
+def _fourier_rows(m: int, labels, reports, z, threshold: float) -> list:
+    """One row per lattice point of ``reports`` and its z, in one vector pass."""
+    threshold = float(threshold)
+    cols = (reports.estimate.real.tolist(), reports.estimate.imag.tolist(),
+            reports.std_error.tolist(), z.tolist(), (z <= threshold).tolist())
+    return [VerdictRow(m, label, re, im, se, zz, threshold, ok)
+            for label, re, im, se, zz, ok in zip(labels, *cols)]
+
+
+def _bound_rows(m: int, labels, coords, lattice, threshold: float) -> list:
+    """Pass iff sqrt(S)|estimate| <= threshold (a CLT null bound for coefficients that
+    vanish under the limit law); np.hypot equals abs(complex) bit for bit, np.abs not."""
+    reports = stats.empirical_fourier_many(coords, lattice)
+    z = np.sqrt(reports.sample_size) * np.hypot(reports.estimate.real, reports.estimate.imag)
+    return _fourier_rows(m, labels, reports, z, threshold)
 
 
 def _two_sample_rows(m: int, reports_a, reports_b, threshold: float) -> list:
@@ -274,12 +285,13 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     eigenangle multiset must match their exact values under the fixed law.
     """
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
+    labels = stats.fourier_labels(lattice)
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))  # two of each four unused: fixed stream layout
     for i, m in enumerate(config.powers):
         r_samp, r_weyl = rngs[4 * i:4 * i + 2]
         angles, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
-        rows += _bound_rows(m, stats.empirical_fourier_many(coords, lattice), config.threshold)
+        rows += _bound_rows(m, labels, coords, lattice, config.threshold)
         for j in range(desc.torus_rank):
             ks = stats.ks_uniform(coords[:, j])
             rows.append(_row(m, f"ks_uniform[{j}]", ks.z_score, ks.threshold))
@@ -341,6 +353,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
         raise ConfigError(f"exact_threshold needs a symbolic density: {exc}") from exc
     thr = torus.stationarity_threshold(dens)
     lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
+    labels = ["uniform@" + label for label in stats.fourier_labels(lattice)]
     notes = {"threshold": thr}
     # the nonzero-frequency coefficients of each pushforward, and the largest
     pushed = {m: {p: a for p, a in torus.fourier_pushforward(dens, m).coefficients.items()
@@ -372,8 +385,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
         _, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
         if m == thr or not pushed[m]:
             # the oracle says uniform: the whole coefficient ball must vanish
-            rows += _bound_rows(m, stats.empirical_fourier_many(coords, lattice),
-                                config.threshold, "uniform@")
+            rows += _bound_rows(m, labels, coords, lattice, config.threshold)
         else:
             # the oracle says not yet: a surviving coefficient must be seen
             # (the one row that passes when z *exceeds* the threshold) and
@@ -415,6 +427,7 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
     # factor prod_j exp(-i pi p_j / G) sinc(p_j / G), the same for every density.
     pf = lattice.astype(float)
     jitter = np.prod(np.exp(-1j * np.pi * pf / g) * np.sinc(pf / g), axis=1)
+    labels = stats.fourier_labels(lattice)
     rows = []
     for i in range(config.density_count):
         dens = torus.random_fourier_density(r_dens, rank, max_degree=_TORUS_SUITE_DEGREE)
@@ -434,13 +447,15 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
             rows.append(_row(m, f"contraction[{i}]", max(after - before, 0.0), 1e-12))
         sample = torus.sample_grid(grid, r_samp, config.samples)
         spun = torus.power_angles(sample, 50)
-        rows += _bound_rows(50, stats.empirical_fourier_many(spun, lattice),
-                            config.threshold, f"spun[{i}]@")
+        rows += _bound_rows(50, [f"spun[{i}]@{lab}" for lab in labels], spun, lattice,
+                            config.threshold)
         reports = stats.empirical_fourier_many(sample, lattice)
-        for rep, p, factor in zip(reports, lattice, jitter):
-            expect = torus.fourier_coefficient(dens, tuple(p)) * factor
-            rows.append(_match_row(1, f"match[{i}]@{rep.statistic}", rep, expect,
-                                   config.threshold))
+        # a_p * jitter in real and imaginary parts: bit-equal to the scalar product
+        a = np.array([torus.fourier_coefficient(dens, p) for p in lattice])
+        z = np.hypot(reports.estimate.real - (a.real * jitter.real - a.imag * jitter.imag),
+                     reports.estimate.imag - (a.real * jitter.imag + a.imag * jitter.real))
+        rows += _fourier_rows(1, [f"match[{i}]@{lab}" for lab in labels], reports,
+                              z / np.maximum(reports.std_error, 1e-300), config.threshold)
     return rows, {}
 
 

@@ -291,10 +291,10 @@ class GridDensity:
         expected = (self.grid_size,) * self.rank
         if v.shape != expected:
             raise ValueError(f"values must have shape {expected}")
-        if np.any(v < 0.0):
+        if not np.all(v >= 0.0):   # written to fail on NaN, as v < 0 would not
             raise DensityError("grid density values must be nonnegative")
         riemann = float(v.sum()) * (TAU / self.grid_size) ** self.rank
-        if abs(riemann - 1.0) > _RIEMANN_TOL:
+        if not abs(riemann - 1.0) <= _RIEMANN_TOL:
             raise DensityError(f"Riemann sum {riemann!r} is not 1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -338,7 +338,7 @@ class AngleSample:
         r = np.ascontiguousarray(self.rows, dtype=np.float64)
         if r.ndim != 2 or r.shape[1] != self.rank:
             raise ValueError(f"rows must be (S, {self.rank})")
-        if r.size and (r.min() < 0.0 or r.max() >= TAU):
+        if r.size and not (r.min() >= 0.0 and r.max() < TAU):   # fails on NaN too
             raise ValueError("angles must lie in [0, 2*pi)")
         r.setflags(write=False)
         object.__setattr__(self, "rows", r)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from powerlimits import cli, experiments, groups, preimage, samplers, stats, torus
+from powerlimits._kernels import fourier_sums
 from powerlimits.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -418,6 +419,60 @@ class TestReports:
     def test_summary_matches_rows(self):
         rep = run_experiment(small_config(samples=2000))
         assert rep.raw_pass == all(r.passed for r in rep.rows)
+
+
+class TestFourierRowsBitIdentity:
+    """The Fourier rows are built from arrays in one pass; each must equal, float
+    for float, the scalar formula it replaced.  np.abs of a complex array and an
+    array complex multiply can both differ from the scalar results in the last
+    ulp, so each test first shows that its sample hits that trap."""
+
+    @staticmethod
+    def _scalar_std_error(estimate: complex, s: int) -> float:
+        return float(stats._std_error(max(1.0 - abs(estimate) ** 2, 0.0), s))
+
+    def test_bound_rows_equal_the_scalar_formulas(self):
+        # concentrated angles: |mean| near 1, where 1 - |mean|^2 keeps an ulp of |mean|
+        rows = np.mod(np.random.default_rng(21).normal(1.0, 0.4, (3000, 2)), torus.TAU)
+        lattice = stats.lattice_ball(2, 6)
+        means = fourier_sums(rows, lattice) / 3000
+        scalar = [complex(mean) for mean in means]
+        assert np.any(np.abs(means) != [abs(e) for e in scalar])
+        labels = stats.fourier_labels(lattice)
+        built = experiments._bound_rows(4, labels, rows, lattice, 5.0)
+        assert [r.statistic for r in built] == labels
+        for row, est in zip(built, scalar):
+            z = float(np.sqrt(3000) * abs(est))
+            assert (row.estimate_re, row.estimate_im) == (est.real, est.imag)
+            assert row.std_error == self._scalar_std_error(est, 3000)
+            assert (row.m, row.z, row.threshold, row.passed) == (4, z, 5.0, z <= 5.0)
+
+    def test_torus_suite_match_rows_equal_the_scalar_formula(self):
+        cfg = small_config(experiment="torus_suite", powers=[2], density_count=3,
+                           samples=3000, grid_size=60)
+        rows = [r for r in run_experiment(cfg).rows if r.statistic.startswith("match[")]
+        lattice = stats.lattice_ball(2, 3)
+        assert len(rows) == 3 * len(lattice)
+        # the suite's densities and cell jitter, rebuilt from its first seed stream
+        r_dens = experiments._rngs(np.random.SeedSequence(cfg.seed), 3)[0]
+        pf = lattice.astype(float)
+        jitter = np.prod(np.exp(-1j * np.pi * pf / 60) * np.sinc(pf / 60), axis=1)
+        coeffs, diffs = [], []
+        for i in range(3):
+            dens = torus.random_fourier_density(r_dens, 2, max_degree=3)
+            for k, p in enumerate(lattice.tolist()):
+                row = rows[i * len(lattice) + k]
+                assert row.statistic == f"match[{i}]@fourier[{p[0]},{p[1]}]"
+                a = torus.fourier_coefficient(dens, p)
+                est = complex(row.estimate_re, row.estimate_im)
+                z = abs(est - a * jitter[k]) / max(row.std_error, 1e-300)
+                assert row.std_error == self._scalar_std_error(est, 3000)
+                assert (row.z, row.passed) == (z, z <= cfg.threshold)
+                coeffs.append(a)
+                diffs.append(est - a * jitter[k])
+        products = np.array(coeffs) * np.tile(jitter, 3)
+        assert np.any(products != [a * j for a, j in zip(coeffs, np.tile(jitter, 3))])
+        assert np.any(np.abs(np.array(diffs)) != [abs(complex(d)) for d in diffs])
 
 
 def _negated_point(statistic):

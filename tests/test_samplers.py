@@ -255,9 +255,9 @@ class TestSymbolicEigenDensity:
         s = 100000
         coords = uniform_torus_rows(desc, ROUTES[route](law, rng, s), rng)
         lattice = lattice_ball(desc.torus_rank, 3)
-        for rep, p in zip(empirical_fourier_many(coords, lattice), lattice):
+        for estimate, p in zip(empirical_fourier_many(coords, lattice).estimate, lattice):
             expect = T.fourier_coefficient(d, tuple(p))
-            assert abs(rep.estimate - expect) <= 5.0 / np.sqrt(s)
+            assert abs(estimate - expect) <= 5.0 / np.sqrt(s)
 
     # The Weyl route and the symbolic density read the same root table, so the matrix
     # route (Haar QR, eigvals) is the independent check of that table on every family.
@@ -403,14 +403,14 @@ class TestSU2SharpStationarity:
         s = 100000
         mats = haar_batch(desc, rng, s)
         coords1 = uniform_torus_rows(desc, eigenangles_batch(mats), rng)
-        rep = empirical_fourier_many(coords1, np.array([[2]]))[0]
-        assert abs(rep.estimate - (-0.5)) <= 5 * rep.std_error
+        rep = empirical_fourier_many(coords1, np.array([[2]]))
+        assert abs(rep.estimate[0] - (-0.5)) <= 5 * rep.std_error[0]
         coords2 = uniform_torus_rows(desc, eigenangles_batch(power_batch(mats, 2)), rng)
-        rep2 = empirical_fourier_many(coords2, np.array([[1]]))[0]
-        assert abs(rep2.estimate - (-0.5)) <= 5 * rep2.std_error  # not yet uniform
+        rep2 = empirical_fourier_many(coords2, np.array([[1]]))
+        assert abs(rep2.estimate[0] - (-0.5)) <= 5 * rep2.std_error[0]  # not yet uniform
         coords3 = uniform_torus_rows(desc, eigenangles_batch(power_batch(mats, 3)), rng)
-        for rep3 in empirical_fourier_many(coords3, lattice_ball(1, 3)):
-            assert abs(rep3.estimate) <= 5.0 / np.sqrt(s)
+        for estimate in empirical_fourier_many(coords3, lattice_ball(1, 3)).estimate:
+            assert abs(estimate) <= 5.0 / np.sqrt(s)
 
 
 class TestOtherLaws:

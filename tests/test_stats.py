@@ -52,6 +52,32 @@ class TestEmpiricalFourier:
         assert a.std_error == pytest.approx(b.std_error, abs=1e-15)
 
 
+class TestFourierReports:
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3, np.inf])
+    def test_rejects_bad_std_error(self, bad):
+        std_error = np.array([0.1, bad, 0.2])
+        with pytest.raises(ValueError):
+            S.FourierReports(S.lattice_ball(1, 3), np.zeros(3, complex), std_error, 10)
+
+    def test_len_counts_lattice_rows(self):
+        rows = np.random.default_rng(5).uniform(0, TAU, (200, 2))
+        lattice = S.lattice_ball(2, 3)
+        reports = S.empirical_fourier_many(rows, lattice)
+        assert len(reports) == lattice.shape[0] == 24
+        assert reports.estimate.shape == reports.std_error.shape == (24,)
+        assert reports.sample_size == 200
+
+    def test_single_point_keeps_label_and_values(self):
+        rows = np.random.default_rng(6).uniform(0, TAU, (300, 2))
+        rep = S.empirical_fourier(rows, (1, -2))
+        assert isinstance(rep, S.MomentReport)
+        assert rep.statistic == "fourier[1,-2]" and rep.sample_size == 300
+        assert type(rep.estimate) is complex and type(rep.std_error) is float
+        many = S.empirical_fourier_many(rows, [[1, -2]])
+        assert rep.estimate == many.estimate[0] and rep.std_error == many.std_error[0]
+        assert S.fourier_labels([[2, 0], [1, -2]]) == ["fourier[2,0]", "fourier[1,-2]"]
+
+
 class TestLatticeBall:
     @pytest.mark.parametrize("rank,degree", [(1, 3), (2, 3), (3, 2), (4, 3)])
     def test_one_point_of_each_pair(self, rank, degree):
