@@ -242,6 +242,15 @@ def _bound_rows(m: int, labels, coords, lattice, threshold: float) -> list:
     return _fourier_rows(m, labels, reports, z, threshold)
 
 
+def _orbit_rows(m: int, labels, table, rows, threshold: float) -> list:
+    """The same bound on the Weyl-orbit means of the Weyl rows ``rows``, whose null
+    standard error is 1/sqrt(S |O|): z = sqrt(S |O|) |estimate|."""
+    reports = stats.orbit_means(table, rows)
+    z = np.sqrt(reports.sample_size * table.size) * np.hypot(reports.estimate.real,
+                                                             reports.estimate.imag)
+    return _fourier_rows(m, labels, reports, z, threshold)
+
+
 def _two_sample_rows(m: int, reports_a, reports_b, threshold: float) -> list:
     verdicts = stats.two_sample_test(reports_a, reports_b, threshold)
     return [_row(m, v.statistic, v.z_score, v.threshold, r) for v, r in zip(verdicts, reports_a)]
@@ -260,15 +269,14 @@ def _trace_rows(m: int, desc, reports, threshold: float) -> list:
                        threshold) for r in reports]
 
 
-def _torus_rows(desc, law, m: int, r_samp, r_weyl, size: int):
-    """Eigenangle rows of U^m (m times those of U: no matrix is powered) over
-    ``size`` draws of ``law``, and their uniform-preimage torus coordinates.
-    The rows of U come from :class:`samplers.EigenangleLaw`: perturbed-Haar angles
-    (Haar at strength 0) on U(N <= ``WEYL_MAX_N``) straight from the Weyl density,
-    with no matrix, in counterclockwise rather than exchangeable order; the trace
-    moments are symmetric in the row and the preimage coordinates permute it."""
-    angles = wrap_angles(m * samplers.EigenangleLaw(law).sample_batch(r_samp, size))
-    return angles, pre.uniform_torus_rows(desc, angles, r_weyl)
+def _angle_rows(law, m: int, r_samp, size: int) -> np.ndarray:
+    """Eigenangle rows of U^m (m times those of U: no matrix is powered) over ``size``
+    draws of ``law``.  The rows of U come from :class:`samplers.EigenangleLaw`:
+    perturbed-Haar angles (Haar at strength 0) on U(N <= ``WEYL_MAX_N``) straight from
+    the Weyl density, with no matrix, in counterclockwise rather than exchangeable
+    order; the trace moments and the Weyl-orbit means are symmetric in the row, and
+    the uniform-preimage coordinates permute it."""
+    return wrap_angles(m * samplers.EigenangleLaw(law).sample_batch(r_samp, size))
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +288,22 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     """Eigenangles of U^m against the fixed high-power law.
 
     Per power m, from a fresh U, with the eigenangles of U^m m times those of
-    U: uniform-preimage torus coordinates must look iid uniform (Fourier bound
-    suite plus a KS check per coordinate), and the trace moments of the
-    eigenangle multiset must match their exact values under the fixed law.
+    U: the uniform-preimage torus law must look uniform, in one ``orbit[p]``
+    bound row per Weyl orbit of the coefficient box (up to conjugation), read
+    from the eigenangle rows with no Weyl draw; one uniform Weyl draw per row
+    gives the torus coordinates of a KS check per coordinate; and the trace
+    moments of the eigenangle multiset must match their exact values under
+    the fixed law.
     """
-    lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
-    labels = stats.fourier_labels(lattice)
+    table = stats.orbit_table(desc, config.max_lattice_degree)
+    labels = stats.fourier_labels(table.lattice, "orbit")
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))  # two of each four unused: fixed stream layout
     for i, m in enumerate(config.powers):
         r_samp, r_weyl = rngs[4 * i:4 * i + 2]
-        angles, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
-        rows += _bound_rows(m, labels, coords, lattice, config.threshold)
+        angles = _angle_rows(law, m, r_samp, config.samples)
+        rows += _orbit_rows(m, labels, table, pre.weyl_rows(desc, angles), config.threshold)
+        coords = pre.uniform_torus_rows(desc, angles, r_weyl)
         for j in range(desc.torus_rank):
             ks = stats.ks_uniform(coords[:, j])
             rows.append(_row(m, f"ks_uniform[{j}]", ks.z_score, ks.threshold))
@@ -339,12 +351,18 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
 def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     """Stationarity threshold of the symbolic eigenvalue density.
 
-    Verifies statistically (fresh eigenangles of U per power, drawn by
-    :func:`_torus_rows`, matrix-free for Haar and perturbed-Haar U(N <= 4); U^m
-    has m times its angles) that the torus coordinates of U^m are iid uniform
-    at m = threshold, and that each power whose symbolic pushforward is not yet
-    uniform detects and matches the coefficient designated at the largest such
-    power, or its own largest where that is 0.
+    Verifies statistically, on fresh eigenangles of U per power (drawn by
+    :func:`_angle_rows`, matrix-free for Haar and perturbed-Haar U(N <= 4); U^m
+    has m times its angles), that the uniform-preimage torus law of U^m is
+    uniform at m = threshold, and at every power whose symbolic pushforward is
+    already uniform.  Each statistic is one Weyl orbit O (up to conjugation):
+    the law is Weyl-invariant, so its coefficient at p is the mean over O of the
+    plain coefficients of the eigenangle rows, and no Weyl element is drawn.
+    The ``uniform@orbit[p]`` rows bound every orbit of the coefficient box by
+    z = sqrt(S |O|) |estimate|.  Each power whose pushforward is not yet uniform
+    detects (z = sqrt(S |O|) |estimate| above the threshold) and matches (within
+    the threshold in plug-in standard errors) the orbit designated at the
+    largest such power, or its own largest where that is 0.
     ``detection_min_samples`` is the largest S that any of these detections needs.
     """
     try:
@@ -352,51 +370,54 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     except ValueError as exc:
         raise ConfigError(f"exact_threshold needs a symbolic density: {exc}") from exc
     thr = torus.stationarity_threshold(dens)
-    lattice = stats.lattice_ball(desc.torus_rank, config.max_lattice_degree)
-    labels = ["uniform@" + label for label in stats.fourier_labels(lattice)]
+    table = stats.orbit_table(desc, config.max_lattice_degree)
+    labels = ["uniform@" + label for label in stats.fourier_labels(table.lattice, "orbit")]
     notes = {"threshold": thr}
     # the nonzero-frequency coefficients of each pushforward, and the largest
     pushed = {m: {p: a for p, a in torus.fourier_pushforward(dens, m).coefficients.items()
                   if any(p)} for m in range(1, thr + 1)}
     largest = lambda m: max(pushed[m], key=lambda p: abs(pushed[m][p]))
 
-    # the powers below thr whose symbolic pushforward is still non-uniform,
-    # each with the coefficient its detect@ row tests
+    # the powers below thr whose symbolic pushforward is still non-uniform, each
+    # with the orbit its detect@ row tests; the density is Weyl-invariant, so its
+    # coefficient is the same at every member, the label among them
     powers = [m for m in range(1, thr) if pushed[m]]
     tested = {}
     if powers:
-        designated = largest(powers[-1])
-        tested = {m: designated if designated in pushed[m] else largest(m) for m in powers}
+        designated = stats.orbit(desc, largest(powers[-1])).label
+        tested = {m: stats.orbit(desc, designated if designated in pushed[m] else largest(m))
+                  for m in powers}
         value = pushed[powers[-1]][designated]
         notes["detection_power"] = powers[-1]
         notes["designated_coefficient"] = list(designated)
         notes["designated_value"] = [value.real, value.imag]
-        # the detection z at m has mean sqrt(S) |a| for the coefficient a tested
-        # there: below the largest such need some row misses more often than not
-        need = max(int(np.ceil((config.threshold / abs(pushed[m][p])) ** 2))
-                   for m, p in tested.items())
+        # the detection z at m has mean sqrt(S |O|) |a| for the orbit O and the
+        # coefficient a tested there: below the largest such need some row
+        # misses more often than not
+        need = max(int(np.ceil((config.threshold / abs(pushed[m][orb.label])) ** 2 / orb.size))
+                   for m, orb in tested.items())
         notes["detection_min_samples"] = need
         notes["detection_powered"] = config.samples >= need
 
     rows = []
-    rngs = _rngs(seq, 2 * thr)
+    rngs = _rngs(seq, 2 * thr)  # the second of each pair unused: fixed stream layout
     for m in range(1, thr + 1):
-        r_samp, r_weyl = rngs[2 * (m - 1):2 * m]
-        _, coords = _torus_rows(desc, law, m, r_samp, r_weyl, config.samples)
+        angles = _angle_rows(law, m, rngs[2 * (m - 1)], config.samples)
+        weyl = pre.weyl_rows(desc, angles)
         if m == thr or not pushed[m]:
-            # the oracle says uniform: the whole coefficient ball must vanish
-            rows += _bound_rows(m, labels, coords, lattice, config.threshold)
+            # the oracle says uniform: every orbit of the coefficient box must vanish
+            rows += _orbit_rows(m, labels, table, weyl, config.threshold)
         else:
             # the oracle says not yet: a surviving coefficient must be seen
             # (the one row that passes when z *exceeds* the threshold) and
             # must match the symbolic value
-            p = tested[m]
-            report = stats.empirical_fourier(coords, p)
-            z = float(np.sqrt(report.sample_size) * abs(report.estimate))
+            orb = tested[m]
+            report = stats.orbit_report(orb, weyl)
+            z = float(np.sqrt(report.sample_size * orb.size) * abs(report.estimate))
             rows.append(_row(m, f"detect@{report.statistic}", z, config.threshold, report,
                              passed=z > config.threshold))
-            rows.append(_match_row(m, f"match@{report.statistic}", report, pushed[m][p],
-                                   config.threshold))
+            rows.append(_match_row(m, f"match@{report.statistic}", report,
+                                   pushed[m][orb.label], config.threshold))
     return rows, notes
 
 

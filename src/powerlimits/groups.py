@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TAU, det, eigvals_2x2, positive_qr_q, stack_matmul, wrap_angles
+from ._kernels import det, eigvals_2x2, positive_qr_q, stack_matmul, wrap_angles
 
 TAU_UNIT = 1e-10   # construction tolerance for M M* = I and det checks
 TAU_DRIFT = 1e-8   # allowed unitarity defect after repeated squaring
@@ -262,13 +262,6 @@ def eigenangles_batch(mats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the fixed high-power eigenvalue law
 # ---------------------------------------------------------------------------
-
-
-def rains_limit_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, N) eigenangle rows of the fixed law of high Haar powers:
-    the monomial table evaluated at iid uniform torus angles."""
-    y = rng.uniform(0.0, TAU, size=(size, desc.torus_rank))
-    return wrap_angles(y @ desc.monomials.T.astype(np.float64))
 
 
 def fixed_law_trace_moments(desc: GroupDescriptor) -> tuple[int, int]:

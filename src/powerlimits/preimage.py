@@ -63,6 +63,20 @@ def _full_angles(desc: GroupDescriptor, torus: np.ndarray) -> np.ndarray:
     return np.concatenate([torus, wrap_angles(-torus.sum(axis=1))[:, None]], axis=1)
 
 
+def weyl_rows(desc: GroupDescriptor, eigenangle_rows: np.ndarray) -> np.ndarray:
+    """The angle rows the Weyl group permutes, read from eigenangle rows with no
+    Weyl draw and no row dropped: on U and SU the N angles (those of SU sum to 0,
+    as :func:`_full_angles` completes them); on SO(2k+1) the k rotation angles in
+    [0, pi], one per conjugate pair.  Folded to [0, pi] and sorted, an SO row is
+    0, then each angle twice, so the odd places hold the k angles; a pair near 0
+    or pi folds to nearly equal values and is kept, where a signed Weyl draw on
+    the angles in (0, pi) would have to drop it."""
+    rows = np.asarray(eigenangle_rows, dtype=np.float64)
+    if desc.family is not Family.SPECIAL_ORTHOGONAL_ODD:
+        return rows
+    return np.sort(np.minimum(rows, TAU - rows), axis=1)[:, 1::2]
+
+
 def _act_angles(desc: GroupDescriptor, full: np.ndarray, perms: np.ndarray,
                 signs: np.ndarray | None) -> np.ndarray:
     """Torus coordinates of w . t for angle rows ``full`` (see

@@ -64,8 +64,9 @@ class FourierDensity:
     """Probability density on the n-torus with finite Fourier support.
 
     ``coefficients`` maps integer lattice tuples to complex values.
-    Invariants enforced at construction: a_0 = 1, Hermitian symmetry
-    a_{-p} = conj(a_p), and values >= -1e-9 on a validation grid.
+    Invariants enforced at construction: finite coefficients, a_0 = 1,
+    Hermitian symmetry a_{-p} = conj(a_p), and values >= -1e-9 on a
+    validation grid.
     """
 
     rank: int
@@ -74,31 +75,45 @@ class FourierDensity:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        clean: dict[tuple[int, ...], complex] = {}
-        for p, a in self.coefficients.items():
-            key = _as_lattice_key(p)
-            if len(key) != self.rank:
-                raise ValueError(f"lattice point {key} has wrong rank")
-            a = complex(a)
-            if abs(a) > _COEFF_PRUNE or key == (0,) * self.rank:
-                clean[key] = a
-        zero = (0,) * self.rank
-        if zero not in clean or abs(clean[zero] - 1.0) > _HERMITIAN_TOL:
+        # keys and values as arrays; every check below is written to fail on NaN
+        keys = list(self.coefficients)
+        try:
+            points = (np.array(keys, dtype=np.int64).reshape(len(keys), -1) if keys
+                      else np.zeros((0, self.rank), dtype=np.int64))
+        except ValueError as exc:
+            raise ValueError(f"lattice points must all have rank {self.rank}") from exc
+        if points.shape[1] != self.rank:
+            raise ValueError(f"lattice point {tuple(points[0].tolist())} has wrong rank")
+        values = np.array(list(self.coefficients.values()), dtype=np.complex128)
+        modulus = np.hypot(values.real, values.imag)   # NaN or inf where a part is
+        if not np.all(modulus < np.inf):
+            raise DensityError("coefficients must be finite (no NaN or inf)")
+        is_zero = ~points.any(axis=1)
+        kept = (modulus > _COEFF_PRUNE) | is_zero
+        points, values, is_zero = points[kept], values[kept], is_zero[kept]
+        zero = np.flatnonzero(is_zero)
+        if not (zero.shape[0] == 1 and abs(values[zero[0]] - 1.0) <= _HERMITIAN_TOL):
             raise DensityError("constant coefficient a_0 must equal 1")
-        clean[zero] = 1.0 + 0.0j
-        for p, a in clean.items():
-            neg = tuple(-x for x in p)
-            if neg not in clean or abs(clean[neg] - a.conjugate()) > _HERMITIAN_TOL:
-                raise DensityError(f"Hermitian symmetry fails at {p}")
+        values[zero[0]] = 1.0 + 0.0j
+        clean = dict(zip(map(tuple, points.tolist()), values.tolist()))
+        if len(clean) < values.shape[0]:
+            raise ValueError("a lattice point is given twice")
+        # sorted, the points of a symmetric support are their own negated mirror image
+        order = np.lexsort(points.T[::-1])
+        lattice, coeffs = points[order], values[order]
+        gap = coeffs[::-1] - coeffs.conj()
+        if not (np.all(lattice == -lattice[::-1])
+                and np.all(np.hypot(gap.real, gap.imag) <= _HERMITIAN_TOL)):
+            bad = next((p for p, a in clean.items() if not abs(
+                clean.get(tuple(-x for x in p), np.nan) - a.conjugate()) <= _HERMITIAN_TOL), None)
+            raise DensityError(f"Hermitian symmetry fails at {bad}")
         object.__setattr__(self, "coefficients", clean)
-        lattice = np.array(sorted(clean.keys()), dtype=np.int64).reshape(len(clean), self.rank)
-        coeffs = np.array([clean[tuple(p)] for p in lattice], dtype=np.complex128)
         lattice.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "_lattice", lattice)
         object.__setattr__(self, "_coeffs", coeffs)
         low = self._validation_minimum()
-        if low < -TAU_NEG:
+        if not low >= -TAU_NEG:
             raise DensityError(f"density reaches {low:.3e} < -{TAU_NEG:.0e} on the validation grid")
 
     @property

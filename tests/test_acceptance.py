@@ -41,6 +41,7 @@ from powerlimits import samplers as L
 from powerlimits import stats as S
 from powerlimits import torus as T
 from powerlimits.experiments import ExperimentConfig, run_experiment
+from oracles import rains_limit_batch
 from test_preimage import act, in_group, weyl_converts
 
 TAU = 2 * np.pi
@@ -160,8 +161,8 @@ def test_criterion_4_su2_and_so3():
     su_m2_ok = abs(rep.estimate - (-0.5)) <= 5 * rep.std_error
 
     # the fixed limit law itself carries the structural identities
-    lim_su = G.rains_limit_batch(su2, rng, 1000)
-    lim_so = G.rains_limit_batch(so3, rng, 1000)
+    lim_su = rains_limit_batch(su2, rng, 1000)
+    lim_so = rains_limit_batch(so3, rng, 1000)
     wlim = G.wrap_angles(lim_su.sum(axis=1))
     limit_ok = (float(np.max(np.minimum(wlim, TAU - wlim))) <= 1e-10
                 and bool(np.all(np.min(lim_so, axis=1) == 0.0)))

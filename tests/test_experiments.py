@@ -166,14 +166,15 @@ class TestRunners:
             assert draws.dtype == dtype and np.all(draws == np.eye(n))
         rep = run_experiment(ExperimentConfig.from_json(FILE_CONFIGS["eigen_point_mass_negative"]))
         assert rep.summary_pass and not any(r.passed for r in rep.rows)
-        assert all((r.estimate_re, r.estimate_im) == (1.0, 0.0)
-                   for r in rep.rows if r.statistic.startswith("fourier["))
+        orbit_rows = [r for r in rep.rows if r.statistic.startswith("orbit[")]
+        assert orbit_rows and all((r.estimate_re, r.estimate_im) == (1.0, 0.0)
+                                  for r in orbit_rows)
 
     def test_eigen_m1_detects_weyl_coefficient(self):
         rep = run_experiment(small_config(powers=[1], samples=20000))
         assert not rep.raw_pass
         failing = {r.statistic for r in rep.rows if not r.passed}
-        assert "fourier[1,-1]" in failing
+        assert "orbit[1,-1]" in failing
 
     @pytest.mark.parametrize("kind", ["eigen_convergence", "exact_threshold"])
     def test_spectral_kinds_power_no_matrix(self, monkeypatch, kind):
@@ -263,24 +264,43 @@ class TestRunners:
 
     @pytest.mark.parametrize("samples, powered", [(1000, False), (2000, True)])
     def test_exact_threshold_detection_power_note(self, samples, powered):
-        # U(2) Haar designates a coefficient of -1/2 at m = 1, so a
-        # threshold of 20 needs (20 / 0.5)^2 = 1600 samples to reach
+        # U(2) Haar designates the orbit {(1, -1), (-1, 1)} with coefficient -1/2 at
+        # m = 1, so a threshold of 25 needs (25 / 0.5)^2 / 2 = 1250 samples to reach
         rep = run_experiment(small_config(experiment="exact_threshold",
-                                          samples=samples, threshold=20.0))
+                                          samples=samples, threshold=25.0))
         assert rep.notes["designated_value"] == [-0.5, 0.0]
-        assert rep.notes["detection_min_samples"] == 1600
+        assert rep.notes["detection_min_samples"] == 1250
         assert rep.notes["detection_powered"] is powered
 
-    @pytest.mark.parametrize("family, n, threshold, need", [("SU", 2, 4, 1600),
-                                                            ("SO", 3, 3, 3600)])
+    @pytest.mark.parametrize("family, n, threshold, need", [("SU", 2, 4, 800),
+                                                            ("SO", 3, 3, 1800)])
     def test_exact_threshold_off_unitary(self, family, n, threshold, need):
-        # the symbolic density comes from the descriptor's roots; U^m from matrices
+        # the symbolic density comes from the descriptor's roots; U^m from matrices.
+        # Rank 1: each orbit is {p, -p}, so the need is (5 / |a|)^2 / 2
         rep = run_experiment(small_config(experiment="exact_threshold", family=family,
                                           matrix_size=n, samples=20000,
                                           law={"type": "perturbed_haar", "strength": 0.5}))
         assert rep.notes["threshold"] == threshold
         assert rep.notes["detection_min_samples"] == need and rep.notes["detection_powered"]
         assert rep.summary_pass
+
+    def test_exact_threshold_reads_one_row_per_weyl_orbit(self):
+        # U(4) at degree 3: 109 orbits up to conjugation at each uniform power (m = 4, 5)
+        # and a detect@/match@ pair on the designated orbit at m = 1, 2, 3
+        rep = run_experiment(ExperimentConfig.from_json(SHIPPED_CONFIGS["spectral-u4"]))
+        assert len(rep.rows) == 224 and all(r.passed for r in rep.rows)
+        bound = [r for r in rep.rows if r.statistic.startswith("uniform@orbit[")]
+        assert [r.m for r in bound] == [4] * 109 + [5] * 109
+        # the null scale: z = |estimate| / std_error with std_error = 1 / sqrt(S |O|)
+        assert all(r.z * r.std_error == pytest.approx(np.hypot(r.estimate_re, r.estimate_im))
+                   for r in bound)
+        assert {r.std_error for r in bound} <= {1 / np.sqrt(2000 * size) for size in (
+            1, 4, 6, 12, 24)}
+        assert rep.notes["designated_coefficient"] == [1, 0, 0, -1]
+        # |a| = 1/12 on an orbit of 12: (5 * 12)^2 / 12
+        assert rep.notes["detection_min_samples"] == 300 and rep.notes["detection_powered"]
+        assert [r.statistic for r in rep.rows if r.m == 3] == ["detect@orbit[1,0,0,-1]",
+                                                               "match@orbit[1,0,0,-1]"]
 
     def test_exact_threshold_requires_symbolic_density(self):
         with pytest.raises(ConfigError):
@@ -304,13 +324,13 @@ class TestRunners:
             experiment="exact_threshold", samples=20000, seed=3,
             law={"type": "torus_density", "density": {"rank": 2, "coeffs": coeffs}}))
         assert rep.notes["designated_coefficient"] == [1, 0]
-        assert [r.statistic for r in rep.rows if r.m == 1] == ["detect@fourier[2,0]",
-                                                               "match@fourier[2,0]"]
+        assert [r.statistic for r in rep.rows if r.m == 1] == ["detect@orbit[2,0]",
+                                                               "match@orbit[2,0]"]
         assert rep.summary_pass
 
     def test_exact_threshold_detection_need_covers_every_power(self):
-        # (1, 0) is designated at m = 2 with 0.15, but m = 1 tests it at 0.01,
-        # which needs S = (5 / 0.01)^2; the notes must not call S = 20000 powered
+        # the orbit of (1, 0) is designated at m = 2 with 0.15, but m = 1 tests it at
+        # 0.01, which needs S = (5 / 0.01)^2 / 2; the notes must not call S = 20000 powered
         coeffs = ([{"p": [0, 0], "re": 1.0}] + [{"p": p, "re": 0.02} for p in ([1, 0], [-1, 0])]
                   + [{"p": p, "re": 0.3} for p in ([2, 0], [-2, 0])])
         rep = run_experiment(small_config(
@@ -318,12 +338,12 @@ class TestRunners:
             law={"type": "torus_density", "density": {"rank": 2, "coeffs": coeffs}}))
         assert rep.notes["detection_power"] == 2
         assert rep.notes["designated_coefficient"] == [1, 0]
-        assert rep.notes["detection_min_samples"] == 250000
+        assert rep.notes["detection_min_samples"] == 125000
         assert rep.notes["detection_powered"] is False
         detect = {r.m: r for r in rep.rows if r.statistic.startswith("detect@")}
-        assert [(m, r.statistic) for m, r in detect.items()] == [(1, "detect@fourier[1,0]"),
-                                                                 (2, "detect@fourier[1,0]")]
-        assert not detect[1].passed and detect[1].z == pytest.approx(1.5565, abs=1e-4)
+        assert [(m, r.statistic) for m, r in detect.items()] == [(1, "detect@orbit[1,0]"),
+                                                                 (2, "detect@orbit[1,0]")]
+        assert not detect[1].passed and detect[1].z == pytest.approx(1.7534, abs=1e-4)
         assert detect[2].passed
 
     def test_preimage_invariance(self):
@@ -490,6 +510,12 @@ class TestHalfLattice:
     def test_dropped_rows_are_twins_of_kept_rows(self, monkeypatch, overrides):
         kept = run_experiment(small_config(**overrides))
         half_ball = stats.lattice_ball
+        if overrides["experiment"] == "exact_threshold":
+            # its rows are Weyl orbits of the whole box, and the orbit table keeps one of
+            # each conjugate pair by its key: the other point of each +-p pair reads the same
+            monkeypatch.setattr(stats, "lattice_ball", lambda rank, d: -half_ball(rank, d))
+            assert run_experiment(small_config(**overrides)).rows == kept.rows
+            return
         monkeypatch.setattr(stats, "lattice_ball",
                             lambda rank, d: np.concatenate([half_ball(rank, d), -half_ball(rank, d)]))
         full = run_experiment(small_config(**overrides))
@@ -628,6 +654,15 @@ class TestCli:
                                   law={"type": "mixture_u2"})
         assert cli.main(["run", str(path)]) == 2
         assert "the mixture law lives on U(2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_density_coefficient_exits_2(self, tmp_path, capsys, bad):
+        coeffs = [{"p": [0, 0], "re": 1.0}, {"p": [1, 0], "re": bad}, {"p": [-1, 0], "re": bad}]
+        path = self._write_config(tmp_path, law={"type": "torus_density", "density": {
+            "rank": 2, "coeffs": coeffs}})
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        assert cli.main(["run", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_so_point_mass_eigen_convergence_is_refused_before_sampling(self, tmp_path, capsys,
                                                                         monkeypatch):

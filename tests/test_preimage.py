@@ -9,6 +9,7 @@ import pytest
 from powerlimits import groups as G
 from powerlimits import preimage as P
 from powerlimits.samplers import MIXTURE_A, PerturbedHaarLaw
+from oracles import rains_limit_batch
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)  # the coordinate swap
 
@@ -366,7 +367,7 @@ class TestLimitLawSample:
         flags, _ = preimages_batch(mats, desc, rng)
         draws = limit_law_batch(flags, desc, rng)
         a = spectral_trace_moments(G.eigenangles_batch(draws), 3)
-        b = spectral_trace_moments(G.rains_limit_batch(desc, rng, s), 3)
+        b = spectral_trace_moments(rains_limit_batch(desc, rng, s), 3)
         assert all(v.passed for v in two_sample_test(a, b, 5.0))
 
 

@@ -5,9 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from powerlimits import groups as G
+from powerlimits import preimage as P
+from powerlimits import samplers as L
 from powerlimits import stats as S
 from powerlimits.groups import haar_batch, unitary
 from powerlimits.torus import AngleSample
+from oracles import rains_limit_batch
 
 TAU = 2 * np.pi
 
@@ -98,6 +102,131 @@ class TestLatticeBall:
         b = S.empirical_fourier(rows, (-1, 2))
         assert b.estimate == pytest.approx(a.estimate.conjugate(), abs=1e-12)
         assert b.std_error == pytest.approx(a.std_error, abs=1e-12)
+
+
+def _weyl_elements(desc):
+    """Every Weyl element of ``desc`` as (perm, signs or None), in preimage's gather form."""
+    n = desc.torus_rank if desc.is_real else desc.matrix_size
+    perms = [np.array(p) for p in itertools.permutations(range(n))]
+    if not desc.is_real:
+        return [(p, None) for p in perms]
+    return [(p, np.array(sg, dtype=float)) for p in perms
+            for sg in itertools.product((1, -1), repeat=n)]
+
+
+def _weyl_average(desc, weyl, p):
+    """The per-draw estimator at p averaged over the whole Weyl group: the mean of the
+    plain estimates on the torus coordinates of w . t, one fixed w per pass."""
+    s, total = weyl.shape[0], 0.0
+    elements = _weyl_elements(desc)
+    for perm, signs in elements:
+        coords = P._act_angles(desc, weyl, np.tile(perm, (s, 1)),
+                               None if signs is None else np.tile(signs, (s, 1)))
+        total += S.empirical_fourier(coords, p).estimate
+    return total / len(elements)
+
+
+def _per_row_orbit_means(desc, orb, weyl):
+    """The per-row orbit mean y_s, built as an (S, |O|) table: the reference for the
+    mean and the plug-in standard error of orbit_report."""
+    coords = weyl[:, :-1] if desc.family is G.Family.SPECIAL_UNITARY else weyl
+    y = np.exp(-1j * coords @ S._torus_points(desc.family, orb.members).T.astype(float))
+    return y.mean(axis=1).real if orb.real else y.mean(axis=1)
+
+
+def _perturbed_weyl_rows(desc, size, seed):
+    angles = L.EigenangleLaw(L.PerturbedHaarLaw(desc, 0.5)).sample_batch(
+        np.random.default_rng(seed), size)
+    return P.weyl_rows(desc, angles)
+
+
+ORBIT_GROUPS = [G.unitary(3), G.special_unitary(3), G.special_orthogonal_odd(5)]
+
+
+class TestOrbitMeans:
+    @pytest.mark.parametrize("desc", ORBIT_GROUPS, ids=repr)
+    def test_orbit_means_are_weyl_averaged_plain_estimates(self, desc):
+        weyl = _perturbed_weyl_rows(desc, 400, 1)
+        table = S.orbit_table(desc, 2)
+        reports = S.orbit_means(table, weyl)
+        assert len(reports) == len(table) and reports.sample_size == 400
+        for label, est, real in zip(table.lattice.tolist(), reports.estimate, table.real):
+            assert abs(_weyl_average(desc, weyl, label) - est) <= 1e-14
+            # the dropped conjugate orbit would read the conjugate estimate
+            assert abs(_weyl_average(desc, weyl, [-x for x in label]) - np.conj(est)) <= 1e-14
+            assert not real or est.imag == 0.0
+
+    @pytest.mark.parametrize("desc, degree, rows", [
+        (G.unitary(4), 3, 109), (G.unitary(2), 3, 15), (G.special_orthogonal_odd(5), 3, 9),
+        (G.special_unitary(2), 3, 3), (G.special_orthogonal_odd(3), 2, 2)], ids=repr)
+    def test_table_covers_the_box_once_up_to_conjugation(self, desc, degree, rows):
+        # on U and SO the box is Weyl-closed: its points are the members of the
+        # kept orbits and of their conjugates, each counted once
+        table = S.orbit_table(desc, degree)
+        assert len(table) == rows == len(set(S.fourier_labels(table.lattice, "orbit")))
+        assert int(np.sum(table.size * np.where(table.real, 1, 2))) == (2 * degree + 1) ** (
+            desc.torus_rank) - 1
+        assert table.points.shape == S.lattice_ball(desc.torus_rank, degree).shape
+        for label, size, real in zip(table.lattice.tolist(), table.size, table.real):
+            orb = S.orbit(desc, label)
+            assert (orb.label, orb.size, orb.real) == (tuple(label), size, real)
+
+    def test_su_orbits_reach_past_the_box(self):
+        # SU(3): (3, -3) sits in the box, and its orbit holds (6, 3) and (-3, -6)
+        orb = S.orbit(G.special_unitary(3), (3, -3))
+        points = {tuple(q) for q in S._torus_points(orb.family, orb.members).tolist()}
+        assert orb.label == (6, 3) and orb.real and orb.size == 6
+        assert points == {(6, 3), (3, 6), (3, -3), (-3, 3), (-3, -6), (-6, -3)}
+        table = S.orbit_table(G.special_unitary(3), 3)
+        assert (6, 3) in {tuple(q) for q in table.lattice.tolist()}
+
+    @pytest.mark.parametrize("desc", ORBIT_GROUPS + [G.unitary(1), G.special_unitary(2)],
+                             ids=repr)
+    def test_report_matches_the_per_row_plug_in(self, desc):
+        weyl = _perturbed_weyl_rows(desc, 500, 2)
+        table = S.orbit_table(desc, 2)
+        means = S.orbit_means(table, weyl)
+        for k, label in enumerate(table.lattice.tolist()):
+            orb = S.orbit(desc, label)
+            rep = S.orbit_report(orb, weyl)
+            y = _per_row_orbit_means(desc, orb, weyl)
+            assert rep.statistic == S.fourier_labels([label], "orbit")[0]
+            assert abs(rep.estimate - means.estimate[k]) <= 1e-14
+            assert abs(rep.estimate - y.mean()) <= 1e-14
+            assert not orb.real or rep.estimate.imag == 0.0
+            se = S._std_error(np.mean(np.abs(y - y.mean()) ** 2), 500)
+            assert rep.std_error == pytest.approx(se, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("desc", ORBIT_GROUPS, ids=repr)
+    def test_null_scale_under_the_fixed_law(self, desc):
+        # rows of the fixed law have a uniform symmetrization, so E|y|^2 = 1/|O|:
+        # the plug-in standard error meets the null scale 1/sqrt(S |O|)
+        s = 20000
+        weyl = P.weyl_rows(desc, rains_limit_batch(desc, np.random.default_rng(3), s))
+        table = S.orbit_table(desc, 2)
+        reports = S.orbit_means(table, weyl)
+        np.testing.assert_allclose(reports.std_error, 1.0 / np.sqrt(s * table.size))
+        z = np.abs(reports.estimate) / reports.std_error
+        assert np.all(z <= 5.0)
+        for label, null in zip(table.lattice.tolist(), reports.std_error):
+            assert S.orbit_report(S.orbit(desc, label), weyl).std_error == pytest.approx(
+                null, rel=0.05)
+
+    @pytest.mark.parametrize("edge", [1e-10, np.pi - 1e-10, np.pi + 1e-10, TAU - 1e-10])
+    def test_so_rows_near_zero_or_pi_are_kept(self, edge):
+        desc = G.special_orthogonal_odd(5)
+        rng = np.random.default_rng(4)
+        theta = rng.uniform(0.5, 2.5, (200, 2))
+        theta[::2, 1] = edge
+        eig = G.wrap_angles(np.concatenate([theta, -theta, np.zeros((200, 1))], axis=1))
+        eig = np.take_along_axis(eig, rng.permuted(np.tile(np.arange(5), (200, 1)), axis=1), 1)
+        weyl = P.weyl_rows(desc, eig)
+        assert weyl.shape == (200, 2)
+        folded = np.minimum(theta, TAU - theta)
+        np.testing.assert_allclose(np.sort(weyl, axis=1), np.sort(folded, axis=1), atol=1e-15)
+        assert S.orbit_means(S.orbit_table(desc, 2), weyl).sample_size == 200
+        # the uniform preimage's signed Weyl draw drops every such row
+        assert P.uniform_torus_rows(desc, eig, rng).shape == (100, 2)
 
 
 class TestTraceMoments:

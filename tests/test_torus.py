@@ -36,11 +36,72 @@ class TestFourierDensityInvariants:
             T.FourierDensity(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.4})
         with pytest.raises(T.DensityError):
             T.FourierDensity(1, {(0,): 1.0, (2,): 0.1})
+        # the values mirror each other, the points do not: -1 and 2 are unpaired
+        with pytest.raises(T.DensityError, match="Hermitian"):
+            T.FourierDensity(1, {(-1,): 0.1, (0,): 1.0, (2,): 0.1})
+
+    @pytest.mark.parametrize("coeffs", [
+        {(0,): 1.0, (1,): np.nan, (-1,): np.nan},        # was dropped as a structural zero
+        {(0,): np.nan, (1,): 0.2, (-1,): 0.2},           # was overwritten with 1
+        {(0,): 1.0, (1,): complex(0.1, np.nan), (-1,): complex(0.1, np.nan)},
+        {(0,): 1.0, (1,): np.inf, (-1,): np.inf},
+    ])
+    def test_rejects_non_finite_coefficients(self, coeffs):
+        with pytest.raises(T.DensityError, match="finite"):
+            T.FourierDensity(1, coeffs)
 
     def test_rejects_signed_series(self):
         # 1 + 3 cos(theta) dips to -2: not a density
         with pytest.raises(T.DensityError):
             T.FourierDensity(1, {(0,): 1.0, (1,): 1.5, (-1,): 1.5})
+
+
+def _loop_built(rank, coefficients):
+    """The per-key construction FourierDensity replaced: (coefficients, lattice, coeffs)."""
+    clean = {}
+    for p, a in coefficients.items():
+        key = tuple(int(x) for x in np.atleast_1d(p))
+        a = complex(a)
+        if abs(a) > T._COEFF_PRUNE or key == (0,) * rank:
+            clean[key] = a
+    clean[(0,) * rank] = 1.0 + 0.0j
+    lattice = np.array(sorted(clean), dtype=np.int64).reshape(len(clean), rank)
+    return clean, lattice, np.array([clean[tuple(p)] for p in lattice], dtype=np.complex128)
+
+
+class TestArrayBuiltDensity:
+    """FourierDensity is built from arrays; its dict, lattice and coefficients must
+    equal, bit for bit and in order, those of the per-key loop it replaced."""
+
+    @staticmethod
+    def _densities():
+        from powerlimits import groups, samplers
+        rng = np.random.default_rng(8)
+        out = [default_mixture_marginal(), uniform(3),
+               T.FourierDensity(2, {(1, -1): 0.2, (0, 0): 1.0 + 1e-13j, (-1, 1): 0.2,
+                                    (0, 1): 1e-17})]
+        for desc in (groups.unitary(4), groups.special_unitary(3),
+                     groups.special_orthogonal_odd(5)):
+            out.append(samplers.symbolic_eigen_density(samplers.PerturbedHaarLaw(desc, 0.5)))
+        out += [T.random_fourier_density(rng, rank, 3) for rank in (1, 2, 3)]
+        return out + [T.fourier_pushforward(d, m) for d in out for m in (2, 3)]
+
+    def test_equals_the_loop_reference(self):
+        for d in self._densities():
+            clean, lattice, coeffs = _loop_built(d.rank, d.coefficients)
+            assert repr(list(d.coefficients.items())) == repr(list(clean.items()))
+            assert d._lattice.dtype == lattice.dtype and d._lattice.shape == lattice.shape
+            assert d._lattice.tobytes() == lattice.tobytes()
+            assert d._coeffs.tobytes() == coeffs.tobytes()
+
+    def test_input_order_survives_pruning(self):
+        d = T.FourierDensity(1, {(2,): 0.1, (0,): 1.0, (5,): 1e-16, (-2,): 0.1})
+        assert list(d.coefficients) == [(2,), (0,), (-2,)]
+        assert d._lattice.tolist() == [[-2], [0], [2]]
+
+    def test_rejects_a_point_given_twice(self):
+        with pytest.raises(ValueError, match="twice"):
+            T.FourierDensity(1, {(0,): 1.0, (1,): 0.1, (1.5,): 0.1, (-1,): 0.1})
 
 
 class TestFourierPushforward:
