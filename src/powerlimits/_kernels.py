@@ -14,18 +14,26 @@ coefficient balls or single points.  On a uniform grid,
 :func:`trig_poly_grid` instead contracts the box with one power table per
 grid axis: an inverse DFT pruned to the box.
 
-numpy runs a stacked complex matrix product, a QR or eigendecomposition or
-a determinant as one BLAS or LAPACK call per matrix, and at the small N of
-U(2), SU(2) and SO(3) that per-call cost dominates.  The matrix kernels
-replace those calls with closed forms evaluated over the whole stack,
-selected by matrix size alone:
+numpy runs a stacked matrix product, a QR or eigendecomposition or a
+determinant as one BLAS or LAPACK call per matrix, and at the small N of
+U(2), SU(2), U(3) and SO(3) that per-call cost dominates.  The matrix
+kernels replace those calls with closed forms evaluated over the whole
+stack, selected by matrix size alone.  Up to N = SMALL_N they hold a stack
+as *entry planes*, the array in Fortran order: each entry ``a[..., i, j]``
+is then one contiguous array over the stack, and each term of a closed
+form one ufunc call over it.
 
-* :func:`stack_matmul`: rank-one updates for complex N <= SMALL_COMPLEX_N,
-  the measured crossover; ``@`` above.
-* :func:`positive_qr_q`: Gram-Schmidt, two passes per column, at every N.
-  Against ``np.linalg.qr`` plus a phase fix it is faster up to N = 7 and
-  0.83x at complex N = 8; the shipped configs and benchmark workloads all
-  draw N <= 4.
+* :func:`_plane_matmul`: out[i, j] = a[i, 0] b[0, j] + a[i, 1] b[1, j] + ...
+  on planes, k in order.  Conversions included, it beats ``@`` in a power
+  loop up to N = 3 and in a single complex product, not in a single real
+  one (README.md has the measured crossover).  So up to SMALL_N the power
+  loop, the unitarity check and the trace moments convert a stack once,
+  :func:`stack_matmul` runs a complex product straight on the stacks in
+  blocks of rows, and the rest stays on ``@``.
+* :func:`positive_qr_q`: Gram-Schmidt on column planes, two passes per
+  column, at every N.  Against ``np.linalg.qr`` plus a phase fix it is
+  faster up to N = 7 and 0.83x at complex N = 8; the shipped configs and
+  benchmark workloads all draw N <= 4.
 * :func:`det`: cofactor expansion for N = 2 and 3, ``np.linalg.det``
   otherwise.
 * :func:`eigvals_2x2`, :func:`eig_normal_2x2` and :func:`so3_axis_angle`
@@ -47,8 +55,13 @@ TAU = 2.0 * math.pi
 # environment line, whether the interpreter could import it.
 NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
 
-# Largest N at which stack_matmul sums rank-one updates: the measured crossover.
-SMALL_COMPLEX_N = 3
+# Largest N held as entry planes: the measured crossover.
+SMALL_N = 3
+
+# Rows per block of a product taken straight on C stacks.  An entry of a C stack
+# is a strided array; over a block it stays in cache, over a whole (1e5, 3, 3)
+# complex stack it does not, and the product runs 2x slower than the blocks.
+STACK_ROWS = 2048
 
 # Complex entries per Khatri-Rao factor of one row chunk (4 MB each), which
 # bounds the kernels' working memory independently of the sample count.
@@ -65,23 +78,42 @@ def wrap_angles(x):
     return np.where(w >= TAU, 0.0, w)
 
 
-def stack_matmul(a, b):
-    """``a @ b`` for matrix stacks.  numpy runs a complex one as a BLAS call per
-    matrix; for N = a.shape[-1] <= SMALL_COMPLEX_N the N rank-one updates (column
-    k of a times row k of b) over the whole stack are faster.  Real ones take @."""
+def _plane_matmul(a, b, out=None):
+    """``a @ b`` for (..., N, N) stacks with broadcast lead shapes, one ufunc per
+    term of out[i, j] = a[i, 0] b[0, j] + a[i, 1] b[1, j] + ...  Best on entry
+    planes, which it returns unless given ``out``."""
     n = a.shape[-1]
-    if n > SMALL_COMPLEX_N or not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b), order="F")
+    for i in range(n):
+        for j in range(n):
+            entry = out[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=entry)
+            for k in range(1, n):
+                entry += a[..., i, k] * b[..., k, j]
+    return out
+
+
+def stack_matmul(a, b):
+    """``a @ b`` for matrix stacks: up to N = SMALL_N a complex product runs
+    :func:`_plane_matmul` straight on the C stacks, STACK_ROWS rows at a time;
+    ``@`` otherwise."""
+    if a.shape[-1] > SMALL_N or not (np.iscomplexobj(a) or np.iscomplexobj(b)):
         return a @ b
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for k in range(1, n):
-        out += a[..., :, k, None] * b[..., None, k, :]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    n = out.shape[-1]
+    flat = out.reshape(-1, n, n)
+    a, b = (np.broadcast_to(x, out.shape).reshape(-1, n, n) for x in (a, b))
+    for start in range(0, flat.shape[0], STACK_ROWS):
+        rows = slice(start, start + STACK_ROWS)
+        _plane_matmul(a[rows], b[rows], out=flat[rows])
     return out
 
 
 def positive_qr_q(z):
     """Q of z = QR for a (S, N, N) stack, gauged so R has a real positive
     diagonal (with Gaussian z, exactly Haar on U(N) or O(N)), or None if a
-    matrix of the stack is singular.
+    matrix of the stack is singular.  Q comes as entry planes.
 
     Classical Gram-Schmidt over the whole stack, with every column
     orthogonalized twice: one pass leaves defects near 1e-11, two reach
@@ -109,7 +141,7 @@ def positive_qr_q(z):
         if np.any(norm2 == 0.0):
             return None
         v /= np.sqrt(norm2)
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+    return cols.transpose(2, 1, 0)
 
 
 def det(a):

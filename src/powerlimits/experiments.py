@@ -262,6 +262,13 @@ def _match_row(m: int, statistic: str, report, expect, threshold: float) -> Verd
     return _row(m, statistic, dz, threshold, report)
 
 
+def _detection_need(threshold: float, value: complex, size: int) -> int:
+    """ceil((threshold / |a|)^2 / |O|), where the detection z's mean sqrt(S |O|) |a|
+    reaches ``threshold``, less a rounding-level excess (|a| one ulp below 1/12 on SO(3)
+    gives 1800.000000000001, which needs 1800)."""
+    return int(np.ceil((threshold / abs(value)) ** 2 / size * (1.0 - 1e-9)))
+
+
 def _trace_rows(m: int, desc, reports, threshold: float) -> list:
     """Trace reports matched against their exact fixed-law values."""
     mean, abs2 = fixed_law_trace_moments(desc)
@@ -394,7 +401,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
         # the detection z at m has mean sqrt(S |O|) |a| for the orbit O and the
         # coefficient a tested there: below the largest such need some row
         # misses more often than not
-        need = max(int(np.ceil((config.threshold / abs(pushed[m][orb.label])) ** 2 / orb.size))
+        need = max(_detection_need(config.threshold, pushed[m][orb.label], orb.size)
                    for m, orb in tested.items())
         notes["detection_min_samples"] = need
         notes["detection_powered"] = config.samples >= need

@@ -23,12 +23,13 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import det, eigvals_2x2, positive_qr_q, stack_matmul, wrap_angles
+from ._kernels import SMALL_N, _plane_matmul, det, eigvals_2x2, positive_qr_q, wrap_angles
 
 TAU_UNIT = 1e-10   # construction tolerance for M M* = I and det checks
 TAU_DRIFT = 1e-8   # allowed unitarity defect after repeated squaring
@@ -134,10 +135,19 @@ def descriptor(family: str | Family, n: int) -> GroupDescriptor:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of M M* - I over one matrix or a stack."""
+    """Max-norm of M M* - I over one matrix or a stack: up to N = SMALL_N the max
+    over the N(N+1)/2 Gram entries |sum_k M_ik conj(M_jk) - delta_ij| on planes."""
     m = np.asarray(matrix)
     n = m.shape[-1]
-    return float(np.max(np.abs(stack_matmul(m, m.conj().swapaxes(-1, -2)) - np.eye(n))))
+    if n > SMALL_N:
+        return float(np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(n))))
+    m, worst = np.asfortranarray(m), 0.0
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        gram = m[..., i, 0] * m[..., j, 0].conj()
+        for k in range(1, n):
+            gram += m[..., i, k] * m[..., j, k].conj()
+        worst = max(worst, float(np.max(np.abs(gram - float(i == j)))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +162,7 @@ def haar_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np
     real positive (``_kernels.positive_qr_q``), which removes the QR gauge
     freedom and makes the law exactly Haar.  SU projects U(N) draws by
     dividing the first column by det; SO negates the last column of O(N)
-    draws with det -1.
+    draws with det -1: both, and the check, on Q's planes, transposed once.
     """
     n = desc.matrix_size
     for _ in range(_HAAR_RETRIES):
@@ -167,10 +177,9 @@ def haar_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np
         if desc.family is Family.SPECIAL_UNITARY:
             q[:, :, 0] /= det(q)[:, None]
         elif desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-            flip = det(q) < 0
-            q[flip, :, -1] *= -1.0
+            np.negative(q[:, :, -1], out=q[:, :, -1], where=det(q)[:, None] < 0)
         if unitarity_defect(q) <= TAU_UNIT:
-            return q
+            return np.ascontiguousarray(q)
     raise UnitarityError("Haar sampling failed to produce a unitary batch")
 
 
@@ -229,26 +238,30 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
     """Repeated-squaring m-th power of a (S, N, N) stack.
 
     Squaring is used (rather than an eigendecomposition) so the operation
-    stays independent of the spectral code it is later used to test.
-    Raises :class:`PowerDriftError` with the worst row's defect when any
-    result leaves the group by more than ``TAU_DRIFT``.
+    stays independent of the spectral code it is later used to test; up to
+    N = SMALL_N it runs on entry planes, converted to and from once.  Raises
+    :class:`PowerDriftError` with the worst row's defect when any result
+    leaves the group by more than ``TAU_DRIFT``.
     """
     if m < 1:
         raise ValueError("power requires m >= 1")
-    result = None
-    base = mats.copy()
+    small = mats.shape[-1] <= SMALL_N
+    matmul = _plane_matmul if small else np.matmul
+    result, base = None, np.array(mats, order="F" if small else "C")
+    del mats  # the caller's temporary stack goes once it is copied
     e = int(m)
     while e:
         if e & 1:
             # the first set bit starts the product: no multiplication by the identity
-            result = base if result is None else stack_matmul(result, base)
+            result = base if result is None else matmul(result, base)
         e >>= 1
         if e:
-            base = stack_matmul(base, base)
+            base = matmul(base, base)
+    del base
     defect = unitarity_defect(result)
     if defect > TAU_DRIFT:
         raise PowerDriftError(defect)
-    return result
+    return np.ascontiguousarray(result)
 
 
 def eigenangles_batch(mats: np.ndarray) -> np.ndarray:

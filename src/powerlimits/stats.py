@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fourier_sums, stack_matmul
+from ._kernels import SMALL_N, _plane_matmul, fourier_sums
 from .groups import Family, GroupDescriptor
 
 KS_THRESHOLD_1PCT = 1.63  # sqrt(S) * D_S acceptance point at the 1% level
@@ -121,13 +121,6 @@ def empirical_fourier_many(sample, lattice) -> FourierReports:
     mean = fourier_sums(rows, lattice) / s
     spread = np.maximum(1.0 - np.hypot(mean.real, mean.imag) ** 2, 0.0)
     return FourierReports(lattice, mean, _std_error(spread, s), s)
-
-
-def empirical_fourier(sample, p) -> MomentReport:
-    """Report for a single lattice point."""
-    reports = empirical_fourier_many(sample, np.atleast_2d(np.asarray(p)))
-    return MomentReport(fourier_labels(reports.lattice)[0], complex(reports.estimate[0]),
-                        float(reports.std_error[0]), reports.sample_size)
 
 
 def lattice_ball(rank: int, max_degree: int) -> np.ndarray:
@@ -332,12 +325,15 @@ def _trace_reports(k: int, tr: np.ndarray) -> list[MomentReport]:
 
 
 def trace_moments(mats: np.ndarray, k_max: int) -> list[MomentReport]:
-    """Tr(g^k) and |Tr(g^k)|^2 for k = 1..k_max over a (S, N, N) stack."""
+    """Tr(g^k) and |Tr(g^k)|^2 for k = 1..k_max over a (S, N, N) stack; up to
+    N = SMALL_N g^k accumulates on entry planes (einsum sums their diagonal in order)."""
+    small = mats.shape[-1] <= SMALL_N
+    matmul = _plane_matmul if small else np.matmul
+    acc = mats = np.asfortranarray(mats) if small else mats
     out = []
-    acc = mats
     for k in range(1, k_max + 1):
         if k > 1:
-            acc = stack_matmul(acc, mats)
+            acc = matmul(acc, mats)
         out += _trace_reports(k, np.einsum("sii->s", acc))
     return out
 

@@ -41,7 +41,7 @@ from powerlimits import samplers as L
 from powerlimits import stats as S
 from powerlimits import torus as T
 from powerlimits.experiments import ExperimentConfig, run_experiment
-from oracles import rains_limit_batch
+from oracles import empirical_fourier, rains_limit_batch
 from test_preimage import act, in_group, weyl_converts
 
 TAU = 2 * np.pi
@@ -111,7 +111,7 @@ def test_criterion_3_u2_haar_frozen_at_two():
     bound_ok = _bounded(S.empirical_fourier_many(coords2, lattice), 5.0)
 
     coords1 = P.uniform_torus_rows(desc, G.eigenangles_batch(mats), rng)
-    rep1 = S.empirical_fourier(coords1, (1, -1))
+    rep1 = empirical_fourier(coords1, (1, -1))
     z_detect = abs(rep1.estimate) / rep1.std_error
     detect_ok = z_detect > 5.0
 
@@ -157,7 +157,7 @@ def test_criterion_4_su2_and_so3():
     su_fourier_ok = _bounded(S.empirical_fourier_many(coords3, S.lattice_ball(1, 3)), 5.0)
     # ... and exactly the oracle's -1/2 coefficient at m = 2, not uniform
     coords2 = P.uniform_torus_rows(su2, ang2, rng)
-    rep = S.empirical_fourier(coords2, (1,))
+    rep = empirical_fourier(coords2, (1,))
     su_m2_ok = abs(rep.estimate - (-0.5)) <= 5 * rep.std_error
 
     # the fixed limit law itself carries the structural identities

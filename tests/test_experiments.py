@@ -284,6 +284,19 @@ class TestRunners:
         assert rep.notes["detection_min_samples"] == need and rep.notes["detection_powered"]
         assert rep.summary_pass
 
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_detection_need_ignores_rounding_level_excess(self, ulps, sign):
+        # SO(3) designates a = -1/12 on an orbit of 2: (5 * 12)^2 / 2 = 1800 exactly,
+        # but one ulp below |a| the quotient reads 1800.000000000001
+        a = 1 / 12
+        for _ in range(abs(ulps)):
+            a = np.nextafter(a, np.sign(ulps))
+        assert experiments._detection_need(5.0, sign * a, 2) == 1800
+        assert experiments._detection_need(5.0, complex(0.0, sign * a), 2) == 1800
+        # an excess above rounding level still needs the next sample
+        assert experiments._detection_need(5.0, sign * a * (1 - 1e-6), 2) == 1801
+
     def test_exact_threshold_reads_one_row_per_weyl_orbit(self):
         # U(4) at degree 3: 109 orbits up to conjugation at each uniform power (m = 4, 5)
         # and a detect@/match@ pair on the designated orbit at m = 1, 2, 3

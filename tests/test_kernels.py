@@ -150,10 +150,83 @@ def test_stack_matmul(n, complex_a, complex_b, lead_a, lead_b):
 
     a, b = draw(lead_a, complex_a), draw(lead_b, complex_b)
     out, expect = K.stack_matmul(a, b), a @ b
-    assert out.shape == expect.shape and out.dtype == expect.dtype
+    assert out.shape == expect.shape and out.dtype == expect.dtype and out.flags.c_contiguous
     np.testing.assert_allclose(out, expect, rtol=0, atol=1e-13)
-    if n > K.SMALL_COMPLEX_N or not (complex_a or complex_b):
+    if n > K.SMALL_N or not (complex_a or complex_b):
         np.testing.assert_array_equal(out, expect)  # the @ path itself
+
+
+def _stack(lead, n, is_complex, seed=0):
+    r = np.random.default_rng(seed)
+    x = r.normal(size=lead + (n, n))
+    return x + 1j * r.normal(size=x.shape) if is_complex else x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("complex_a, complex_b", [(True, True), (True, False), (False, True),
+                                                  (False, False)])
+@pytest.mark.parametrize("lead_a, lead_b", [((7,), (7,)), ((), (7,)), ((7,), ()), ((), ()),
+                                            ((2, 1, 5), (3, 5))])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_plane_matmul(n, complex_a, complex_b, lead_a, lead_b, order):
+    """Any operand layout in, entry planes (Fortran order) out, equal to @."""
+    a, b = _stack(lead_a, n, complex_a, 1), _stack(lead_b, n, complex_b, 2)
+    expect = a @ b
+    out = K._plane_matmul(np.asarray(a, order=order), np.asarray(b, order=order))
+    assert out.shape == expect.shape and out.dtype == expect.dtype and out.flags.f_contiguous
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-13)
+    into = np.empty(expect.shape, expect.dtype)
+    assert K._plane_matmul(a, b, out=into) is into
+    np.testing.assert_allclose(into, expect, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("rows", [1, 2 * K.STACK_ROWS, 2 * K.STACK_ROWS + 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_stack_matmul_across_row_blocks(rows, n):
+    a, b = _stack((rows,), n, True, 5), _stack((rows,), n, True, 6)
+    for right in (b, b.conj().swapaxes(-1, -2), b[0]):
+        out = K.stack_matmul(a, right)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, a @ right, rtol=0, atol=1e-13)
+
+
+def _squared_power(mats, m):
+    """mats ** m by repeated squaring with @."""
+    result, base = None, mats
+    while m:
+        if m & 1:
+            result = base if result is None else result @ base
+        m >>= 1
+        base = base @ base
+    return result
+
+
+@pytest.mark.parametrize("family, n", [("U", 1), ("U", 2), ("SU", 2), ("U", 3), ("SO", 3),
+                                       ("U", 4), ("SO", 5)])
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 77])
+def test_power_batch_against_squaring_with_matmul(family, n, m):
+    # planes stay inside the kernels: Haar draws and powers leave as C-ordered stacks
+    assert G.haar_batch(G.descriptor(family, n), np.random.default_rng(0), 5).flags.c_contiguous
+    mats = _draws(family, n, 200, 16)
+    kept = mats.copy()
+    out = G.power_batch(mats, m)
+    assert out.shape == mats.shape and out.dtype == mats.dtype and out.flags.c_contiguous
+    assert out is not mats and not np.shares_memory(out, mats)
+    np.testing.assert_array_equal(mats, kept)
+    np.testing.assert_allclose(out, _squared_power(mats, m), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("family, n", [("U", 1), ("U", 2), ("SU", 2), ("U", 3), ("SO", 3),
+                                       ("U", 4), ("SO", 5)])
+def test_unitarity_defect_is_the_max_of_m_mstar_minus_i(family, n):
+    mats = _draws(family, n, 300, 17)
+    # off the group by about 1e-3, 1e-6 and 1e-9, so each defect is visible
+    for scale in (1e-3, 1e-6, 1e-9):
+        bent = mats + scale * _stack((600,), n, np.iscomplexobj(mats), 18)
+        for m in (bent, bent[123], np.asfortranarray(bent)):
+            expect = np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(n)))
+            assert abs(G.unitarity_defect(m) - expect) <= 1e-15
+    assert G.unitarity_defect(mats) <= 1e-14
 
 
 def test_fold_grid_requires_divisor():

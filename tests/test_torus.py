@@ -8,7 +8,8 @@ import pytest
 from powerlimits import torus as T
 from powerlimits.samplers import default_mixture_marginal
 from powerlimits._kernels import trig_poly_values
-from powerlimits.stats import empirical_fourier, empirical_fourier_many, ks_uniform, lattice_ball
+from powerlimits.stats import empirical_fourier_many, ks_uniform, lattice_ball
+from oracles import empirical_fourier
 
 TAU = 2 * np.pi
 
