@@ -380,10 +380,11 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     table = stats.orbit_table(desc, config.max_lattice_degree)
     labels = ["uniform@" + label for label in stats.fourier_labels(table.lattice, "orbit")]
     notes = {"threshold": thr}
-    # the nonzero-frequency coefficients of each pushforward, and the largest
+    # the nonzero-frequency coefficients of each pushforward, and the largest; a tie
+    # goes to the first point in lattice (lexicographic) order, whatever the dict order
     pushed = {m: {p: a for p, a in torus.fourier_pushforward(dens, m).coefficients.items()
                   if any(p)} for m in range(1, thr + 1)}
-    largest = lambda m: max(pushed[m], key=lambda p: abs(pushed[m][p]))
+    largest = lambda m: max(sorted(pushed[m]), key=lambda p: abs(pushed[m][p]))
 
     # the powers below thr whose symbolic pushforward is still non-uniform, each
     # with the orbit its detect@ row tests; the density is Weyl-invariant, so its

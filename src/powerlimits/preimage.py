@@ -129,9 +129,10 @@ def psi_batch(flags: np.ndarray, rows: np.ndarray, desc: GroupDescriptor) -> np.
     columns scaled by the eigenvalue phases; SO multiplies by its blocks.
     """
     if desc.is_real:
+        # a contiguous V^T: on the transposed view ``@`` leaves its fast path
         left = stack_matmul(flags, embed_batch(desc, rows))
-    else:
-        left = flags * embed_phases(desc, rows)[:, None, :]
+        return stack_matmul(left, np.ascontiguousarray(flags.swapaxes(-1, -2)))
+    left = flags * embed_phases(desc, rows)[:, None, :]
     return stack_matmul(left, flags.conj().swapaxes(-1, -2))
 
 

@@ -20,8 +20,8 @@ every other law draws matrices and takes their eigenangles.
 ``symbolic_eigen_density`` expands the exact torus-marginal density of the
 uniform random preimage of a perturbed-Haar law on U(N), SU(N) or SO(2k+1)
 with at most as many positive roots as U(``WEYL_MAX_N``): the Weyl density read
-from the descriptor's root pairs times 1 + (a/N) ReTr, organized as exact
-lattice coefficients.  The Weyl sampler reads the same root pairs.
+from the descriptor's root pairs times 1 + (a/N) ReTr, multiplied out on a dense
+box of lattice coefficients.  The Weyl sampler reads the same root pairs.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .groups import (
     haar_batch,
     unitary,
 )
-from .torus import AngleSample, FourierDensity, _rejection_fill
+from .torus import _COEFF_PRUNE, AngleSample, FourierDensity, _rejection_fill
 
 # the fixed U(2) mixture matrix a: a rotation by pi/4
 MIXTURE_A = np.array([[np.sqrt(2) / 2, -np.sqrt(2) / 2],
@@ -160,7 +160,8 @@ class PointMassLaw:
 
 # Largest U(N) whose eigenangles are drawn from the Weyl density; its N(N-1)/2
 # positive roots also cap the root count of any family whose symbolic eigenvalue
-# density is expanded (the expansion grows as 3^roots).  The cap rests on the proved
+# density is expanded.  The expansion costs roots x box size, so the cap guards the
+# density's validation grid and, above all, the sampler: it rests on the proved
 # envelope of the spacing proposal (see _spacing_bound), which covers N <= 4 only.
 # On U(5) and U(6) the largest ratio found is the one at the roots of unity, 2.24
 # and 3.05 (acceptance 0.45 and 0.33 at a = 0), but no proof bounds it there, and
@@ -264,13 +265,13 @@ class EigenangleLaw:
 # ---------------------------------------------------------------------------
 
 
-def _convolve(a: dict, b: dict) -> dict:
-    out: dict[tuple, complex] = {}
-    for p, ca in a.items():
-        for q, cb in b.items():
-            key = tuple(x + y for x, y in zip(p, q))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return {p: c for p, c in out.items() if abs(c) > 1e-15}
+def _shift_sum(box: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Sum over the vectors v of the box moved by v (p to p + v), by slices: no wrap-around."""
+    out = np.zeros_like(box)
+    for v in vectors.tolist():
+        out[tuple(slice(max(x, 0), w + min(x, 0)) for x, w in zip(v, box.shape))] += (
+            box[tuple(slice(max(-x, 0), w + min(-x, 0)) for x, w in zip(v, box.shape))])
+    return out
 
 
 def symbolic_eigen_density(law) -> FourierDensity:
@@ -283,7 +284,8 @@ def symbolic_eigen_density(law) -> FourierDensity:
     |1 - e^{i a.t}|^2, whose factors contribute {0: 2, a: -1, -a: -1}; the
     perturbation multiplies by 1 + (a/N) sum_j cos(M_j.t) over the monomial
     rows M_j.  The constant term of the bare product is exactly |W|, which
-    normalizes a_0 to 1.
+    normalizes a_0 to 1.  The product is multiplied out on a dense coefficient box
+    centred at 0, one :func:`_shift_sum` per factor: roots x box size in all.
     """
     if isinstance(law, TorusLaw):
         if law.descriptor.family is not Family.UNITARY:
@@ -294,30 +296,32 @@ def symbolic_eigen_density(law) -> FourierDensity:
     desc, strength = law.descriptor, law.strength
     if len(desc.root_pairs) > WEYL_MAX_N * (WEYL_MAX_N - 1) // 2:
         raise ValueError(f"symbolic expansion kept to as many roots as U({WEYL_MAX_N})")
-    zero = (0,) * desc.torus_rank
-    weyl = {zero: 1.0 + 0.0j}
-    for j, k in desc.root_pairs:
-        plus = tuple((desc.monomials[j] - desc.monomials[k]).tolist())
-        weyl = _convolve(weyl, {zero: 2.0, plus: -1.0, tuple(-x for x in plus): -1.0})
-    assert abs(weyl[zero] - desc.weyl_order) < 1e-9
+    roots = desc.monomials[desc.root_pairs[:, 0]] - desc.monomials[desc.root_pairs[:, 1]]
+    reach = int(np.max(np.abs(roots).sum(axis=0) + np.abs(desc.monomials).max(axis=0)))
+    box = np.zeros((2 * reach + 1,) * desc.torus_rank)
+    centre = (reach,) * desc.torus_rank
+    box[centre] = 1.0
+    for root in roots:
+        box = 2.0 * box - _shift_sum(box, np.stack([root, -root]))
+    assert abs(box[centre] - desc.weyl_order) < 1e-9
     if strength != 0.0:
-        pert = {zero: 1.0 + 0.0j}
-        half = strength / (2.0 * desc.matrix_size)
-        for row in desc.monomials.tolist():
-            for e in (tuple(row), tuple(-x for x in row)):
-                pert[e] = pert.get(e, 0.0) + half
-        weyl = _convolve(weyl, pert)
-    norm = weyl[zero].real
-    return FourierDensity(desc.torus_rank, {p: c / norm for p, c in weyl.items()})
+        monomials = np.concatenate([desc.monomials, -desc.monomials])
+        box += strength / (2.0 * desc.matrix_size) * _shift_sum(box, monomials)
+    kept = np.abs(box) > _COEFF_PRUNE
+    coeffs = (box[kept] / box[centre]).tolist()
+    return FourierDensity(desc.torus_rank,
+                          dict(zip(map(tuple, (np.argwhere(kept) - reach).tolist()), coeffs)))
 
 
 def _symmetrize(d: FourierDensity) -> FourierDensity:
-    n = d.rank
-    perms = list(itertools.permutations(range(n)))
-    out: dict[tuple, complex] = {}
-    for p, a in d.coefficients.items():
-        share = a / len(perms)
-        for sigma in perms:
-            key = tuple(p[sigma[i]] for i in range(n))
-            out[key] = out.get(key, 0.0) + share
-    return FourierDensity(n, out)
+    """The mean over coordinate permutations sigma of the density: each a_p / n! goes to
+    p[sigma], added point by point in the density's order (``bincount`` keeps it)."""
+    perms, reach = np.array(list(itertools.permutations(range(d.rank)))), d.max_degree
+    shape = (2 * reach + 1,) * d.rank
+    images = np.array(list(d.coefficients))[:, perms].reshape(-1, d.rank) + reach
+    codes, where = np.unique(np.ravel_multi_index(images.T, shape), return_inverse=True)
+    share = np.repeat(np.array(list(d.coefficients.values())), len(perms))
+    coeffs = (np.bincount(where, share.real / len(perms))
+              + 1j * np.bincount(where, share.imag / len(perms)))
+    points = np.stack(np.unravel_index(codes, shape), axis=1) - reach
+    return FourierDensity(d.rank, dict(zip(map(tuple, points.tolist()), coeffs.tolist())))

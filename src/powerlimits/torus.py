@@ -272,11 +272,9 @@ def fourier_pushforward(d: FourierDensity, m: int) -> FourierDensity:
         raise ValueError("m must be a positive integer")
     if m == 1:
         return d
-    kept = {}
-    for p, a in d.coefficients.items():
-        if all(x % m == 0 for x in p):
-            kept[tuple(x // m for x in p)] = a
-    return FourierDensity(d.rank, kept)
+    kept = ~(d._lattice % m).any(axis=1)
+    points = (d._lattice[kept] // m).tolist()
+    return FourierDensity(d.rank, dict(zip(map(tuple, points), d._coeffs[kept].tolist())))
 
 
 def stationarity_threshold(d: FourierDensity) -> int:

@@ -359,6 +359,20 @@ class TestRunners:
         assert not detect[1].passed and detect[1].z == pytest.approx(1.7534, abs=1e-4)
         assert detect[2].passed
 
+    def test_exact_threshold_designation_tie_goes_to_the_first_lattice_point(self):
+        # at m = 2 the orbits of (1, 0) and (1, 1) both carry 0.1: the tie goes to the
+        # first nonzero point in lattice order, (-1, -1), whatever order the config lists
+        # the coefficients in
+        coeffs = ([{"p": [0, 0], "re": 1.0}] + [{"p": p, "re": 0.1} for p in (
+            [2, 0], [-2, 0], [0, 2], [0, -2], [2, 2], [-2, -2])])
+        rep = run_experiment(small_config(
+            experiment="exact_threshold", samples=4000, seed=3,
+            law={"type": "torus_density", "density": {"rank": 2, "coeffs": coeffs}}))
+        assert rep.notes["detection_power"] == 2
+        label = stats.orbit(groups.unitary(2), (-1, -1)).label
+        assert rep.notes["designated_coefficient"] == list(label)
+        assert [r.statistic for r in rep.rows if r.m == 2][0] == "detect@orbit[1,1]"
+
     def test_preimage_invariance(self):
         rep = run_experiment(small_config(experiment="preimage_invariance",
                                           law={"type": "perturbed_haar", "strength": 0.5},

@@ -9,6 +9,7 @@ import pytest
 from powerlimits import _kernels as K
 from powerlimits import groups as G
 from powerlimits.samplers import PerturbedHaarLaw
+from oracles import unfolded_fourier_sums
 
 
 rng = np.random.default_rng(2024)
@@ -91,6 +92,28 @@ def test_kernels_across_row_chunks():
 def test_fourier_sums_empty_lattice():
     angles = rng.uniform(0, 2 * np.pi, size=(50, 2))
     assert K.fourier_sums(angles, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("rank,at", [(3, 0), (3, 1), (3, 3), (2, 1), (2, 2), (1, 1)])
+def test_fourier_sums_drops_zero_columns(rank, at):
+    # a coordinate that is 0 at every lattice point is dropped: the sums stay those of
+    # the whole box, bit for bit where the dropped column is the last of an even count,
+    # so that the split of the remaining coordinates into the two factors is unchanged
+    lattice = np.insert(full_box(rank, 2), at, 0, axis=1)
+    angles = rng.uniform(0, 2 * np.pi, size=(600, rank + 1))
+    got, ref = K.fourier_sums(angles, lattice), unfolded_fourier_sums(angles, lattice)
+    if at == rank and rank % 2:
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_fourier_sums_all_zero_lattice(rank):
+    lattice = np.zeros((3, rank), dtype=np.int64)
+    angles = rng.uniform(0, 2 * np.pi, size=(70, rank))
+    got = K.fourier_sums(angles, lattice)
+    np.testing.assert_array_equal(got, np.full(3, 70.0 + 0.0j))
+    np.testing.assert_array_equal(got, unfolded_fourier_sums(angles, lattice))
 
 
 def test_fourier_sums_rejects_width_mismatch():

@@ -29,6 +29,7 @@ from powerlimits.stats import (
     trace_moments,
     two_sample_test,
 )
+from oracles import dict_eigen_density, dict_symmetrize
 
 TAU = 2 * np.pi
 # eigenangle rows of a law: from its matrices, or from the Weyl density where it applies
@@ -244,6 +245,31 @@ class TestSymbolicEigenDensity:
                 got = n + sum(T.fourier_coefficient(pushed, (-k * (eye[j] - eye[l])).tolist())
                               for j in range(n) for l in range(n) if j != l)
                 assert abs(got - min(m * k, n)) <= 1e-12
+
+    @pytest.mark.parametrize("strength", [0.0, 0.5, 0.3, -1.0])
+    @pytest.mark.parametrize("desc", [unitary(1), unitary(2), unitary(3), unitary(4),
+                                      special_unitary(2), special_unitary(3), special_unitary(4),
+                                      special_orthogonal_odd(3), special_orthogonal_odd(5)],
+                             ids=repr)
+    def test_box_expansion_matches_the_dict_convolutions(self, desc, strength):
+        # the same support and values; bit for bit where every partial sum is exact:
+        # at Haar (integers), and where a/(2N) is a short dyadic fraction
+        got = L.symbolic_eigen_density(L.PerturbedHaarLaw(desc, strength)).coefficients
+        ref = dict_eigen_density(desc, strength)
+        assert got.keys() == ref.keys()
+        assert max(abs(got[p] - ref[p]) for p in ref) <= 1e-15
+        if strength == 0.0 or (strength in (0.5, -1.0) and desc.matrix_size in (1, 2, 4)):
+            assert got == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_torus_law_symmetrization_matches_the_dict_reference(self, n):
+        # the shares of each coefficient are added in the density's order, so the array
+        # route gives the reference's bits
+        rng = np.random.default_rng(n)
+        for degree in (1, 3):
+            d = T.random_fourier_density(rng, n, degree)
+            got = L.symbolic_eigen_density(L.TorusLaw(unitary(n), d)).coefficients
+            assert got == T.FourierDensity(n, dict_symmetrize(d)).coefficients
 
     @staticmethod
     def _assert_matches_symbolic(route, law, seed):

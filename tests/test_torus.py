@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from powerlimits import torus as T
-from powerlimits.samplers import default_mixture_marginal
+from powerlimits.groups import special_orthogonal_odd, unitary
+from powerlimits.samplers import PerturbedHaarLaw, default_mixture_marginal, symbolic_eigen_density
 from powerlimits._kernels import trig_poly_values
 from powerlimits.stats import empirical_fourier_many, ks_uniform, lattice_ball
-from oracles import empirical_fourier
+from oracles import empirical_fourier, loop_pushforward
 
 TAU = 2 * np.pi
 
@@ -140,6 +141,16 @@ class TestFourierPushforward:
             for p in lhs.coefficients:
                 assert abs(lhs.coefficients[p] - rhs.coefficients[p]) < 1e-15
 
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_the_loop_reference(self, m):
+        rng = np.random.default_rng(m)
+        densities = [symbolic_eigen_density(PerturbedHaarLaw(desc, a))
+                     for desc, a in ((unitary(4), 0.5), (unitary(3), -1.0),
+                                     (special_orthogonal_odd(5), 0.3))]
+        densities += [T.random_fourier_density(rng, rank, 7) for rank in (1, 2, 3)]
+        for d in densities:
+            assert T.fourier_pushforward(d, m).coefficients == loop_pushforward(d, m)
 
 class TestFourierCoefficient:
     def test_outside_support_is_zero(self):
