@@ -273,9 +273,9 @@ def _khatri_rao(angles, lo, shape, sign):
     """Column-wise Kronecker product of the power tables of the given
     coordinates, rows in C order over ``shape`` and one column per angle
     row; a single row of ones when there are no coordinates."""
-    out = np.ones((1, angles.shape[0]), dtype=np.complex128)
-    for j, width in enumerate(shape):
-        table = _power_table(angles[:, j], lo[j], width, sign)
+    tables = [_power_table(angles[:, j], lo[j], w, sign) for j, w in enumerate(shape)]
+    out = tables[0] if tables else np.ones((1, angles.shape[0]), dtype=np.complex128)
+    for table in tables[1:]:
         out = (out[:, None, :] * table[None, :, :]).reshape(-1, angles.shape[0])
     return out
 

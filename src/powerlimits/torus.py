@@ -19,6 +19,8 @@ that each can serve as an oracle for the other:
 proposal.  A piecewise-constant bound on a table of cells, built once per
 density, is a squeeze: it turns most proposals away before the series is
 evaluated, and keeps the same draws as rejection against the flat bound.
+:func:`sample_grid` draws cells by inverting the cell CDF at sorted
+uniforms, the same uniforms and cells as ``Generator.choice``.
 
 Conventions: the density series is rho(theta) = sum_p a_p exp(+i p.theta);
 the transform hat(nu)(p) = E exp(-i p.theta) then equals a_p, which makes
@@ -362,11 +364,16 @@ class AngleSample:
 
 
 def sample_grid(d: GridDensity, rng: np.random.Generator, size: int) -> AngleSample:
-    """Draws from the grid density: cell-weighted choice plus uniform
-    jitter inside the chosen cell."""
+    """Draws from the grid density: a cell by inverting the cell CDF at sorted uniforms
+    (the uniforms and cells of ``rng.choice(p=...)``, less its p >= 0 and sum-to-1
+    checks, which :class:`GridDensity` holds), plus uniform jitter inside the cell."""
     flat = d.values.ravel()
-    total = flat.sum()
-    idx = rng.choice(flat.size, size=size, p=flat / total)
+    cdf = np.cumsum(flat / flat.sum())
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    order = np.argsort(u)
+    idx = np.empty(size, dtype=np.int64)
+    idx[order] = cdf.searchsorted(u[order], side="right")
     coords = np.stack(np.unravel_index(idx, d.values.shape), axis=1).astype(np.float64)
     coords += rng.uniform(0.0, 1.0, size=coords.shape)
     return AngleSample(d.rank, wrap_angles(coords * (TAU / d.grid_size)))
@@ -395,12 +402,12 @@ def random_fourier_density(rng: np.random.Generator, rank: int, max_degree: int,
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must lie in (0, 1)")
     half = [tuple(q) for q in lattice_ball(rank, max_degree).tolist()]
-    keep = [q for q in half if rng.random() < 0.7]
+    keep = [q for q, u in zip(half, rng.random(len(half)).tolist()) if u < 0.7]
     at_max = [q for q in half if max(abs(x) for x in q) == max_degree]
     forced = at_max[int(rng.integers(len(at_max)))]
     if forced not in keep:
         keep.append(forced)
-    raw = {q: complex(rng.normal(), rng.normal()) for q in keep}
+    raw = {q: complex(*a) for q, a in zip(keep, rng.normal(size=(len(keep), 2)).tolist())}
     scale = mass / (2.0 * sum(abs(a) for a in raw.values()))
     coeffs = {(0,) * rank: 1.0 + 0.0j}
     for q, a in raw.items():

@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 
 from powerlimits.groups import GroupDescriptor
-from powerlimits.stats import MomentReport, empirical_fourier_many, fourier_labels
-from powerlimits.torus import FourierDensity
-from powerlimits._kernels import TAU, _factors, _layout, _split, wrap_angles
+from powerlimits.stats import MomentReport, empirical_fourier_many, fourier_labels, lattice_ball
+from powerlimits.torus import AngleSample, FourierDensity, GridDensity
+from powerlimits._kernels import TAU, _factors, _layout, _power_table, _split, wrap_angles
 
 
 def rains_limit_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -80,3 +80,43 @@ def unfolded_fourier_sums(angles, lattice) -> np.ndarray:
     for left, right in _factors(np.asarray(angles, dtype=np.float64), lo, shape, -1.0):
         box += left @ right.T
     return box.ravel()[flat]
+
+
+def ones_first_khatri_rao(angles, lo, shape, sign):
+    """``_kernels._khatri_rao`` starting from a row of ones, multiplied by every table."""
+    out = np.ones((1, angles.shape[0]), dtype=np.complex128)
+    for j, width in enumerate(shape):
+        table = _power_table(angles[:, j], lo[j], width, sign)
+        out = (out[:, None, :] * table[None, :, :]).reshape(-1, angles.shape[0])
+    return out
+
+
+def choice_sample_grid(d: GridDensity, rng: np.random.Generator, size: int) -> AngleSample:
+    """``torus.sample_grid`` with the cell drawn by ``rng.choice``, then the uniform
+    jitter inside the cell."""
+    flat = d.values.ravel()
+    idx = rng.choice(flat.size, size=size, p=flat / flat.sum())
+    coords = np.stack(np.unravel_index(idx, d.values.shape), axis=1).astype(np.float64)
+    coords += rng.uniform(0.0, 1.0, size=coords.shape)
+    return AngleSample(d.rank, wrap_angles(coords * (TAU / d.grid_size)))
+
+
+def scalar_random_fourier_density(rng: np.random.Generator, rank: int, max_degree: int,
+                                  mass: float | None = None) -> FourierDensity:
+    """``torus.random_fourier_density`` with one scalar draw per kept point and per
+    Gaussian part."""
+    if mass is None:
+        mass = float(rng.uniform(0.3, 0.9))
+    half = [tuple(q) for q in lattice_ball(rank, max_degree).tolist()]
+    keep = [q for q in half if rng.random() < 0.7]
+    at_max = [q for q in half if max(abs(x) for x in q) == max_degree]
+    forced = at_max[int(rng.integers(len(at_max)))]
+    if forced not in keep:
+        keep.append(forced)
+    raw = {q: complex(rng.normal(), rng.normal()) for q in keep}
+    scale = mass / (2.0 * sum(abs(a) for a in raw.values()))
+    coeffs = {(0,) * rank: 1.0 + 0.0j}
+    for q, a in raw.items():
+        coeffs[q] = a * scale
+        coeffs[tuple(-x for x in q)] = a.conjugate() * scale
+    return FourierDensity(rank, coeffs)

@@ -9,7 +9,7 @@ import pytest
 from powerlimits import _kernels as K
 from powerlimits import groups as G
 from powerlimits.samplers import PerturbedHaarLaw
-from oracles import unfolded_fourier_sums
+from oracles import ones_first_khatri_rao, unfolded_fourier_sums
 
 
 rng = np.random.default_rng(2024)
@@ -114,6 +114,28 @@ def test_fourier_sums_all_zero_lattice(rank):
     got = K.fourier_sums(angles, lattice)
     np.testing.assert_array_equal(got, np.full(3, 70.0 + 0.0j))
     np.testing.assert_array_equal(got, unfolded_fourier_sums(angles, lattice))
+
+
+def test_khatri_rao_of_one_coordinate_is_its_power_table():
+    angles = rng.uniform(0, 2 * np.pi, size=(90, 1))
+    for lo, width, sign in [(-3, 7, -1.0), (2, 1, 1.0), (0, 4, 1.0)]:
+        got = K._khatri_rao(angles, [lo], (width,), sign)
+        np.testing.assert_array_equal(got, K._power_table(angles[:, 0], lo, width, sign))
+    np.testing.assert_array_equal(K._khatri_rao(np.zeros((90, 0)), [], (), -1.0),
+                                  np.ones((1, 90), dtype=np.complex128))
+
+
+@pytest.mark.parametrize("rank,degree", [(1, 5), (2, 3), (3, 2), (4, 2)])
+def test_kernels_equal_a_ones_row_first_khatri_rao(monkeypatch, rank, degree):
+    """Starting from the first table instead of a row of ones times it changes no bit."""
+    lattice = full_box(rank, degree)
+    coeffs = rng.normal(size=len(lattice)) + 1j * rng.normal(size=len(lattice))
+    angles = rng.uniform(0, 2 * np.pi, size=(300, rank))
+    got = K.fourier_sums(angles, lattice), K.trig_poly_values(lattice, coeffs, angles)
+    monkeypatch.setattr(K, "_khatri_rao", ones_first_khatri_rao)
+    ref = K.fourier_sums(angles, lattice), K.trig_poly_values(lattice, coeffs, angles)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_fourier_sums_rejects_width_mismatch():

@@ -10,7 +10,8 @@ from powerlimits.groups import special_orthogonal_odd, unitary
 from powerlimits.samplers import PerturbedHaarLaw, default_mixture_marginal, symbolic_eigen_density
 from powerlimits._kernels import trig_poly_values
 from powerlimits.stats import empirical_fourier_many, ks_uniform, lattice_ball
-from oracles import empirical_fourier, loop_pushforward
+from oracles import (choice_sample_grid, empirical_fourier, loop_pushforward,
+                     scalar_random_fourier_density)
 
 TAU = 2 * np.pi
 
@@ -104,6 +105,20 @@ class TestArrayBuiltDensity:
     def test_rejects_a_point_given_twice(self):
         with pytest.raises(ValueError, match="twice"):
             T.FourierDensity(1, {(0,): 1.0, (1,): 0.1, (1.5,): 0.1, (-1,): 0.1})
+
+
+class TestRandomFourierDensity:
+    @pytest.mark.parametrize("rank,degree", [(1, 3), (1, 6), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 31, 4242])
+    @pytest.mark.parametrize("mass", [None, 0.5])
+    def test_draws_what_the_scalar_loop_draws(self, rank, degree, seed, mass):
+        """Same coefficients, bit for bit and in order, and the same generator state
+        afterwards, as one scalar draw per kept point and per Gaussian part."""
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = T.random_fourier_density(rng, rank, degree, mass)
+        ref = scalar_random_fourier_density(twin, rank, degree, mass)
+        assert repr(list(got.coefficients.items())) == repr(list(ref.coefficients.items()))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestFourierPushforward:
@@ -340,6 +355,33 @@ class TestSampleGrid:
         rng = np.random.default_rng(9)
         sample = T.sample_grid(g, rng, 2000)
         assert np.all(sample.rows < np.pi)
+
+    @staticmethod
+    def _point_cell(rank, g, cell):
+        vals = np.zeros((g,) * rank)
+        vals[cell] = (g / TAU) ** rank
+        return T.GridDensity(rank, g, vals)
+
+    @pytest.mark.parametrize("name,size", [
+        ("rank1", 3000), ("rank2", 3000), ("half", 2000), ("cell1", 500), ("cell2", 500),
+        ("rank2", 1), ("cell1", 1),
+    ])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_draws_what_choice_draws(self, name, size, seed):
+        """Same rows, bit for bit, and the same generator state afterwards, as the cell
+        draw by ``rng.choice``."""
+        grids = {
+            "rank1": lambda: T.to_grid(T.random_fourier_density(np.random.default_rng(1), 1, 3), 96),
+            "rank2": lambda: T.to_grid(T.random_fourier_density(np.random.default_rng(2), 2, 3), 60),
+            "half": lambda: T.GridDensity(1, 64, np.tile([0.0, 1.0 / np.pi], 32)),
+            "cell1": lambda: self._point_cell(1, 16, (5,)),
+            "cell2": lambda: self._point_cell(2, 12, (0, 11)),
+        }
+        g = grids[name]()
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, ref = T.sample_grid(g, rng, size), choice_sample_grid(g, twin, size)
+        np.testing.assert_array_equal(got.rows, ref.rows)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestAngleSample:
