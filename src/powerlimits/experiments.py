@@ -214,52 +214,41 @@ def _rngs(seq: np.random.SeedSequence, count: int) -> list:
     return [np.random.default_rng(s) for s in seq.spawn(count)]
 
 
-def _row(m: int, statistic: str, z, threshold, report=None, passed=None) -> VerdictRow:
-    """The one way a verdict becomes a row: it passes iff |z| <= threshold
-    unless ``passed`` says otherwise, and carries ``report``'s estimate."""
-    return VerdictRow(m, statistic,
-                      float(report.estimate.real) if report else None,
-                      float(report.estimate.imag) if report else None,
-                      float(report.std_error) if report else None,
-                      float(z), float(threshold),
-                      bool(abs(z) <= threshold if passed is None else passed))
+def _row(m: int, statistic: str, z, threshold) -> VerdictRow:
+    """A row with no estimate (KS or an exactness bound): it passes iff |z| <= threshold."""
+    return VerdictRow(m, statistic, None, None, None, float(z), float(threshold),
+                      bool(abs(z) <= threshold))
 
 
-def _fourier_rows(m: int, labels, reports, z, threshold: float) -> list:
-    """One row per lattice point of ``reports`` and its z, in one vector pass."""
+def _verdict_rows(m: int, labels, est, z, threshold: float, passed=None) -> list:
+    """One row per statistic of the record ``est`` and its z, in one vector pass; a row
+    passes iff z <= threshold unless ``passed`` says otherwise."""
     threshold = float(threshold)
-    cols = (reports.estimate.real.tolist(), reports.estimate.imag.tolist(),
-            reports.std_error.tolist(), z.tolist(), (z <= threshold).tolist())
+    cols = (est.estimate.real.tolist(), est.estimate.imag.tolist(), est.std_error.tolist(),
+            z.tolist(), (z <= threshold if passed is None else passed).tolist())
     return [VerdictRow(m, label, re, im, se, zz, threshold, ok)
             for label, re, im, se, zz, ok in zip(labels, *cols)]
 
 
-def _bound_rows(m: int, labels, coords, lattice, threshold: float) -> list:
-    """Pass iff sqrt(S)|estimate| <= threshold (a CLT null bound for coefficients that
-    vanish under the limit law); np.hypot equals abs(complex) bit for bit, np.abs not."""
-    reports = stats.empirical_fourier_many(coords, lattice)
-    z = np.sqrt(reports.sample_size) * np.hypot(reports.estimate.real, reports.estimate.imag)
-    return _fourier_rows(m, labels, reports, z, threshold)
+def _bound_rows(m: int, labels, est, threshold: float, size=1, detect: bool = False) -> list:
+    """z = sqrt(S |O|) |estimate|, a CLT null bound for coefficients that vanish under
+    the limit law: 1/sqrt(S |O|) is the null standard error of a mean over a Weyl orbit
+    of ``size`` |O| (1 for a plain coefficient).  Pass iff z <= threshold, or iff
+    z > threshold when the rows ``detect`` a coefficient that must not vanish.
+    np.hypot equals abs(complex) bit for bit, np.abs not."""
+    z = np.sqrt(est.sample_size * size) * np.hypot(est.estimate.real, est.estimate.imag)
+    return _verdict_rows(m, labels, est, z, threshold, z > threshold if detect else None)
 
 
-def _orbit_rows(m: int, labels, table, rows, threshold: float) -> list:
-    """The same bound on the Weyl-orbit means of the Weyl rows ``rows``, whose null
-    standard error is 1/sqrt(S |O|): z = sqrt(S |O|) |estimate|."""
-    reports = stats.orbit_means(table, rows)
-    z = np.sqrt(reports.sample_size * table.size) * np.hypot(reports.estimate.real,
-                                                             reports.estimate.imag)
-    return _fourier_rows(m, labels, reports, z, threshold)
+def _matched_rows(m: int, labels, est, expect, threshold: float) -> list:
+    """Each estimate must sit within ``threshold`` standard errors of ``expect``."""
+    expect = np.asarray(expect, dtype=np.complex128)
+    z = np.hypot(est.estimate.real - expect.real, est.estimate.imag - expect.imag)
+    return _verdict_rows(m, labels, est, z / np.maximum(est.std_error, 1e-300), threshold)
 
 
-def _two_sample_rows(m: int, reports_a, reports_b, threshold: float) -> list:
-    verdicts = stats.two_sample_test(reports_a, reports_b, threshold)
-    return [_row(m, v.statistic, v.z_score, v.threshold, r) for v, r in zip(verdicts, reports_a)]
-
-
-def _match_row(m: int, statistic: str, report, expect, threshold: float) -> VerdictRow:
-    """The estimate must sit within ``threshold`` standard errors of ``expect``."""
-    dz = abs(report.estimate - expect) / max(report.std_error, 1e-300)
-    return _row(m, statistic, dz, threshold, report)
+def _two_sample_rows(m: int, labels, est_a, est_b, threshold: float) -> list:
+    return _verdict_rows(m, labels, est_a, stats.two_sample_test(est_a, est_b), threshold)
 
 
 def _detection_need(threshold: float, value: complex, size: int) -> int:
@@ -269,11 +258,9 @@ def _detection_need(threshold: float, value: complex, size: int) -> int:
     return int(np.ceil((threshold / abs(value)) ** 2 / size * (1.0 - 1e-9)))
 
 
-def _trace_rows(m: int, desc, reports, threshold: float) -> list:
-    """Trace reports matched against their exact fixed-law values."""
-    mean, abs2 = fixed_law_trace_moments(desc)
-    return [_match_row(m, r.statistic, r, abs2 if r.statistic.startswith("trace_abs2") else mean,
-                       threshold) for r in reports]
+def _trace_expect(desc, k_max: int) -> np.ndarray:
+    """The exact fixed-law value of each trace moment, in :func:`stats.trace_labels` order."""
+    return np.tile(fixed_law_trace_moments(desc), k_max)
 
 
 def _angle_rows(law, m: int, r_samp, size: int) -> np.ndarray:
@@ -304,22 +291,26 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     """
     table = stats.orbit_table(desc, config.max_lattice_degree)
     labels = stats.fourier_labels(table.lattice, "orbit")
+    trace_ids = stats.trace_labels(config.trace_k_max)
+    expect = _trace_expect(desc, config.trace_k_max)
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))  # two of each four unused: fixed stream layout
     for i, m in enumerate(config.powers):
         r_samp, r_weyl = rngs[4 * i:4 * i + 2]
         angles = _angle_rows(law, m, r_samp, config.samples)
-        rows += _orbit_rows(m, labels, table, pre.weyl_rows(desc, angles), config.threshold)
+        rows += _bound_rows(m, labels, stats.orbit_means(table, pre.weyl_rows(desc, angles)),
+                            config.threshold, table.size)
         coords = pre.uniform_torus_rows(desc, angles, r_weyl)
         for j in range(desc.torus_rank):
-            ks = stats.ks_uniform(coords[:, j])
-            rows.append(_row(m, f"ks_uniform[{j}]", ks.z_score, ks.threshold))
-        rows += _trace_rows(m, desc, stats.spectral_trace_moments(angles, config.trace_k_max),
-                            config.threshold)
+            rows.append(_row(m, f"ks_uniform[{j}]", stats.ks_uniform(coords[:, j]),
+                             stats.KS_THRESHOLD_1PCT))
+        rows += _matched_rows(m, trace_ids,
+                              stats.spectral_trace_moments(angles, config.trace_k_max), expect,
+                              config.threshold)
     return rows, {}
 
 
-def _preimage_limit_moments(desc, law, size: int, r_law, r_pre, r_y) -> list:
+def _preimage_limit_moments(desc, law, size: int, r_law, r_pre, r_y) -> stats.Estimates:
     """Entry moments of psi(flag, Y) over the preimages of ``size`` fresh draws of
     ``law``: uniform preimages with ``r_pre``, sorted ones when it is None.  The
     matrices are freed here, before the caller draws its next side."""
@@ -327,7 +318,7 @@ def _preimage_limit_moments(desc, law, size: int, r_law, r_pre, r_y) -> list:
     return stats.entry_moments(pre.limit_law_batch(flags, desc, r_y))
 
 
-def _limit_entry_moments(config: ExperimentConfig, desc, law, r_b, r_pre, r_y) -> list:
+def _limit_entry_moments(config: ExperimentConfig, desc, law, r_b, r_pre, r_y) -> stats.Estimates:
     """Entry moments of the m-free limit side, Haar^D or psi(flag, Y) over uniform
     preimages of an independent run of ``law``; its matrices are freed here."""
     if config.target == "haar_power":
@@ -344,14 +335,18 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
     each power draws and powers its own U.  Both limit sides have the fixed
     eigenvalue law, so trace moments are matched against its exact values.
     """
+    entry_ids = stats.entry_labels(desc.matrix_size)
+    trace_ids = stats.trace_labels(config.trace_k_max)
+    expect = _trace_expect(desc, config.trace_k_max)
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))
     limit = _limit_entry_moments(config, desc, law, *rngs[1:4])
     for i, m in enumerate(config.powers):
         powered = power_batch(law.sample_batch(rngs[4 * i], config.samples), m)
-        rows += _two_sample_rows(m, stats.entry_moments(powered), limit, config.threshold)
-        rows += _trace_rows(m, desc, stats.trace_moments(powered, config.trace_k_max),
-                            config.threshold)
+        rows += _two_sample_rows(m, entry_ids, stats.entry_moments(powered), limit,
+                                 config.threshold)
+        rows += _matched_rows(m, trace_ids, stats.trace_moments(powered, config.trace_k_max),
+                              expect, config.threshold)
     return rows, {}
 
 
@@ -414,18 +409,19 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
         weyl = pre.weyl_rows(desc, angles)
         if m == thr or not pushed[m]:
             # the oracle says uniform: every orbit of the coefficient box must vanish
-            rows += _orbit_rows(m, labels, table, weyl, config.threshold)
+            rows += _bound_rows(m, labels, stats.orbit_means(table, weyl), config.threshold,
+                                table.size)
         else:
             # the oracle says not yet: a surviving coefficient must be seen
             # (the one row that passes when z *exceeds* the threshold) and
             # must match the symbolic value
             orb = tested[m]
-            report = stats.orbit_report(orb, weyl)
-            z = float(np.sqrt(report.sample_size * orb.size) * abs(report.estimate))
-            rows.append(_row(m, f"detect@{report.statistic}", z, config.threshold, report,
-                             passed=z > config.threshold))
-            rows.append(_match_row(m, f"match@{report.statistic}", report,
-                                   pushed[m][orb.label], config.threshold))
+            est = stats.orbit_report(orb, weyl)
+            label = stats.fourier_labels([orb.label], "orbit")[0]
+            rows += _bound_rows(m, [f"detect@{label}"], est, config.threshold, orb.size,
+                                detect=True)
+            rows += _matched_rows(m, [f"match@{label}"], est, [pushed[m][orb.label]],
+                                  config.threshold)
     return rows, notes
 
 
@@ -436,7 +432,8 @@ def _preimage_invariance(config: ExperimentConfig, desc, law, seq):
     r_a, r_b, r_w, r_y1, r_y2 = _rngs(seq, 5)
     side_a = _preimage_limit_moments(desc, law, config.samples, r_a, None, r_y1)
     side_b = _preimage_limit_moments(desc, law, config.samples, r_b, r_w, r_y2)
-    return _two_sample_rows(0, side_a, side_b, config.threshold), {}
+    return _two_sample_rows(0, stats.entry_labels(desc.matrix_size), side_a, side_b,
+                            config.threshold), {}
 
 
 def _torus_suite(config: ExperimentConfig, desc, law, seq):
@@ -479,15 +476,16 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
             rows.append(_row(m, f"contraction[{i}]", max(after - before, 0.0), 1e-12))
         sample = torus.sample_grid(grid, r_samp, config.samples)
         spun = torus.power_angles(sample, 50)
-        rows += _bound_rows(50, [f"spun[{i}]@{lab}" for lab in labels], spun, lattice,
-                            config.threshold)
-        reports = stats.empirical_fourier_many(sample, lattice)
+        rows += _bound_rows(50, [f"spun[{i}]@{lab}" for lab in labels],
+                            stats.empirical_fourier_many(spun, lattice), config.threshold)
         # a_p * jitter in real and imaginary parts: bit-equal to the scalar product
         a = np.array([dens.coefficients.get(k, 0.0) for k in keys], dtype=np.complex128)
-        z = np.hypot(reports.estimate.real - (a.real * jitter.real - a.imag * jitter.imag),
-                     reports.estimate.imag - (a.real * jitter.imag + a.imag * jitter.real))
-        rows += _fourier_rows(1, [f"match[{i}]@{lab}" for lab in labels], reports,
-                              z / np.maximum(reports.std_error, 1e-300), config.threshold)
+        expect = np.empty_like(a)
+        expect.real, expect.imag = (a.real * jitter.real - a.imag * jitter.imag,
+                                    a.real * jitter.imag + a.imag * jitter.real)
+        rows += _matched_rows(1, [f"match[{i}]@{lab}" for lab in labels],
+                              stats.empirical_fourier_many(sample, lattice), expect,
+                              config.threshold)
     return rows, {}
 
 

@@ -12,11 +12,12 @@ Weak convergence is checked through finite fingerprint families:
 * entry moments E[g_jk] and E[g_jk conj(g_lm)] (full group-law
   fingerprints).
 
-Estimates travel as :class:`MomentReport` rows, a Fourier lattice's or an
-orbit table's as one :class:`FourierReports` of arrays; :func:`two_sample_test`
-turns matched report lists into one z-score verdict per statistic, on the
-modulus of the complex difference.  Estimators are plain sample means, so they are
-permutation invariant in the sample order.
+Every estimator returns one :class:`Estimates` record of arrays, one entry per
+statistic; the caller names the statistics once per run (:func:`fourier_labels`,
+:func:`trace_labels`, :func:`entry_labels`).  :func:`two_sample_test` turns two
+matched records into one z-score per statistic, on the modulus of the complex
+difference.  Estimators are plain sample means, so they are permutation invariant
+in the sample order.
 """
 
 from __future__ import annotations
@@ -33,58 +34,10 @@ KS_THRESHOLD_1PCT = 1.63  # sqrt(S) * D_S acceptance point at the 1% level
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    """One estimated statistic: mean, plug-in standard error, sample size."""
+class Estimates:
+    """Sample means over ``sample_size`` draws: a complex ``estimate`` and a plug-in
+    ``std_error`` array, one entry per statistic; len() counts the statistics."""
 
-    statistic: str
-    estimate: complex
-    std_error: float
-    sample_size: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.std_error) or self.std_error < 0.0:
-            raise ValueError("std_error must be a finite nonnegative real")
-
-
-@dataclass(frozen=True)
-class TestVerdict:
-    """A z-score compared against a threshold."""
-
-    statistic: str
-    z_score: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        """Pass iff |z| <= threshold."""
-        return bool(abs(self.z_score) <= self.threshold)
-
-
-def _std_error(spread, s: int):
-    """Standard error of a mean from the plug-in variance ``spread`` (a float or an array)."""
-    return np.sqrt(spread * s / (s - 1)) / np.sqrt(s)
-
-
-def _report_from_values(statistic: str, values: np.ndarray) -> MomentReport:
-    s = values.shape[0]
-    if s < 2:
-        raise ValueError("need at least two samples")
-    mean = complex(values.mean())
-    spread = float(np.mean(np.abs(values - mean) ** 2))
-    return MomentReport(statistic, mean, float(_std_error(spread, s)), s)
-
-
-# ---------------------------------------------------------------------------
-# empirical Fourier coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FourierReports:
-    """Estimates of E exp(-i p.theta) over ``sample_size`` draws: a complex ``estimate``
-    and a ``std_error`` array, one entry per ``lattice`` row; len() counts the rows."""
-
-    lattice: np.ndarray
     estimate: np.ndarray
     std_error: np.ndarray
     sample_size: int
@@ -94,7 +47,29 @@ class FourierReports:
             raise ValueError("std_error must be a finite nonnegative real")
 
     def __len__(self) -> int:
-        return self.lattice.shape[0]
+        return self.estimate.shape[0]
+
+
+def _std_error(spread, s: int):
+    """Standard error of a mean from the plug-in variance ``spread`` (a float or an array)."""
+    return np.sqrt(spread * s / (s - 1)) / np.sqrt(s)
+
+
+def _column_estimates(s: int, columns) -> Estimates:
+    """The mean and plug-in spread of each (S,) value column, one column at a time:
+    a column is read in place, and no (S, K) table is built."""
+    if s < 2:
+        raise ValueError("need at least two samples")
+    means, spreads = [], []
+    for values in columns:
+        means.append(complex(values.mean()))
+        spreads.append(np.mean(np.abs(values - means[-1]) ** 2))
+    return Estimates(np.array(means, dtype=np.complex128), _std_error(np.array(spreads), s), s)
+
+
+# ---------------------------------------------------------------------------
+# empirical Fourier coefficients
+# ---------------------------------------------------------------------------
 
 
 def fourier_labels(lattice, kind: str = "fourier") -> list[str]:
@@ -103,7 +78,7 @@ def fourier_labels(lattice, kind: str = "fourier") -> list[str]:
     return [f"{kind}[" + ",".join(map(str, p)) + "]" for p in np.asarray(lattice).tolist()]
 
 
-def empirical_fourier_many(sample, lattice) -> FourierReports:
+def empirical_fourier_many(sample, lattice) -> Estimates:
     """Estimates of E exp(-i p.theta) at every lattice row.
 
     The values have unit modulus, so the sample variance collapses to
@@ -120,7 +95,7 @@ def empirical_fourier_many(sample, lattice) -> FourierReports:
         raise ValueError("need at least two samples")
     mean = fourier_sums(rows, lattice) / s
     spread = np.maximum(1.0 - np.hypot(mean.real, mean.imag) ** 2, 0.0)
-    return FourierReports(lattice, mean, _std_error(spread, s), s)
+    return Estimates(mean, _std_error(spread, s), s)
 
 
 def lattice_ball(rank: int, max_degree: int) -> np.ndarray:
@@ -239,7 +214,7 @@ def orbit_table(desc: GroupDescriptor, max_degree: int) -> OrbitTable:
                       points, np.concatenate([row[orbit], row[conj[orbit]]]))
 
 
-def orbit_means(table: OrbitTable, rows) -> FourierReports:
+def orbit_means(table: OrbitTable, rows) -> Estimates:
     """Each orbit's mean of the plain coefficients E exp(-i q.theta) of the Weyl rows
     (S, L) of ``preimage.weyl_rows``: the uniform-preimage coefficient at its label.
 
@@ -258,7 +233,7 @@ def orbit_means(table: OrbitTable, rows) -> FourierReports:
     re = np.bincount(table.index, np.concatenate([sums.real, sums.real]), count)[:-1]
     im = np.bincount(table.index, np.concatenate([sums.imag, -sums.imag]), count)[:-1]
     estimate = re / table.size + 1j * (np.where(table.real, 0.0, im) / table.size)
-    return FourierReports(table.lattice, estimate, 1.0 / np.sqrt(s * table.size), s)
+    return Estimates(estimate, 1.0 / np.sqrt(s * table.size), s)
 
 
 @dataclass(frozen=True)
@@ -285,9 +260,9 @@ def orbit(desc: GroupDescriptor, p) -> Orbit:
                  np.unique(_weyl_images(desc.family, key)[0], axis=0), mine == conj)
 
 
-def orbit_report(orb: Orbit, rows) -> MomentReport:
+def orbit_report(orb: Orbit, rows) -> Estimates:
     """The mean over ``orb`` of the plain coefficients of the Weyl rows, as in
-    :func:`orbit_means`, with the plug-in standard error of the per-row mean
+    :func:`orbit_means`, as a one-row record with the plug-in standard error of the per-row mean
     y = mean_q exp(-i q.theta).  E|y|^2 is the mean over member pairs (q, q') of the
     coefficient at q - q', so one ``fourier_sums`` call at the members and their
     distinct differences gives both moments, and no (S, |O|) table is built.
@@ -310,8 +285,7 @@ def orbit_report(orb: Orbit, rows) -> MomentReport:
     if orb.real:
         mean = complex(mean.real, 0.0)
     spread = max(float(sums[size:].sum().real) / (size * size) - abs(mean) ** 2, 0.0)
-    return MomentReport(fourier_labels([orb.label], "orbit")[0], mean,
-                        float(_std_error(spread, s)), s)
+    return Estimates(np.array([mean]), _std_error(np.array([spread]), s), s)
 
 
 # ---------------------------------------------------------------------------
@@ -319,32 +293,31 @@ def orbit_report(orb: Orbit, rows) -> MomentReport:
 # ---------------------------------------------------------------------------
 
 
-def _trace_reports(k: int, tr: np.ndarray) -> list[MomentReport]:
-    return [_report_from_values(f"trace[{k}]", tr),
-            _report_from_values(f"trace_abs2[{k}]", np.abs(tr) ** 2)]
+def trace_labels(k_max: int) -> list[str]:
+    """The statistic ids of the trace moments, ``trace[k]`` and ``trace_abs2[k]`` per k."""
+    return [f"{name}[{k}]" for k in range(1, k_max + 1) for name in ("trace", "trace_abs2")]
 
 
-def trace_moments(mats: np.ndarray, k_max: int) -> list[MomentReport]:
+def _trace_estimates(s: int, traces) -> Estimates:
+    """Tr(g^k) and |Tr(g^k)|^2 for each (S,) trace column in turn."""
+    return _column_estimates(s, (col for tr in traces for col in (tr, np.abs(tr) ** 2)))
+
+
+def trace_moments(mats: np.ndarray, k_max: int) -> Estimates:
     """Tr(g^k) and |Tr(g^k)|^2 for k = 1..k_max over a (S, N, N) stack; up to
     N = SMALL_N g^k accumulates on entry planes (einsum sums their diagonal in order)."""
     small = mats.shape[-1] <= SMALL_N
-    matmul = _plane_matmul if small else np.matmul
-    acc = mats = np.asfortranarray(mats) if small else mats
-    out = []
-    for k in range(1, k_max + 1):
-        if k > 1:
-            acc = matmul(acc, mats)
-        out += _trace_reports(k, np.einsum("sii->s", acc))
-    return out
+    mats = np.asfortranarray(mats) if small else mats
+    powers = itertools.accumulate(itertools.repeat(mats, k_max - 1),
+                                  _plane_matmul if small else np.matmul, initial=mats)
+    return _trace_estimates(mats.shape[0], (np.einsum("sii->s", acc) for acc in powers))
 
 
-def spectral_trace_moments(angle_rows: np.ndarray, k_max: int) -> list[MomentReport]:
+def spectral_trace_moments(angle_rows: np.ndarray, k_max: int) -> Estimates:
     """Same statistics computed from eigenangle rows: Tr(g^k) = sum_j e^{ik theta_j}."""
     rows = np.asarray(getattr(angle_rows, "rows", angle_rows), dtype=np.float64)
-    out = []
-    for k in range(1, k_max + 1):
-        out += _trace_reports(k, np.exp(1j * k * rows).sum(axis=1))
-    return out
+    return _trace_estimates(rows.shape[0], (np.exp(1j * k * rows).sum(axis=1)
+                                            for k in range(1, k_max + 1)))
 
 
 def entry_moment_schedule(n: int) -> list[tuple]:
@@ -361,17 +334,18 @@ def entry_moment_schedule(n: int) -> list[tuple]:
     return pairs
 
 
-def entry_moments(mats: np.ndarray) -> list[MomentReport]:
+def entry_labels(n: int) -> list[str]:
+    """The statistic ids of the entry moments of N x N matrices, in their order."""
+    return [f"entry[{j},{k}]" for j in range(n) for k in range(n)] + [
+        f"entry2[{j},{k}|{l},{m}]" for (j, k), (l, m) in entry_moment_schedule(n)]
+
+
+def entry_moments(mats: np.ndarray) -> Estimates:
     """First moments of every entry plus scheduled second moments, over a (S, N, N) stack."""
     n = mats.shape[-1]
-    out = []
-    for j in range(n):
-        for k in range(n):
-            out.append(_report_from_values(f"entry[{j},{k}]", mats[:, j, k]))
-    for (j, k), (l, m) in entry_moment_schedule(n):
-        values = mats[:, j, k] * mats[:, l, m].conj()
-        out.append(_report_from_values(f"entry2[{j},{k}|{l},{m}]", values))
-    return out
+    firsts = (mats[:, j, k] for j in range(n) for k in range(n))
+    seconds = (mats[:, j, k] * mats[:, l, m].conj() for (j, k), (l, m) in entry_moment_schedule(n))
+    return _column_estimates(mats.shape[0], itertools.chain(firsts, seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +353,21 @@ def entry_moments(mats: np.ndarray) -> list[MomentReport]:
 # ---------------------------------------------------------------------------
 
 
-def two_sample_test(reports_a, reports_b, threshold: float = 5.0) -> list[TestVerdict]:
-    """One verdict per statistic: z = |est_a - est_b| / sqrt(se_a^2 + se_b^2),
-    the modulus of the complex difference; statistic ids must match pairwise."""
-    if len(reports_a) != len(reports_b):
-        raise ValueError("report lists must have equal length")
-    out = []
-    for a, b in zip(reports_a, reports_b):
-        if a.statistic != b.statistic:
-            raise ValueError(f"mismatched statistics: {a.statistic} vs {b.statistic}")
-        diff, denom = abs(a.estimate - b.estimate), float(np.hypot(a.std_error, b.std_error))
-        z = diff / denom if denom else (0.0 if diff == 0.0 else np.inf)
-        out.append(TestVerdict(a.statistic, z, threshold))
-    return out
+def two_sample_test(a: Estimates, b: Estimates) -> np.ndarray:
+    """z = |est_a - est_b| / sqrt(se_a^2 + se_b^2) per statistic, the modulus of the
+    complex difference; a zero denominator gives 0 for equal estimates, inf otherwise.
+    The two records list the same statistics in the same order."""
+    if len(a) != len(b):
+        raise ValueError("estimate records must have equal length")
+    diff = np.hypot(a.estimate.real - b.estimate.real, a.estimate.imag - b.estimate.imag)
+    denom = np.hypot(a.std_error, b.std_error)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, diff / denom, np.where(diff == 0.0, 0.0, np.inf))
 
 
-def ks_uniform(angles) -> TestVerdict:
-    """Kolmogorov-Smirnov distance of a 1-D sample against uniform [0, 2*pi);
-    pass iff sqrt(S) * D <= 1.63 (the 1% point)."""
+def ks_uniform(angles) -> float:
+    """z = sqrt(S) * D, D the Kolmogorov-Smirnov distance of a 1-D sample against
+    uniform [0, 2*pi); pass iff z <= ``KS_THRESHOLD_1PCT`` (the 1% point)."""
     x = np.sort(np.asarray(angles, dtype=np.float64).ravel())
     s = x.shape[0]
     if s < 50:
@@ -405,5 +376,4 @@ def ks_uniform(angles) -> TestVerdict:
     upper = np.max(np.arange(1, s + 1) / s - cdf)
     lower = np.max(cdf - np.arange(0, s) / s)
     d = max(upper, lower)
-    z = float(np.sqrt(s) * d)
-    return TestVerdict("ks_uniform", z, KS_THRESHOLD_1PCT)
+    return float(np.sqrt(s) * d)

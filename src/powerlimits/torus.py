@@ -57,10 +57,6 @@ class RejectionError(RuntimeError):
     value exceeds the bound or the squeeze (a wrong envelope), or its rounds ran out."""
 
 
-def _as_lattice_key(p) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.atleast_1d(p))
-
-
 @dataclass(frozen=True)
 class FourierDensity:
     """Probability density on the n-torus with finite Fourier support.
@@ -257,11 +253,6 @@ def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, 
             return np.concatenate(parts)
     raise RejectionError(f"rejection sampler failed to fill the batch in "
                          f"{_REJECTION_ROUNDS} rounds ({got} of {size} draws)")
-
-
-def fourier_coefficient(d: FourierDensity, p) -> complex:
-    """Stored coefficient a_p (= the transform at p), 0 outside support."""
-    return complex(d.coefficients.get(_as_lattice_key(p), 0.0))
 
 
 def fourier_pushforward(d: FourierDensity, m: int) -> FourierDensity:

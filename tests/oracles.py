@@ -1,11 +1,14 @@
 """Reference implementations that only the tests read."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from powerlimits.experiments import VerdictRow
 from powerlimits.groups import GroupDescriptor
-from powerlimits.stats import MomentReport, empirical_fourier_many, fourier_labels, lattice_ball
+from powerlimits.stats import (_std_error, empirical_fourier_many, entry_moment_schedule,
+                               fourier_labels, lattice_ball)
 from powerlimits.torus import AngleSample, FourierDensity, GridDensity
 from powerlimits._kernels import TAU, _factors, _layout, _power_table, _split, wrap_angles
 
@@ -17,11 +20,106 @@ def rains_limit_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int
     return wrap_angles(y @ desc.monomials.T.astype(np.float64))
 
 
+# ---------------------------------------------------------------------------
+# the scalar estimate and verdict path: one report object per statistic
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    """One estimated statistic: mean, plug-in standard error, sample size."""
+
+    statistic: str
+    estimate: complex
+    std_error: float
+    sample_size: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.std_error) or self.std_error < 0.0:
+            raise ValueError("std_error must be a finite nonnegative real")
+
+
+def _report_from_values(statistic: str, values: np.ndarray) -> MomentReport:
+    s = values.shape[0]
+    if s < 2:
+        raise ValueError("need at least two samples")
+    mean = complex(values.mean())
+    spread = float(np.mean(np.abs(values - mean) ** 2))
+    return MomentReport(statistic, mean, float(_std_error(spread, s)), s)
+
+
+def scalar_trace_moments(traces) -> list:
+    """Reports of Tr(g^k) and |Tr(g^k)|^2 from the (S,) trace column of each k = 1, 2, ..."""
+    out = []
+    for k, tr in enumerate(traces, start=1):
+        out += [_report_from_values(f"trace[{k}]", tr),
+                _report_from_values(f"trace_abs2[{k}]", np.abs(tr) ** 2)]
+    return out
+
+
+def scalar_entry_moments(mats: np.ndarray) -> list:
+    """Reports of every entry and of the scheduled second moments, one at a time."""
+    n = mats.shape[-1]
+    out = [_report_from_values(f"entry[{j},{k}]", mats[:, j, k])
+           for j in range(n) for k in range(n)]
+    for (j, k), (l, m) in entry_moment_schedule(n):
+        out.append(_report_from_values(f"entry2[{j},{k}|{l},{m}]",
+                                       mats[:, j, k] * mats[:, l, m].conj()))
+    return out
+
+
+def scalar_two_sample_test(reports_a, reports_b) -> list:
+    """One z per statistic, |est_a - est_b| / sqrt(se_a^2 + se_b^2); ids must match."""
+    out = []
+    for a, b in zip(reports_a, reports_b, strict=True):
+        if a.statistic != b.statistic:
+            raise ValueError(f"mismatched statistics: {a.statistic} vs {b.statistic}")
+        diff, denom = abs(a.estimate - b.estimate), float(np.hypot(a.std_error, b.std_error))
+        out.append(diff / denom if denom else (0.0 if diff == 0.0 else np.inf))
+    return out
+
+
+def scalar_row(m: int, statistic: str, z, threshold, report=None, passed=None) -> VerdictRow:
+    """A verdict row: it passes iff |z| <= threshold unless ``passed`` says otherwise,
+    and carries ``report``'s estimate."""
+    return VerdictRow(m, statistic,
+                      float(report.estimate.real) if report else None,
+                      float(report.estimate.imag) if report else None,
+                      float(report.std_error) if report else None,
+                      float(z), float(threshold),
+                      bool(abs(z) <= threshold if passed is None else passed))
+
+
+def _match_row(m: int, statistic: str, report, expect, threshold: float) -> VerdictRow:
+    """The estimate must sit within ``threshold`` standard errors of ``expect``."""
+    dz = abs(report.estimate - expect) / max(report.std_error, 1e-300)
+    return scalar_row(m, statistic, dz, threshold, report)
+
+
+def scalar_ks_uniform(angles) -> float:
+    """sqrt(S) D of the Kolmogorov-Smirnov distance to uniform [0, 2 pi), one point at a time."""
+    x = sorted(float(a) for a in np.ravel(angles))
+    s = len(x)
+    d = max(max((i + 1) / s - v / (2.0 * np.pi), v / (2.0 * np.pi) - i / s)
+            for i, v in enumerate(x))
+    return float(np.sqrt(s) * d)
+
+
 def empirical_fourier(sample, p) -> MomentReport:
-    """The report of ``stats.empirical_fourier_many`` at the single lattice point p."""
-    reports = empirical_fourier_many(sample, np.atleast_2d(np.asarray(p)))
-    return MomentReport(fourier_labels(reports.lattice)[0], complex(reports.estimate[0]),
-                        float(reports.std_error[0]), reports.sample_size)
+    """The estimate of ``stats.empirical_fourier_many`` at the single lattice point p."""
+    p = np.atleast_2d(np.asarray(p))
+    est = empirical_fourier_many(sample, p)
+    return MomentReport(fourier_labels(p)[0], complex(est.estimate[0]),
+                        float(est.std_error[0]), est.sample_size)
+
+
+def _as_lattice_key(p) -> tuple[int, ...]:
+    return tuple(int(x) for x in np.atleast_1d(p))
+
+
+def fourier_coefficient(d: FourierDensity, p) -> complex:
+    """Stored coefficient a_p (= the transform at p), 0 outside support."""
+    return complex(d.coefficients.get(_as_lattice_key(p), 0.0))
 
 
 def _convolve(a: dict, b: dict) -> dict:

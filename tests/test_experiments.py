@@ -12,13 +12,23 @@ import numpy as np
 import pytest
 
 from powerlimits import cli, experiments, groups, preimage, samplers, stats, torus
-from powerlimits._kernels import fourier_sums
+from powerlimits._kernels import _plane_matmul, fourier_sums
 from powerlimits.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
     _kind_fields,
     run_experiment,
+)
+from oracles import (
+    MomentReport,
+    _match_row,
+    fourier_coefficient,
+    scalar_entry_moments,
+    scalar_ks_uniform,
+    scalar_row,
+    scalar_trace_moments,
+    scalar_two_sample_test,
 )
 
 
@@ -468,11 +478,28 @@ class TestReports:
         assert rep.raw_pass == all(r.passed for r in rep.rows)
 
 
+def _bits(rows) -> list:
+    """Each row's fields by repr, which tells every float apart, -0.0 from 0.0 too."""
+    return [repr(r) for r in rows]
+
+
+def _matrix_traces(mats, k_max: int) -> list:
+    """Tr(g^k) for k = 1..k_max by the products ``stats.trace_moments`` takes on N <= 3."""
+    acc = mats = np.asfortranarray(mats)
+    out = []
+    for k in range(1, k_max + 1):
+        if k > 1:
+            acc = _plane_matmul(acc, mats)
+        out.append(np.einsum("sii->s", acc))
+    return out
+
+
 class TestFourierRowsBitIdentity:
-    """The Fourier rows are built from arrays in one pass; each must equal, float
-    for float, the scalar formula it replaced.  np.abs of a complex array and an
-    array complex multiply can both differ from the scalar results in the last
-    ulp, so each test first shows that its sample hits that trap."""
+    """Every estimate row is built from one record of arrays in one vector pass; each
+    must equal, float for float, the scalar formula it replaced (``tests/oracles.py``
+    keeps that per-statistic path).  np.abs of a complex array and an array complex
+    multiply can both differ from the scalar results in the last ulp, so the Fourier
+    tests first show that their sample hits that trap."""
 
     @staticmethod
     def _scalar_std_error(estimate: complex, s: int) -> float:
@@ -486,7 +513,7 @@ class TestFourierRowsBitIdentity:
         scalar = [complex(mean) for mean in means]
         assert np.any(np.abs(means) != [abs(e) for e in scalar])
         labels = stats.fourier_labels(lattice)
-        built = experiments._bound_rows(4, labels, rows, lattice, 5.0)
+        built = experiments._bound_rows(4, labels, stats.empirical_fourier_many(rows, lattice), 5.0)
         assert [r.statistic for r in built] == labels
         for row, est in zip(built, scalar):
             z = float(np.sqrt(3000) * abs(est))
@@ -510,7 +537,7 @@ class TestFourierRowsBitIdentity:
             for k, p in enumerate(lattice.tolist()):
                 row = rows[i * len(lattice) + k]
                 assert row.statistic == f"match[{i}]@fourier[{p[0]},{p[1]}]"
-                a = torus.fourier_coefficient(dens, p)
+                a = fourier_coefficient(dens, p)
                 est = complex(row.estimate_re, row.estimate_im)
                 z = abs(est - a * jitter[k]) / max(row.std_error, 1e-300)
                 assert row.std_error == self._scalar_std_error(est, 3000)
@@ -520,6 +547,85 @@ class TestFourierRowsBitIdentity:
         products = np.array(coeffs) * np.tile(jitter, 3)
         assert np.any(products != [a * j for a, j in zip(coeffs, np.tile(jitter, 3))])
         assert np.any(np.abs(np.array(diffs)) != [abs(complex(d)) for d in diffs])
+
+    @pytest.mark.parametrize("desc", [groups.unitary(2), groups.unitary(3),
+                                      groups.special_orthogonal_odd(3)], ids=repr)
+    def test_entry_two_sample_rows_equal_the_scalar_loop(self, desc):
+        rng = np.random.default_rng(22)
+        law = samplers.PerturbedHaarLaw(desc, 0.5)
+        powered = groups.power_batch(law.sample_batch(rng, 3000), 3)
+        limit = groups.haar_batch(desc, rng, 3000)
+        built = experiments._two_sample_rows(3, stats.entry_labels(desc.matrix_size),
+                                             stats.entry_moments(powered),
+                                             stats.entry_moments(limit), 5.0)
+        ref_a, ref_b = scalar_entry_moments(powered), scalar_entry_moments(limit)
+        z = scalar_two_sample_test(ref_a, ref_b)
+        assert _bits(built) == _bits(scalar_row(3, r.statistic, zz, 5.0, r)
+                                     for r, zz in zip(ref_a, z))
+
+    @pytest.mark.parametrize("family, n, law", [
+        ("U", 3, {"type": "point_mass"}), ("SO", 3, {"type": "perturbed_haar", "strength": 0.5}),
+        ("U", 2, {"type": "mixture_u2"})])
+    def test_trace_match_rows_equal_the_scalar_formula(self, family, n, law):
+        # a point mass has zero spread: its z divides by the 1e-300 floor
+        cfg = small_config(experiment="group_limit", family=family, matrix_size=n, law=law,
+                           powers=[2, 5], target="haar_power", samples=2000)
+        desc, built = cfg.descriptor(), run_experiment(cfg).rows
+        mean, abs2 = groups.fixed_law_trace_moments(desc)
+        rngs = experiments._rngs(np.random.SeedSequence(cfg.seed), 4 * len(cfg.powers))
+        for i, m in enumerate(cfg.powers):
+            powered = groups.power_batch(cfg.build_law().sample_batch(rngs[4 * i], cfg.samples), m)
+            want = [_match_row(m, r.statistic, r, abs2 if r.statistic.startswith("trace_abs2")
+                               else mean, cfg.threshold)
+                    for r in scalar_trace_moments(_matrix_traces(powered, cfg.trace_k_max))]
+            got = [r for r in built if r.m == m and r.statistic.startswith("trace")]
+            assert _bits(got) == _bits(want)
+            if law["type"] == "point_mass":
+                assert all(r.std_error == 0.0 and not r.passed for r in got)
+
+    @pytest.mark.parametrize("family, n, law", [
+        ("U", 2, {"type": "haar"}), ("U", 2, {"type": "perturbed_haar", "strength": 0.5}),
+        ("U", 3, {"type": "perturbed_haar", "strength": 0.5}), ("SO", 3, {"type": "haar"})])
+    def test_detect_and_match_orbit_rows_equal_the_scalar_formulas(self, family, n, law):
+        cfg = small_config(experiment="exact_threshold", family=family, matrix_size=n, law=law,
+                           samples=3000)
+        rep = run_experiment(cfg)
+        desc, dens, s = cfg.descriptor(), samplers.symbolic_eigen_density(cfg.build_law()), 3000
+        rngs = experiments._rngs(np.random.SeedSequence(cfg.seed), 2 * rep.notes["threshold"])
+        detect = [r for r in rep.rows if r.statistic.startswith("detect@")]
+        assert detect
+        for row in detect:
+            m, label = row.m, row.statistic.removeprefix("detect@")
+            orb = stats.orbit(desc, [int(x) for x in label[6:-1].split(",")])
+            angles = experiments._angle_rows(cfg.build_law(), m, rngs[2 * (m - 1)], s)
+            est = stats.orbit_report(orb, preimage.weyl_rows(desc, angles))
+            report = MomentReport(label, complex(est.estimate[0]), float(est.std_error[0]), s)
+            z = float(np.sqrt(s * orb.size) * abs(report.estimate))
+            want = [scalar_row(m, f"detect@{label}", z, cfg.threshold, report,
+                               passed=z > cfg.threshold),
+                    _match_row(m, f"match@{label}", report,
+                               torus.fourier_pushforward(dens, m).coefficients[orb.label],
+                               cfg.threshold)]
+            assert _bits([r for r in rep.rows if r.m == m][:2]) == _bits(want)
+
+    @pytest.mark.parametrize("family, n", [("U", 3), ("SU", 3), ("SO", 5)])
+    def test_ks_and_spectral_trace_rows_equal_the_scalar_formulas(self, family, n):
+        cfg = small_config(family=family, matrix_size=n, powers=[1, 4], samples=2000,
+                           law={"type": "perturbed_haar", "strength": 0.5})
+        rep, desc = run_experiment(cfg), cfg.descriptor()
+        mean, abs2 = groups.fixed_law_trace_moments(desc)
+        rngs = experiments._rngs(np.random.SeedSequence(cfg.seed), 4 * len(cfg.powers))
+        for i, m in enumerate(cfg.powers):
+            r_samp, r_weyl = rngs[4 * i:4 * i + 2]
+            angles = experiments._angle_rows(cfg.build_law(), m, r_samp, cfg.samples)
+            coords = preimage.uniform_torus_rows(desc, angles, r_weyl)
+            want = [scalar_row(m, f"ks_uniform[{j}]", scalar_ks_uniform(coords[:, j]),
+                               stats.KS_THRESHOLD_1PCT) for j in range(desc.torus_rank)]
+            traces = [np.exp(1j * k * angles).sum(axis=1) for k in range(1, cfg.trace_k_max + 1)]
+            want += [_match_row(m, r.statistic, r, abs2 if r.statistic.startswith("trace_abs2")
+                                else mean, cfg.threshold) for r in scalar_trace_moments(traces)]
+            got = [r for r in rep.rows if r.m == m and not r.statistic.startswith("orbit[")]
+            assert _bits(got) == _bits(want)
 
 
 def _negated_point(statistic):
