@@ -241,10 +241,11 @@ def _bound_rows(m: int, labels, est, threshold: float, size=1, detect: bool = Fa
 
 
 def _matched_rows(m: int, labels, est, expect, threshold: float) -> list:
-    """Each estimate must sit within ``threshold`` standard errors of ``expect``."""
-    expect = np.asarray(expect, dtype=np.complex128)
-    z = np.hypot(est.estimate.real - expect.real, est.estimate.imag - expect.imag)
-    return _verdict_rows(m, labels, est, z / np.maximum(est.std_error, 1e-300), threshold)
+    """Each estimate must sit within ``threshold`` standard errors of ``expect``: a
+    two-sample row against the exact values as a record of zero spread."""
+    exact = stats.Estimates(np.asarray(expect, dtype=np.complex128), np.zeros(len(est)),
+                            est.sample_size)
+    return _two_sample_rows(m, labels, est, exact, threshold)
 
 
 def _two_sample_rows(m: int, labels, est_a, est_b, threshold: float) -> list:
@@ -375,11 +376,11 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     table = stats.orbit_table(desc, config.max_lattice_degree)
     labels = ["uniform@" + label for label in stats.fourier_labels(table.lattice, "orbit")]
     notes = {"threshold": thr}
-    # the nonzero-frequency coefficients of each pushforward, and the largest; a tie
-    # goes to the first point in lattice (lexicographic) order, whatever the dict order
+    # the nonzero-frequency coefficients of each pushforward, in lattice (lexicographic)
+    # order, and the largest; a tie goes to the first point in that order
     pushed = {m: {p: a for p, a in torus.fourier_pushforward(dens, m).coefficients.items()
                   if any(p)} for m in range(1, thr + 1)}
-    largest = lambda m: max(sorted(pushed[m]), key=lambda p: abs(pushed[m][p]))
+    largest = lambda m: max(pushed[m], key=lambda p: abs(pushed[m][p]))
 
     # the powers below thr whose symbolic pushforward is still non-uniform, each
     # with the orbit its detect@ row tests; the density is Weyl-invariant, so its

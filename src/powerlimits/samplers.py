@@ -57,11 +57,8 @@ def default_mixture_marginal() -> FourierDensity:
     Degree 1, so torus-level stationarity is reached exactly at m >= 2 -
     sharp test material for the mixture limit.
     """
-    coeffs = {}
-    for p1 in (-1, 0, 1):
-        for p2 in (-1, 0, 1):
-            coeffs[(p1, p2)] = 0.5 ** (abs(p1) + abs(p2))
-    return FourierDensity(2, coeffs)
+    points = np.array(list(itertools.product((-1, 0, 1), repeat=2)))
+    return FourierDensity(2, points, 0.5 ** np.abs(points).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -308,20 +305,19 @@ def symbolic_eigen_density(law) -> FourierDensity:
         monomials = np.concatenate([desc.monomials, -desc.monomials])
         box += strength / (2.0 * desc.matrix_size) * _shift_sum(box, monomials)
     kept = np.abs(box) > _COEFF_PRUNE
-    coeffs = (box[kept] / box[centre]).tolist()
-    return FourierDensity(desc.torus_rank,
-                          dict(zip(map(tuple, (np.argwhere(kept) - reach).tolist()), coeffs)))
+    return FourierDensity(desc.torus_rank, np.argwhere(kept) - reach, box[kept] / box[centre])
 
 
 def _symmetrize(d: FourierDensity) -> FourierDensity:
     """The mean over coordinate permutations sigma of the density: each a_p / n! goes to
-    p[sigma], added point by point in the density's order (``bincount`` keeps it)."""
+    p[sigma], added in lattice order (``bincount`` keeps it), so the sums do not depend
+    on the order the density was given in."""
     perms, reach = np.array(list(itertools.permutations(range(d.rank)))), d.max_degree
     shape = (2 * reach + 1,) * d.rank
-    images = np.array(list(d.coefficients))[:, perms].reshape(-1, d.rank) + reach
+    images = d.lattice[:, perms].reshape(-1, d.rank) + reach
     codes, where = np.unique(np.ravel_multi_index(images.T, shape), return_inverse=True)
-    share = np.repeat(np.array(list(d.coefficients.values())), len(perms))
+    share = np.repeat(d.coeffs, len(perms))
     coeffs = (np.bincount(where, share.real / len(perms))
               + 1j * np.bincount(where, share.imag / len(perms)))
     points = np.stack(np.unravel_index(codes, shape), axis=1) - reach
-    return FourierDensity(d.rank, dict(zip(map(tuple, points.tolist()), coeffs.tolist())))
+    return FourierDensity(d.rank, points, coeffs)

@@ -57,77 +57,71 @@ class RejectionError(RuntimeError):
     value exceeds the bound or the squeeze (a wrong envelope), or its rounds ran out."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierDensity:
     """Probability density on the n-torus with finite Fourier support.
 
-    ``coefficients`` maps integer lattice tuples to complex values.
-    Invariants enforced at construction: finite coefficients, a_0 = 1,
-    Hermitian symmetry a_{-p} = conj(a_p), and values >= -1e-9 on a
-    validation grid.
+    One store: ``lattice`` (K, rank) int64 and ``coeffs`` (K,) complex128, read-only
+    and sorted lexicographically by point whatever the input's row order; the
+    ``coefficients`` dict {point: a_p} is a view of them.  Enforced at construction:
+    integer points, each given once, finite coefficients, a_0 = 1, Hermitian symmetry
+    a_{-p} = conj(a_p), and values >= -1e-9 on a validation grid.
     """
 
     rank: int
-    coefficients: dict = field(repr=False)
+    lattice: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        # keys and values as arrays; every check below is written to fail on NaN
-        keys = list(self.coefficients)
-        try:
-            points = (np.array(keys, dtype=np.int64).reshape(len(keys), -1) if keys
-                      else np.zeros((0, self.rank), dtype=np.int64))
-        except ValueError as exc:
-            raise ValueError(f"lattice points must all have rank {self.rank}") from exc
-        if points.shape[1] != self.rank:
-            raise ValueError(f"lattice point {tuple(points[0].tolist())} has wrong rank")
-        values = np.array(list(self.coefficients.values()), dtype=np.complex128)
+        points = np.asarray(self.lattice)
+        values = np.asarray(self.coeffs, dtype=np.complex128)
+        if values.ndim != 1 or points.shape != (values.shape[0], self.rank):
+            raise ValueError(f"lattice and coeffs must be (K, {self.rank}) and (K,) arrays")
+        if points.dtype.kind not in "iu":
+            raise ValueError("lattice points must be integers")
+        # every check below is written to fail on NaN
         modulus = np.hypot(values.real, values.imag)   # NaN or inf where a part is
         if not np.all(modulus < np.inf):
             raise DensityError("coefficients must be finite (no NaN or inf)")
-        is_zero = ~points.any(axis=1)
-        kept = (modulus > _COEFF_PRUNE) | is_zero
-        points, values, is_zero = points[kept], values[kept], is_zero[kept]
-        zero = np.flatnonzero(is_zero)
-        if not (zero.shape[0] == 1 and abs(values[zero[0]] - 1.0) <= _HERMITIAN_TOL):
-            raise DensityError("constant coefficient a_0 must equal 1")
-        values[zero[0]] = 1.0 + 0.0j
-        clean = dict(zip(map(tuple, points.tolist()), values.tolist()))
-        if len(clean) < values.shape[0]:
-            raise ValueError("a lattice point is given twice")
-        # sorted, the points of a symmetric support are their own negated mirror image
+        kept = (modulus > _COEFF_PRUNE) | ~points.any(axis=1)
+        points, values = points[kept].astype(np.int64, copy=False), values[kept]
         order = np.lexsort(points.T[::-1])
         lattice, coeffs = points[order], values[order]
+        zero = np.flatnonzero(~lattice.any(axis=1))
+        if not (zero.shape[0] == 1 and abs(coeffs[zero[0]] - 1.0) <= _HERMITIAN_TOL):
+            raise DensityError("constant coefficient a_0 must equal 1")
+        coeffs[zero[0]] = 1.0 + 0.0j
+        if np.any(np.all(lattice[1:] == lattice[:-1], axis=1)):
+            raise ValueError("a lattice point is given twice")
+        # sorted, the points of a symmetric support are their own negated mirror image
         gap = coeffs[::-1] - coeffs.conj()
-        if not (np.all(lattice == -lattice[::-1])
-                and np.all(np.hypot(gap.real, gap.imag) <= _HERMITIAN_TOL)):
-            bad = next((p for p, a in clean.items() if not abs(
-                clean.get(tuple(-x for x in p), np.nan) - a.conjugate()) <= _HERMITIAN_TOL), None)
-            raise DensityError(f"Hermitian symmetry fails at {bad}")
-        object.__setattr__(self, "coefficients", clean)
+        bad = ~(np.all(lattice == -lattice[::-1], axis=1)
+                & (np.hypot(gap.real, gap.imag) <= _HERMITIAN_TOL))
+        if bad.any():
+            raise DensityError(f"Hermitian symmetry fails at {tuple(lattice[bad][0].tolist())}")
         lattice.setflags(write=False)
         coeffs.setflags(write=False)
-        object.__setattr__(self, "_lattice", lattice)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coeffs", coeffs)
         low = self._validation_minimum()
         if not low >= -TAU_NEG:
             raise DensityError(f"density reaches {low:.3e} < -{TAU_NEG:.0e} on the validation grid")
 
     @property
+    def coefficients(self) -> dict:
+        """{lattice point tuple: a_p} in lattice order, a fresh dict built from the arrays."""
+        return {tuple(p): a for p, a in zip(self.lattice.tolist(), self.coeffs.tolist())}
+
+    @property
     def max_degree(self) -> int:
-        """Largest |p_j| over the nonzero support."""
-        lat = self._lattice
-        if lat.shape[0] <= 1:
-            return 0
-        return int(np.max(np.abs(lat)))
+        """Largest |p_j| over the support (which holds 0)."""
+        return int(np.max(np.abs(self.lattice)))
 
     def _validation_minimum(self) -> float:
         deg = self.max_degree
-        if deg == 0:
-            return 1.0
-        g = max(4 * deg, 8)
-        return float(self.grid_values(g).min())
+        return float(self.grid_values(max(4 * deg, 8)).min()) if deg else 1.0
 
     def grid_values(self, grid_size: int) -> np.ndarray:
         """Series values on the (grid_size,)*rank grid, synthesized directly
@@ -141,17 +135,25 @@ class FourierDensity:
         g = int(grid_size)
         if g <= 2 * self.max_degree:
             raise ValueError(f"grid size {g} must exceed twice the degree {self.max_degree}")
-        return trig_poly_grid(self._lattice, self._coeffs, g)
+        return trig_poly_grid(self.lattice, self.coeffs, g)
 
     # -- config input -------------------------------------------------------
 
     @classmethod
     def from_json(cls, text: str) -> "FourierDensity":
-        """A config's density, JSON text or parsed: {"rank": n, "coeffs": [{"p", "re", "im"}]}."""
+        """A config's density, JSON text or parsed: {"rank": n, "coeffs": [{"p", "re", "im"}]},
+        "im" optional.  Any other key, a rank or coordinate that is not a JSON integer and
+        a point listed twice are refused."""
         data = json.loads(text) if isinstance(text, str) else text
-        coeffs = {tuple(row["p"]): complex(row["re"], row.get("im", 0.0))
-                  for row in data["coeffs"]}
-        return cls(int(data["rank"]), coeffs)
+        rows = data["coeffs"]
+        for obj, known in [(data, {"rank", "coeffs"}), *((row, {"p", "re", "im"}) for row in rows)]:
+            if set(obj) - known:
+                raise ValueError(f"unknown density keys: {sorted(set(obj) - known)}")
+        points = [row["p"] for row in rows]
+        if type(data["rank"]) is not int or not all(type(x) is int for p in points for x in p):
+            raise ValueError("a density's rank and lattice coordinates must be integers")
+        return cls(data["rank"], np.array(points, dtype=np.int64),
+                   [complex(row["re"], row.get("im", 0.0)) for row in rows])
 
     # -- sampling -----------------------------------------------------------
 
@@ -169,7 +171,7 @@ class FourierDensity:
         rows = _rejection_fill(
             rng, size, bound,
             lambda draw: rng.uniform(0.0, TAU, size=(draw, self.rank)),
-            lambda theta: trig_poly_values(self._lattice, self._coeffs, theta),
+            lambda theta: trig_poly_values(self.lattice, self.coeffs, theta),
             lambda theta: _cell_values(g, table, theta))
         return AngleSample(self.rank, rows)
 
@@ -178,13 +180,13 @@ class FourierDensity:
         and an upper bound on rho over each of the G**rank cells
         [2 pi k_j / G, 2 pi (k_j + 1) / G) of the torus, at most the envelope.
 
-        Built on first use and kept on the density, like ``_lattice``.  G is the
+        Built on first use and kept on the density.  G is the
         largest grid with at most ``_CELLS`` cells.
         """
         cached = self.__dict__.get("_cells")
         if cached is not None:
             return cached
-        lattice, coeffs = self._lattice, self._coeffs
+        lattice, coeffs = self.lattice, self.coeffs
         bound = max(float(np.sum(np.abs(coeffs))), 1.0)
         g = round(_CELLS ** (1.0 / self.rank))
         while g ** self.rank > _CELLS:
@@ -265,9 +267,8 @@ def fourier_pushforward(d: FourierDensity, m: int) -> FourierDensity:
         raise ValueError("m must be a positive integer")
     if m == 1:
         return d
-    kept = ~(d._lattice % m).any(axis=1)
-    points = (d._lattice[kept] // m).tolist()
-    return FourierDensity(d.rank, dict(zip(map(tuple, points), d._coeffs[kept].tolist())))
+    kept = ~(d.lattice % m).any(axis=1)
+    return FourierDensity(d.rank, d.lattice[kept] // m, d.coeffs[kept])
 
 
 def stationarity_threshold(d: FourierDensity) -> int:
@@ -392,16 +393,15 @@ def random_fourier_density(rng: np.random.Generator, rank: int, max_degree: int,
         mass = float(rng.uniform(0.3, 0.9))
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must lie in (0, 1)")
-    half = [tuple(q) for q in lattice_ball(rank, max_degree).tolist()]
-    keep = [q for q, u in zip(half, rng.random(len(half)).tolist()) if u < 0.7]
-    at_max = [q for q in half if max(abs(x) for x in q) == max_degree]
-    forced = at_max[int(rng.integers(len(at_max)))]
+    half = lattice_ball(rank, max_degree)
+    keep = np.flatnonzero(rng.random(half.shape[0]) < 0.7)
+    at_max = np.flatnonzero(np.abs(half).max(axis=1) == max_degree)
+    forced = at_max[int(rng.integers(at_max.shape[0]))]
     if forced not in keep:
-        keep.append(forced)
-    raw = {q: complex(*a) for q, a in zip(keep, rng.normal(size=(len(keep), 2)).tolist())}
-    scale = mass / (2.0 * sum(abs(a) for a in raw.values()))
-    coeffs = {(0,) * rank: 1.0 + 0.0j}
-    for q, a in raw.items():
-        coeffs[q] = a * scale
-        coeffs[tuple(-x for x in q)] = a.conjugate() * scale
-    return FourierDensity(rank, coeffs)
+        keep = np.append(keep, forced)
+    raw = rng.normal(size=(keep.shape[0], 2)).view(np.complex128).ravel()
+    # abs(complex) is np.hypot's bits, not np.abs's; summed in order, as a Python loop
+    scale = mass / (2.0 * sum(np.hypot(raw.real, raw.imag).tolist()))
+    points = half[keep]
+    return FourierDensity(rank, np.concatenate([np.zeros((1, rank), np.int64), points, -points]),
+                          np.concatenate([[1.0 + 0.0j], raw * scale, raw.conj() * scale]))

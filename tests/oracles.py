@@ -90,10 +90,16 @@ def scalar_row(m: int, statistic: str, z, threshold, report=None, passed=None) -
                       bool(abs(z) <= threshold if passed is None else passed))
 
 
+def match_z(report, expect) -> float:
+    """The two-sample z of ``report`` against ``expect`` as an exact record of zero spread:
+    |estimate - expect| / std_error, and for a zero std_error 0 if they are equal, else inf."""
+    exact = MomentReport(report.statistic, complex(expect), 0.0, report.sample_size)
+    return scalar_two_sample_test([report], [exact])[0]
+
+
 def _match_row(m: int, statistic: str, report, expect, threshold: float) -> VerdictRow:
     """The estimate must sit within ``threshold`` standard errors of ``expect``."""
-    dz = abs(report.estimate - expect) / max(report.std_error, 1e-300)
-    return scalar_row(m, statistic, dz, threshold, report)
+    return scalar_row(m, statistic, match_z(report, expect), threshold, report)
 
 
 def scalar_ks_uniform(angles) -> float:
@@ -111,6 +117,12 @@ def empirical_fourier(sample, p) -> MomentReport:
     est = empirical_fourier_many(sample, p)
     return MomentReport(fourier_labels(p)[0], complex(est.estimate[0]),
                         float(est.std_error[0]), est.sample_size)
+
+
+def dict_density(rank: int, coefficients: dict) -> FourierDensity:
+    """The density of a {lattice point tuple: a_p} dict, its rows handed over in dict order."""
+    points = np.array(list(coefficients)).reshape(len(coefficients), rank)
+    return FourierDensity(rank, points, np.array(list(coefficients.values()), dtype=np.complex128))
 
 
 def _as_lattice_key(p) -> tuple[int, ...]:
@@ -217,4 +229,4 @@ def scalar_random_fourier_density(rng: np.random.Generator, rank: int, max_degre
     for q, a in raw.items():
         coeffs[q] = a * scale
         coeffs[tuple(-x for x in q)] = a.conjugate() * scale
-    return FourierDensity(rank, coeffs)
+    return dict_density(rank, coeffs)

@@ -24,6 +24,7 @@ from oracles import (
     MomentReport,
     _match_row,
     fourier_coefficient,
+    match_z,
     scalar_entry_moments,
     scalar_ks_uniform,
     scalar_row,
@@ -539,7 +540,7 @@ class TestFourierRowsBitIdentity:
                 assert row.statistic == f"match[{i}]@fourier[{p[0]},{p[1]}]"
                 a = fourier_coefficient(dens, p)
                 est = complex(row.estimate_re, row.estimate_im)
-                z = abs(est - a * jitter[k]) / max(row.std_error, 1e-300)
+                z = match_z(MomentReport(row.statistic, est, row.std_error, 3000), a * jitter[k])
                 assert row.std_error == self._scalar_std_error(est, 3000)
                 assert (row.z, row.passed) == (z, z <= cfg.threshold)
                 coeffs.append(a)
@@ -547,6 +548,18 @@ class TestFourierRowsBitIdentity:
         products = np.array(coeffs) * np.tile(jitter, 3)
         assert np.any(products != [a * j for a, j in zip(coeffs, np.tile(jitter, 3))])
         assert np.any(np.abs(np.array(diffs)) != [abs(complex(d)) for d in diffs])
+
+    def test_zero_spread_match_is_a_two_sample_row_against_an_exact_record(self):
+        # one zero-spread rule: 0 for an equal estimate, inf otherwise, on both paths
+        est = stats.Estimates(np.array([1 + 1j, 0.5, 0.25j, 0.3]), np.array([0.0, 0.0, 0.0, 0.1]),
+                              100)
+        expect = np.array([0.0, 0.5, 0.5j, 0.1])
+        rows = experiments._matched_rows(2, list("abcd"), est, expect, 5.0)
+        exact = stats.Estimates(expect, np.zeros(4), 100)
+        for z in (stats.two_sample_test(est, exact), stats.two_sample_test(exact, est)):
+            assert [r.z for r in rows] == z.tolist()
+        assert [r.z for r in rows][:3] == [np.inf, 0.0, np.inf]
+        assert [r.passed for r in rows] == [False, True, False, True]
 
     @pytest.mark.parametrize("desc", [groups.unitary(2), groups.unitary(3),
                                       groups.special_orthogonal_odd(3)], ids=repr)
@@ -567,7 +580,7 @@ class TestFourierRowsBitIdentity:
         ("U", 3, {"type": "point_mass"}), ("SO", 3, {"type": "perturbed_haar", "strength": 0.5}),
         ("U", 2, {"type": "mixture_u2"})])
     def test_trace_match_rows_equal_the_scalar_formula(self, family, n, law):
-        # a point mass has zero spread: its z divides by the 1e-300 floor
+        # a point mass has zero spread: its unequal estimates read z = inf, the two-sample rule
         cfg = small_config(experiment="group_limit", family=family, matrix_size=n, law=law,
                            powers=[2, 5], target="haar_power", samples=2000)
         desc, built = cfg.descriptor(), run_experiment(cfg).rows
@@ -796,6 +809,25 @@ class TestCli:
         assert "NaN" in path.read_text() or "Infinity" in path.read_text()
         assert cli.main(["run", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("density, message", [
+        # a point listed twice once ran as its last value, 0.1
+        ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}, {"p": [1], "re": 0.4},
+                                {"p": [1], "re": 0.1}, {"p": [-1], "re": 0.1}]}, "twice"),
+        # a fractional coordinate once ran truncated, as p = 1
+        ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}, {"p": [1.7], "re": 0.2},
+                                {"p": [-1.7], "re": 0.2}]}, "integers"),
+        ({"rank": 1.0, "coeffs": [{"p": [0], "re": 1.0}]}, "integers"),
+        ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}], "degree": 1}, "unknown density keys"),
+        ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}, {"p": [1], "re": 0.2, "imag": 0.1},
+                                {"p": [-1], "re": 0.2, "imag": -0.1}]}, "unknown density keys"),
+    ], ids=["repeated-point", "fractional-coordinate", "fractional-rank", "unknown-density-key",
+            "unknown-row-key"])
+    def test_malformed_density_exits_2(self, tmp_path, capsys, density, message):
+        path = self._write_config(tmp_path, matrix_size=1, law={"type": "torus_density",
+                                                                "density": density})
+        assert cli.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_so_point_mass_eigen_convergence_is_refused_before_sampling(self, tmp_path, capsys,
                                                                         monkeypatch):

@@ -30,7 +30,7 @@ from powerlimits.stats import (
     trace_moments,
     two_sample_test,
 )
-from oracles import dict_eigen_density, dict_symmetrize, fourier_coefficient
+from oracles import dict_density, dict_eigen_density, dict_symmetrize, fourier_coefficient
 
 TAU = 2 * np.pi
 # eigenangle rows of a law: from its matrices, or from the Weyl density where it applies
@@ -153,7 +153,7 @@ class TestMixtureU2:
                 return out
 
         d1 = Counting(L.default_mixture_marginal())
-        d2 = Counting(T.FourierDensity(2, {(0, 0): 1.0, (1, 0): 0.3, (-1, 0): 0.3}))
+        d2 = Counting(dict_density(2, {(0, 0): 1.0, (1, 0): 0.3, (-1, 0): 0.3}))
         law = L.MixtureU2Law(d1, d2)
         size = 1001
         mats = law.sample_batch(np.random.default_rng(49), size)
@@ -175,7 +175,7 @@ class TestMixtureU2:
     @pytest.mark.parametrize("seed", [50, 51])
     def test_same_law_as_drawing_both_branches(self, seed):
         rng = np.random.default_rng(seed)
-        law = L.MixtureU2Law(d2=T.FourierDensity(2, {(0, 0): 1.0, (0, 1): 0.4j, (0, -1): -0.4j}))
+        law = L.MixtureU2Law(d2=dict_density(2, {(0, 0): 1.0, (0, 1): 0.4j, (0, -1): -0.4j}))
         s = 50000
         new = law.sample_batch(rng, s)
         old = self._both_branches_then_where(law, rng, s)
@@ -259,13 +259,13 @@ class TestSymbolicEigenDensity:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_torus_law_symmetrization_matches_the_dict_reference(self, n):
-        # the shares of each coefficient are added in the density's order, so the array
-        # route gives the reference's bits
+        # the shares of each coefficient are added in lattice order, as the reference
+        # reads the density's coefficients, so the array route gives the reference's bits
         rng = np.random.default_rng(n)
         for degree in (1, 3):
             d = T.random_fourier_density(rng, n, degree)
             got = L.symbolic_eigen_density(L.TorusLaw(unitary(n), d)).coefficients
-            assert got == T.FourierDensity(n, dict_symmetrize(d)).coefficients
+            assert got == dict_density(n, dict_symmetrize(d)).coefficients
 
     @staticmethod
     def _assert_matches_symbolic(route, law, seed):

@@ -10,38 +10,38 @@ from powerlimits.groups import special_orthogonal_odd, unitary
 from powerlimits.samplers import PerturbedHaarLaw, default_mixture_marginal, symbolic_eigen_density
 from powerlimits._kernels import trig_poly_values
 from powerlimits.stats import KS_THRESHOLD_1PCT, empirical_fourier_many, ks_uniform, lattice_ball
-from oracles import (choice_sample_grid, empirical_fourier, fourier_coefficient, loop_pushforward,
-                     scalar_random_fourier_density)
+from oracles import (choice_sample_grid, dict_density, empirical_fourier, fourier_coefficient,
+                     loop_pushforward, scalar_random_fourier_density)
 
 TAU = 2 * np.pi
 
 
 def cosine_density():
-    return T.FourierDensity(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
+    return dict_density(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
 
 
 def uniform(rank):
-    return T.FourierDensity(rank, {(0,) * rank: 1.0})
+    return dict_density(rank, {(0,) * rank: 1.0})
 
 
 def value_at(d, t):
     """Series value at one torus point."""
-    return float(trig_poly_values(d._lattice, d._coeffs, np.asarray(t, dtype=np.float64)[None])[0])
+    return float(trig_poly_values(d.lattice, d.coeffs, np.asarray(t, dtype=np.float64)[None])[0])
 
 
 class TestFourierDensityInvariants:
     def test_requires_unit_constant_term(self):
         with pytest.raises(T.DensityError):
-            T.FourierDensity(1, {(0,): 0.5})
+            dict_density(1, {(0,): 0.5})
 
     def test_requires_hermitian_symmetry(self):
         with pytest.raises(T.DensityError):
-            T.FourierDensity(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.4})
+            dict_density(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.4})
         with pytest.raises(T.DensityError):
-            T.FourierDensity(1, {(0,): 1.0, (2,): 0.1})
+            dict_density(1, {(0,): 1.0, (2,): 0.1})
         # the values mirror each other, the points do not: -1 and 2 are unpaired
         with pytest.raises(T.DensityError, match="Hermitian"):
-            T.FourierDensity(1, {(-1,): 0.1, (0,): 1.0, (2,): 0.1})
+            dict_density(1, {(-1,): 0.1, (0,): 1.0, (2,): 0.1})
 
     @pytest.mark.parametrize("coeffs", [
         {(0,): 1.0, (1,): np.nan, (-1,): np.nan},        # was dropped as a structural zero
@@ -51,16 +51,17 @@ class TestFourierDensityInvariants:
     ])
     def test_rejects_non_finite_coefficients(self, coeffs):
         with pytest.raises(T.DensityError, match="finite"):
-            T.FourierDensity(1, coeffs)
+            dict_density(1, coeffs)
 
     def test_rejects_signed_series(self):
         # 1 + 3 cos(theta) dips to -2: not a density
         with pytest.raises(T.DensityError):
-            T.FourierDensity(1, {(0,): 1.0, (1,): 1.5, (-1,): 1.5})
+            dict_density(1, {(0,): 1.0, (1,): 1.5, (-1,): 1.5})
 
 
 def _loop_built(rank, coefficients):
-    """The per-key construction FourierDensity replaced: (coefficients, lattice, coeffs)."""
+    """The per-key construction FourierDensity replaced: (coefficients, lattice, coeffs),
+    the dict in sorted (lattice) order."""
     clean = {}
     for p, a in coefficients.items():
         key = tuple(int(x) for x in np.atleast_1d(p))
@@ -68,43 +69,95 @@ def _loop_built(rank, coefficients):
         if abs(a) > T._COEFF_PRUNE or key == (0,) * rank:
             clean[key] = a
     clean[(0,) * rank] = 1.0 + 0.0j
-    lattice = np.array(sorted(clean), dtype=np.int64).reshape(len(clean), rank)
-    return clean, lattice, np.array([clean[tuple(p)] for p in lattice], dtype=np.complex128)
+    clean = {p: clean[p] for p in sorted(clean)}
+    lattice = np.array(list(clean), dtype=np.int64).reshape(len(clean), rank)
+    return clean, lattice, np.array(list(clean.values()), dtype=np.complex128)
+
+
+def _densities():
+    """Hand-written, symbolic, random and pushed-forward densities."""
+    from powerlimits import groups, samplers
+    rng = np.random.default_rng(8)
+    out = [default_mixture_marginal(), uniform(3),
+           dict_density(2, {(1, -1): 0.2, (0, 0): 1.0 + 1e-13j, (-1, 1): 0.2, (0, 1): 1e-17})]
+    for desc in (groups.unitary(4), groups.special_unitary(3), groups.special_orthogonal_odd(5)):
+        out.append(samplers.symbolic_eigen_density(samplers.PerturbedHaarLaw(desc, 0.5)))
+    out += [T.random_fourier_density(rng, rank, 3) for rank in (1, 2, 3)]
+    return out + [T.fourier_pushforward(d, m) for d in out for m in (2, 3)]
+
+
+def _same_arrays(a, b):
+    return (a.rank == b.rank and a.lattice.dtype == b.lattice.dtype == np.int64
+            and a.lattice.shape == b.lattice.shape and a.lattice.tobytes() == b.lattice.tobytes()
+            and a.coeffs.dtype == b.coeffs.dtype and a.coeffs.tobytes() == b.coeffs.tobytes())
 
 
 class TestArrayBuiltDensity:
-    """FourierDensity is built from arrays; its dict, lattice and coefficients must
-    equal, bit for bit and in order, those of the per-key loop it replaced."""
-
-    @staticmethod
-    def _densities():
-        from powerlimits import groups, samplers
-        rng = np.random.default_rng(8)
-        out = [default_mixture_marginal(), uniform(3),
-               T.FourierDensity(2, {(1, -1): 0.2, (0, 0): 1.0 + 1e-13j, (-1, 1): 0.2,
-                                    (0, 1): 1e-17})]
-        for desc in (groups.unitary(4), groups.special_unitary(3),
-                     groups.special_orthogonal_odd(5)):
-            out.append(samplers.symbolic_eigen_density(samplers.PerturbedHaarLaw(desc, 0.5)))
-        out += [T.random_fourier_density(rng, rank, 3) for rank in (1, 2, 3)]
-        return out + [T.fourier_pushforward(d, m) for d in out for m in (2, 3)]
+    """FourierDensity keeps one store, the arrays sorted by lattice point; they and
+    the ``coefficients`` view must equal, bit for bit and in lattice order, those of
+    the per-key loop it replaced."""
 
     def test_equals_the_loop_reference(self):
-        for d in self._densities():
+        for d in _densities():
             clean, lattice, coeffs = _loop_built(d.rank, d.coefficients)
             assert repr(list(d.coefficients.items())) == repr(list(clean.items()))
-            assert d._lattice.dtype == lattice.dtype and d._lattice.shape == lattice.shape
-            assert d._lattice.tobytes() == lattice.tobytes()
-            assert d._coeffs.tobytes() == coeffs.tobytes()
+            assert d.lattice.dtype == lattice.dtype and d.lattice.shape == lattice.shape
+            assert d.lattice.tobytes() == lattice.tobytes()
+            assert d.coeffs.tobytes() == coeffs.tobytes()
 
-    def test_input_order_survives_pruning(self):
-        d = T.FourierDensity(1, {(2,): 0.1, (0,): 1.0, (5,): 1e-16, (-2,): 0.1})
-        assert list(d.coefficients) == [(2,), (0,), (-2,)]
-        assert d._lattice.tolist() == [[-2], [0], [2]]
+    def test_pruned_points_leave_lattice_order(self):
+        d = dict_density(1, {(2,): 0.1, (0,): 1.0, (5,): 1e-16, (-2,): 0.1})
+        assert list(d.coefficients) == [(-2,), (0,), (2,)]
+        assert d.lattice.tolist() == [[-2], [0], [2]]
+
+    def test_arrays_are_read_only(self):
+        d = cosine_density()
+        for a in (d.lattice, d.coeffs):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        d.coefficients[(1,)] = 9.0   # a fresh dict per read: the density keeps its own
+        assert d.coefficients[(1,)] == 0.5
 
     def test_rejects_a_point_given_twice(self):
         with pytest.raises(ValueError, match="twice"):
-            T.FourierDensity(1, {(0,): 1.0, (1,): 0.1, (1.5,): 0.1, (-1,): 0.1})
+            T.FourierDensity(1, [[0], [1], [1], [-1]], [1.0, 0.1, 0.1, 0.1])
+
+    def test_rejects_non_integer_points(self):
+        with pytest.raises(ValueError, match="integers"):
+            T.FourierDensity(1, [[0.0], [1.5], [-1.5]], [1.0, 0.1, 0.1])
+
+    @pytest.mark.parametrize("lattice, coeffs", [
+        ([[0, 0]], [1.0]), ([[0], [1]], [1.0]), ([0], [1.0]), ([[0]], 1.0)])
+    def test_rejects_misshapen_arrays(self, lattice, coeffs):
+        with pytest.raises(ValueError, match="arrays"):
+            T.FourierDensity(1, lattice, coeffs)
+
+
+class TestInputOrder:
+    """The constructor sorts, so the order its rows come in changes no bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_rows_give_the_same_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in _densities():
+            order = rng.permutation(d.lattice.shape[0])
+            again = T.FourierDensity(d.rank, d.lattice[order], d.coeffs[order])
+            assert _same_arrays(again, d)
+            assert repr(list(again.coefficients.items())) == repr(list(d.coefficients.items()))
+
+    def test_symmetrized_torus_law_ignores_the_json_order(self):
+        from powerlimits import samplers
+        d = T.random_fourier_density(np.random.default_rng(5), 3, 3)
+        rows = [{"p": p, "re": a.real, "im": a.imag}
+                for p, a in zip(d.lattice.tolist(), d.coeffs.tolist())]
+        rng = np.random.default_rng(6)
+        want = samplers.symbolic_eigen_density(samplers.TorusLaw(unitary(3), d))
+        for _ in range(4):
+            order = rng.permutation(len(rows))
+            text = json.dumps({"rank": 3, "coeffs": [rows[i] for i in order]})
+            got = samplers.symbolic_eigen_density(
+                samplers.TorusLaw(unitary(3), T.FourierDensity.from_json(text)))
+            assert _same_arrays(got, want)
 
 
 class TestRandomFourierDensity:
@@ -112,11 +165,12 @@ class TestRandomFourierDensity:
     @pytest.mark.parametrize("seed", [0, 1, 31, 4242])
     @pytest.mark.parametrize("mass", [None, 0.5])
     def test_draws_what_the_scalar_loop_draws(self, rank, degree, seed, mass):
-        """Same coefficients, bit for bit and in order, and the same generator state
-        afterwards, as one scalar draw per kept point and per Gaussian part."""
+        """Same arrays and coefficients, bit for bit and in lattice order, and the same
+        generator state afterwards, as one scalar draw per kept point and per Gaussian part."""
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         got = T.random_fourier_density(rng, rank, degree, mass)
         ref = scalar_random_fourier_density(twin, rank, degree, mass)
+        assert _same_arrays(got, ref)
         assert repr(list(got.coefficients.items())) == repr(list(ref.coefficients.items()))
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -127,12 +181,12 @@ class TestFourierPushforward:
         assert T.fourier_pushforward(d, 1) is d
 
     def test_indices_divide(self):
-        d = T.FourierDensity(1, {(0,): 1.0, (2,): 0.3, (-2,): 0.3})
+        d = dict_density(1, {(0,): 1.0, (2,): 0.3, (-2,): 0.3})
         out = T.fourier_pushforward(d, 2)
         assert out.coefficients == {(0,): 1.0, (1,): 0.3, (-1,): 0.3}
 
     def test_odd_support_dies_at_two(self):
-        d = T.FourierDensity(2, {(0, 0): 1.0, (1, 0): 0.2, (-1, 0): 0.2,
+        d = dict_density(2, {(0, 0): 1.0, (1, 0): 0.2, (-1, 0): 0.2,
                                  (0, 1): 0.2, (0, -1): 0.2})
         out = T.fourier_pushforward(d, 2)
         assert out.coefficients == {(0, 0): 1.0}
@@ -176,7 +230,7 @@ class TestFourierCoefficient:
         assert fourier_coefficient(d, (0,)) == 1.0
 
     def test_pushforward_identity(self):
-        d = T.FourierDensity(2, {(0, 0): 1.0, (2, 0): 0.3, (-2, 0): 0.3})
+        d = dict_density(2, {(0, 0): 1.0, (2, 0): 0.3, (-2, 0): 0.3})
         pushed = T.fourier_pushforward(d, 2)
         assert fourier_coefficient(pushed, (1, 0)) == fourier_coefficient(d, (2, 0))
 
@@ -186,11 +240,11 @@ class TestStationarityThreshold:
         assert T.stationarity_threshold(uniform(3)) == 1
 
     def test_degree_two(self):
-        d = T.FourierDensity(2, {(0, 0): 1.0, (2, -1): 0.1, (-2, 1): 0.1})
+        d = dict_density(2, {(0, 0): 1.0, (2, -1): 0.1, (-2, 1): 0.1})
         assert T.stationarity_threshold(d) == 3
 
     def test_u2_weyl_density(self):
-        d = T.FourierDensity(2, {(0, 0): 1.0, (1, -1): -0.5, (-1, 1): -0.5})
+        d = dict_density(2, {(0, 0): 1.0, (1, -1): -0.5, (-1, 1): -0.5})
         assert T.stationarity_threshold(d) == 2
 
     def test_pushforward_is_uniform_at_threshold(self):
@@ -223,7 +277,7 @@ class TestToGrid:
         np.testing.assert_allclose(g.values, np.array([2.0, 1.0, 0.0, 1.0]) / TAU, atol=1e-14)
 
     def test_antialias_precondition(self):
-        d = T.FourierDensity(1, {(0,): 1.0, (3,): 0.1, (-3,): 0.1})
+        d = dict_density(1, {(0,): 1.0, (3,): 0.1, (-3,): 0.1})
         with pytest.raises(ValueError):
             T.to_grid(d, 6)
 
@@ -445,7 +499,7 @@ class TestPowerAngles:
         for p in range(1, 7):
             coeffs[(p,)] = 0.3 ** p
             coeffs[(-p,)] = 0.3 ** p
-        d = T.FourierDensity(1, coeffs)
+        d = dict_density(1, coeffs)
         rng = np.random.default_rng(12)
         s = 40000
         spun = T.power_angles(d.sample(rng, s), 50)
@@ -533,7 +587,7 @@ def geometric_density():
     coeffs = {(0,): 1.0 + 0j}
     for p in range(1, 7):
         coeffs[(p,)] = coeffs[(-p,)] = 0.3 ** p
-    return T.FourierDensity(1, coeffs)
+    return dict_density(1, coeffs)
 
 
 SQUEEZED = ([("mixture", default_mixture_marginal), ("geometric", geometric_density)]
@@ -547,7 +601,7 @@ class TestCellBound:
     def test_bounds_the_density_throughout_every_cell(self, name, make):
         d = make()
         bound, g, table = d._cell_table()
-        assert bound == max(np.abs(d._coeffs).sum(), 1.0)
+        assert bound == max(np.abs(d.coeffs).sum(), 1.0)
         assert table.shape == (g ** d.rank,) and table.max() <= bound
         assert table.mean() <= bound * (1 + 1e-12)   # all at the envelope, it sums a rounding over
         # every cell's lower corner, a jittered interior point, and its upper corner
@@ -557,7 +611,7 @@ class TestCellBound:
         edge = np.nextafter(k + 1.0, 0.0)
         for where in (k, k + jitter, edge):
             theta = np.minimum(where * (TAU / g), np.nextafter(TAU, 0.0))
-            values = trig_poly_values(d._lattice, d._coeffs, theta)
+            values = trig_poly_values(d.lattice, d.coeffs, theta)
             upper = T._cell_values(g, table, theta)
             # a cell capped at the envelope may sit a rounding below a maximum that
             # reaches it, but every uniform lies below the envelope
@@ -583,7 +637,7 @@ class TestSqueezeFill:
         rng = np.random.default_rng(seed)
         return T._rejection_fill(rng, size, bound,
                                  lambda draw: rng.uniform(0.0, TAU, size=(draw, d.rank)),
-                                 lambda x: trig_poly_values(d._lattice, d._coeffs, x), upper)
+                                 lambda x: trig_poly_values(d.lattice, d.coeffs, x), upper)
 
     @pytest.mark.parametrize("name, make", SQUEEZED[:3], ids=[n for n, _ in SQUEEZED[:3]])
     def test_squeeze_keeps_the_same_draws(self, name, make):
