@@ -11,7 +11,8 @@ are meant to demonstrate test power, not just absence of alarms).
 
 Reproducibility: all randomness flows from ``numpy.random.SeedSequence``
 children of the config seed, spawned per pipeline stage in a fixed order,
-so a config and seed pin the entire report (wall-clock aside).
+so a config and seed pin the entire report (wall-clock aside); streamed
+chunks (:func:`_streamed`) draw one after another from those streams.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ _KIND_FIELDS = {
 # integer config fields and their least allowed values
 _INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
                "trace_k_max": 1, "grid_size": 0, "density_count": 0, "torus_rank": 1}
+CHUNK_ROWS = 8192   # rows per chunk of a streamed side; 4096 and 16384 timed the same
 _TORUS_SUITE_DEGREE = 3   # degree of torus_suite's random densities and its lattice
 # law types and the keys each accepts besides "type"
 _LAW_KEYS = {"haar": set(), "perturbed_haar": {"strength"}, "mixture_u2": {"d1", "d2"},
@@ -149,6 +151,8 @@ class ExperimentConfig:
         if kind == "haar":
             return samplers.PerturbedHaarLaw(desc, 0.0)
         if kind == "perturbed_haar":
+            if type(self.law.get("strength")) is bool:   # float(True) would read 1.0
+                raise ConfigError("the perturbed_haar strength must be a number")
             return samplers.PerturbedHaarLaw(desc, float(self.law.get("strength", 0.5)))
         dens = lambda key: (torus.FourierDensity.from_json(self.law[key]) if self.law.get(key)
                             else samplers.default_mixture_marginal())
@@ -311,43 +315,57 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     return rows, {}
 
 
-def _preimage_limit_moments(desc, law, size: int, r_law, r_pre, r_y) -> stats.Estimates:
-    """Entry moments of psi(flag, Y) over the preimages of ``size`` fresh draws of
-    ``law``: uniform preimages with ``r_pre``, sorted ones when it is None.  The
-    matrices are freed here, before the caller draws its next side."""
-    flags, _ = pre.preimages_batch(law.sample_batch(r_law, size), desc, r_pre)
-    return stats.entry_moments(pre.limit_law_batch(flags, desc, r_y))
+def _streamed(samples: int, rngs, moments):
+    """The moment records (one, or a tuple) that ``moments(size, *rngs)`` returns, over
+    ceil(samples / CHUNK_ROWS) near-equal chunks drawn in turn from ``rngs`` and merged
+    in order: one chunk's matrices at most are alive, and every check runs per chunk."""
+    count = -(-samples // CHUNK_ROWS)
+    size, extra = divmod(samples, count)
+    merged = moments(size + (extra > 0), *rngs)
+    for c in range(1, count):
+        part = moments(size + (c < extra), *rngs)
+        merged = (stats.merge(merged, part) if isinstance(part, stats.Estimates)
+                  else tuple(map(stats.merge, merged, part)))
+    return merged
 
 
-def _limit_entry_moments(config: ExperimentConfig, desc, law, r_b, r_pre, r_y) -> stats.Estimates:
-    """Entry moments of the m-free limit side, Haar^D or psi(flag, Y) over uniform
-    preimages of an independent run of ``law``; its matrices are freed here."""
-    if config.target == "haar_power":
-        return stats.entry_moments(power_batch(haar_batch(desc, r_b, config.samples),
-                                               desc.stationarity_exponent))
-    return _preimage_limit_moments(desc, law, config.samples, r_b, r_pre, r_y)
+def _preimage_limit_moments(desc, law, samples: int, r_law, r_pre, r_y) -> stats.Estimates:
+    """Entry moments of psi(flag, Y) over the preimages of ``samples`` fresh draws of
+    ``law``: uniform preimages with ``r_pre``, sorted ones when it is None."""
+    def moments(size, r_law, r_pre, r_y):
+        flags, _ = pre.preimages_batch(law.sample_batch(r_law, size), desc, r_pre)
+        return stats.entry_moments(pre.limit_law_batch(flags, desc, r_y))
+    return _streamed(samples, [r_law, r_pre, r_y], moments)
 
 
 def _group_limit(config: ExperimentConfig, desc, law, seq):
     """U^m against its limiting group law, in entry and trace moments.
 
     Entry moments face one limit sample, drawn once from the streams of the
-    first power and shared by every power (see :func:`_limit_entry_moments`);
-    each power draws and powers its own U.  Both limit sides have the fixed
-    eigenvalue law, so trace moments are matched against its exact values.
+    first power and shared by every power: Haar^D, or psi(flag, Y) over uniform
+    preimages of an independent run of ``law``.  Each power draws and powers its
+    own U.  Both limit sides have the fixed eigenvalue law, so trace moments are
+    matched against its exact values.  Every side is streamed (:func:`_streamed`).
     """
     entry_ids = stats.entry_labels(desc.matrix_size)
     trace_ids = stats.trace_labels(config.trace_k_max)
     expect = _trace_expect(desc, config.trace_k_max)
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))
-    limit = _limit_entry_moments(config, desc, law, *rngs[1:4])
+    if config.target == "haar_power":
+        def haar_moments(size, rng):
+            return stats.entry_moments(power_batch(haar_batch(desc, rng, size),
+                                                   desc.stationarity_exponent))
+        limit = _streamed(config.samples, rngs[1:2], haar_moments)
+    else:
+        limit = _preimage_limit_moments(desc, law, config.samples, *rngs[1:4])
     for i, m in enumerate(config.powers):
-        powered = power_batch(law.sample_batch(rngs[4 * i], config.samples), m)
-        rows += _two_sample_rows(m, entry_ids, stats.entry_moments(powered), limit,
-                                 config.threshold)
-        rows += _matched_rows(m, trace_ids, stats.trace_moments(powered, config.trace_k_max),
-                              expect, config.threshold)
+        def power_moments(size, rng):
+            powered = power_batch(law.sample_batch(rng, size), m)
+            return stats.entry_moments(powered), stats.trace_moments(powered, config.trace_k_max)
+        entry, trace = _streamed(config.samples, [rngs[4 * i]], power_moments)
+        rows += _two_sample_rows(m, entry_ids, entry, limit, config.threshold)
+        rows += _matched_rows(m, trace_ids, trace, expect, config.threshold)
     return rows, {}
 
 
@@ -480,7 +498,8 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
         rows += _bound_rows(50, [f"spun[{i}]@{lab}" for lab in labels],
                             stats.empirical_fourier_many(spun, lattice), config.threshold)
         # a_p * jitter in real and imaginary parts: bit-equal to the scalar product
-        a = np.array([dens.coefficients.get(k, 0.0) for k in keys], dtype=np.complex128)
+        coefficients = dens.coefficients
+        a = np.array([coefficients.get(k, 0.0) for k in keys], dtype=np.complex128)
         expect = np.empty_like(a)
         expect.real, expect.imag = (a.real * jitter.real - a.imag * jitter.imag,
                                     a.real * jitter.imag + a.imag * jitter.real)

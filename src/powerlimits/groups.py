@@ -204,25 +204,29 @@ def embed_phases(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
     return np.exp(1j * (_torus_rows(desc, rows) @ desc.monomials.T.astype(np.float64)))
 
 
+def rotate_pairs(desc: GroupDescriptor, mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``mats`` (S, M, N) times the SO torus elements of angle rows (S, n), with no dense
+    product: block R(theta) = [[cos, -sin], [sin, cos]] multiplies column pair (2j, 2j+1),
+    read as mats[..., 2j] + i mats[..., 2j+1], by exp(-i theta_j).  R(theta) has
+    eigenvalue exp(+i theta) on the eigenvector (1, -i)/sqrt(2): the sign of theta."""
+    rows = _torus_rows(desc, rows)
+    out = np.array(mats, dtype=np.float64, order="C")
+    pairs, phase = out[..., :-1].view(np.complex128), np.cos(rows) - 1j * np.sin(rows)
+    for j in range(desc.torus_rank):   # a pass per pair beats one broadcast pass
+        pairs[..., j] *= phase[:, j, None]
+    return out
+
+
 def embed_batch(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
     """Torus points (S, n) -> torus elements (S, N, N).
 
     U/SU give the diagonal of monomial values; SO gives the block-rotation
-    matrix.  Each 2x2 rotation block R(theta) has eigenvalue exp(+i*theta)
-    on the eigenvector (1, -i)/sqrt(2), which pins the sign of theta.
+    matrix, :func:`rotate_pairs` of the identity.
     """
     rows = _torus_rows(desc, rows)
     s, N = rows.shape[0], desc.matrix_size
     if desc.is_real:
-        out = np.zeros((s, N, N))
-        c, sn = np.cos(rows), np.sin(rows)
-        for j in range(desc.torus_rank):
-            out[:, 2 * j, 2 * j] = c[:, j]
-            out[:, 2 * j, 2 * j + 1] = -sn[:, j]
-            out[:, 2 * j + 1, 2 * j] = sn[:, j]
-            out[:, 2 * j + 1, 2 * j + 1] = c[:, j]
-        out[:, N - 1, N - 1] = 1.0
-        return out
+        return rotate_pairs(desc, np.broadcast_to(np.eye(N), (s, N, N)), rows)
     out = np.zeros((s, N, N), dtype=np.complex128)
     idx = np.arange(N)
     out[:, idx, idx] = embed_phases(desc, rows)

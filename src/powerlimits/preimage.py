@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import TAU, det, eig_normal_2x2, so3_axis_angle, stack_matmul, wrap_angles
-from .groups import Family, GroupDescriptor, embed_batch, embed_phases
+from .groups import Family, GroupDescriptor, embed_phases, rotate_pairs
 
 TAU_GAP = 1e-8       # minimum eigenangle separation for a regular element
 _RECON_TOL = 1e-8    # psi(V, t) must reproduce u within this max-norm
@@ -126,12 +126,12 @@ def psi_batch(flags: np.ndarray, rows: np.ndarray, desc: GroupDescriptor) -> np.
     """V embed(t) V^{-1} for stacked flags (S, N, N) and angle rows (S, n).
 
     The U and SU embeddings are diagonal, so V embed(t) is V with its
-    columns scaled by the eigenvalue phases; SO multiplies by its blocks.
+    columns scaled by the eigenvalue phases; on SO it rotates column pairs of V.
     """
     if desc.is_real:
         # a contiguous V^T: on the transposed view ``@`` leaves its fast path
-        left = stack_matmul(flags, embed_batch(desc, rows))
-        return stack_matmul(left, np.ascontiguousarray(flags.swapaxes(-1, -2)))
+        return stack_matmul(rotate_pairs(desc, flags, rows),
+                            np.ascontiguousarray(flags.swapaxes(-1, -2)))
     left = flags * embed_phases(desc, rows)[:, None, :]
     return stack_matmul(left, flags.conj().swapaxes(-1, -2))
 

@@ -67,6 +67,20 @@ def _column_estimates(s: int, columns) -> Estimates:
     return Estimates(np.array(means, dtype=np.complex128), _std_error(np.array(spreads), s), s)
 
 
+def merge(a: Estimates, b: Estimates) -> Estimates:
+    """The record of two disjoint samples' union, from their records alone: each gives
+    back its count n, mean and sum of squared deviations M2 = n (n - 1) std_error^2,
+    joined by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983).  Equal
+    means of zero spread keep their value and a zero standard error, bit for bit."""
+    if len(a) != len(b):
+        raise ValueError("estimate records must have equal length")
+    na, nb = a.sample_size, b.sample_size
+    n, delta = na + nb, b.estimate - a.estimate
+    m2 = (na * (na - 1) * a.std_error ** 2 + nb * (nb - 1) * b.std_error ** 2
+          + np.abs(delta) ** 2 * (na * nb / n))
+    return Estimates(a.estimate + delta * (nb / n), _std_error(m2 / n, n), n)
+
+
 # ---------------------------------------------------------------------------
 # empirical Fourier coefficients
 # ---------------------------------------------------------------------------

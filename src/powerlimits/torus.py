@@ -142,8 +142,8 @@ class FourierDensity:
     @classmethod
     def from_json(cls, text: str) -> "FourierDensity":
         """A config's density, JSON text or parsed: {"rank": n, "coeffs": [{"p", "re", "im"}]},
-        "im" optional.  Any other key, a rank or coordinate that is not a JSON integer and
-        a point listed twice are refused."""
+        "im" optional.  Any other key, a rank or coordinate that is not a JSON integer, a
+        boolean coefficient part and a point listed twice are refused."""
         data = json.loads(text) if isinstance(text, str) else text
         rows = data["coeffs"]
         for obj, known in [(data, {"rank", "coeffs"}), *((row, {"p", "re", "im"}) for row in rows)]:
@@ -152,6 +152,8 @@ class FourierDensity:
         points = [row["p"] for row in rows]
         if type(data["rank"]) is not int or not all(type(x) is int for p in points for x in p):
             raise ValueError("a density's rank and lattice coordinates must be integers")
+        if any(type(row.get(key, 0.0)) is bool for row in rows for key in ("re", "im")):
+            raise ValueError("a density's coefficient parts must be numbers, not booleans")
         return cls(data["rank"], np.array(points, dtype=np.int64),
                    [complex(row["re"], row.get("im", 0.0)) for row in rows])
 

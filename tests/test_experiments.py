@@ -81,6 +81,7 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         dict(law={"type": "wat"}),
         dict(law={"type": "perturbed_haar", "strength": 3}),
+        dict(law={"type": "perturbed_haar", "strength": True}),
         dict(law={"type": "torus_density", "density": {"rank": 2}}),
         dict(family="SO", matrix_size=4),
         dict(family="X"),
@@ -410,6 +411,54 @@ class TestRunners:
         rep = run_experiment(small_config(law={"type": "torus_density"}, powers=[4],
                                           samples=20000))
         assert rep.summary_pass
+
+
+STREAMED_CONFIGS = {
+    "mixture_limit": dict(experiment="group_limit", law={"type": "mixture_u2"}, powers=[64]),
+    "so3_haar_power": dict(experiment="group_limit", family="SO", matrix_size=3,
+                           law={"type": "perturbed_haar", "strength": 0.5}, powers=[3, 64],
+                           target="haar_power"),
+    "invariance": dict(experiment="preimage_invariance",
+                       law={"type": "perturbed_haar", "strength": 0.5}),
+}
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("samples", [experiments.CHUNK_ROWS + 1, 2 * experiments.CHUNK_ROWS])
+    @pytest.mark.parametrize("name", sorted(STREAMED_CONFIGS))
+    def test_chunked_runs_pass_and_repeat(self, name, samples):
+        cfg = small_config(samples=samples, seed=5, **STREAMED_CONFIGS[name])
+        first, again = (run_experiment(cfg).to_json_dict() for _ in range(2))
+        assert first["summary_pass"]
+        assert {**first, "wall_clock": 0} == {**again, "wall_clock": 0}
+
+    def test_chunks_are_near_equal(self, monkeypatch):
+        sizes, law_batch = [], samplers.PerturbedHaarLaw.sample_batch
+
+        def counted(law, rng, size):
+            sizes.append(size)
+            return law_batch(law, rng, size)
+
+        monkeypatch.setattr(samplers.PerturbedHaarLaw, "sample_batch", counted)
+        half = experiments.CHUNK_ROWS // 2
+        run_experiment(small_config(samples=experiments.CHUNK_ROWS + 1,
+                                    **STREAMED_CONFIGS["invariance"]))
+        assert sizes == [half + 1, half] * 2   # two chunks per side, the first one row more
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        import powerlimits
+
+        src = str(Path(powerlimits.__file__).resolve().parent.parent)
+        code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+                "from powerlimits.experiments import ExperimentConfig, run_experiment; "
+                "run_experiment(ExperimentConfig(experiment='group_limit', matrix_size=2, "
+                "law={'type': 'mixture_u2'}, powers=[64], samples=int(sys.argv[2]), seed=11)); "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        # each size in a fresh interpreter: ru_maxrss is a process's high-water mark
+        runs = [subprocess.run([sys.executable, "-c", code, src, str(k * experiments.CHUNK_ROWS)],
+                               capture_output=True, text=True, check=True) for k in (2, 16)]
+        small_kb, large_kb = (int(done.stdout) for done in runs)
+        assert abs(large_kb - small_kb) < 8 * 1024
 
 
 SHAPE_CONFIGS = dict(FILE_CONFIGS)
@@ -818,11 +867,13 @@ class TestCli:
         ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}, {"p": [1.7], "re": 0.2},
                                 {"p": [-1.7], "re": 0.2}]}, "integers"),
         ({"rank": 1.0, "coeffs": [{"p": [0], "re": 1.0}]}, "integers"),
+        # a boolean part once ran as 1.0
+        ({"rank": 1, "coeffs": [{"p": [0], "re": True}]}, "booleans"),
         ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}], "degree": 1}, "unknown density keys"),
         ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}, {"p": [1], "re": 0.2, "imag": 0.1},
                                 {"p": [-1], "re": 0.2, "imag": -0.1}]}, "unknown density keys"),
-    ], ids=["repeated-point", "fractional-coordinate", "fractional-rank", "unknown-density-key",
-            "unknown-row-key"])
+    ], ids=["repeated-point", "fractional-coordinate", "fractional-rank", "boolean-part",
+            "unknown-density-key", "unknown-row-key"])
     def test_malformed_density_exits_2(self, tmp_path, capsys, density, message):
         path = self._write_config(tmp_path, matrix_size=1, law={"type": "torus_density",
                                                                 "density": density})

@@ -115,6 +115,25 @@ class TestTorusEmbed:
         vec = np.array([1.0, -1j, 0.0]) / np.sqrt(2)
         np.testing.assert_allclose(e @ vec, np.exp(1j * theta) * vec, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_so_blocks_and_pair_rotation(self, n):
+        # embed_batch is rotate_pairs of the identity: both against dense 2x2 blocks
+        desc, rng = G.special_orthogonal_odd(n), np.random.default_rng(n)
+        t = rng.uniform(-np.pi, np.pi, (50, desc.torus_rank))
+        c, s = np.cos(t), np.sin(t)
+        dense = np.zeros((50, n, n))
+        dense[:, -1, -1] = 1.0
+        for j in range(desc.torus_rank):
+            dense[:, 2 * j:2 * j + 2, 2 * j:2 * j + 2] = np.moveaxis(
+                np.array([[c[:, j], -s[:, j]], [s[:, j], c[:, j]]]), -1, 0)
+        assert np.array_equal(G.embed_batch(desc, t), dense)
+        mats = rng.normal(size=(50, 4, n))
+        np.testing.assert_allclose(G.rotate_pairs(desc, mats, t), mats @ dense,
+                                   rtol=0.0, atol=1e-14)
+        # any memory layout: the pairs are viewed on a C-ordered copy
+        assert np.array_equal(G.rotate_pairs(desc, np.asfortranarray(mats), t),
+                              G.rotate_pairs(desc, mats, t))
+
     def test_embed_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="expected 2 angles per row"):
             G.embed_batch(G.unitary(2), np.zeros((5, 1)))

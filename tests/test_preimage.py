@@ -89,6 +89,17 @@ class TestPsi:
         np.testing.assert_allclose(out, MIXTURE_A @ G.embed_batch(desc, t) @ MIXTURE_A.conj().T,
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_so_pair_rotation_is_the_dense_product(self, n):
+        # psi rotates column pairs of V; the reference multiplies by the dense embedding
+        desc, rng = G.special_orthogonal_odd(n), np.random.default_rng(n)
+        flags = G.haar_batch(desc, rng, 200)
+        t = rng.uniform(0.0, 2 * np.pi, (200, desc.torus_rank))
+        want = flags @ G.embed_batch(desc, t) @ flags.swapaxes(-1, -2)
+        np.testing.assert_allclose(P.psi_batch(flags, t, desc), want, rtol=0.0, atol=1e-14)
+        with pytest.raises(ValueError, match="angles per row"):
+            P.psi_batch(flags, t[:, :-1], desc)
+
 
 class TestWeylElements:
     @pytest.mark.parametrize("desc", FAMILIES, ids=repr)

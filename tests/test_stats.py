@@ -326,6 +326,43 @@ class TestEntryMoments:
         assert len(labels) == len(set(labels)) == len(S.entry_moments(mats))
 
 
+class TestMerge:
+    @pytest.mark.parametrize("desc", [unitary(2), unitary(3), G.descriptor("SO", 3)])
+    @pytest.mark.parametrize("cut", [2, 100, 500, 998])
+    def test_two_halves_merge_to_the_whole(self, desc, cut):
+        rng = np.random.default_rng(31)
+        mats = G.power_batch(L.PerturbedHaarLaw(desc, 0.5).sample_batch(rng, 1000), 3)
+        whole = S.entry_moments(mats)
+        merged = S.merge(S.entry_moments(mats[:cut]), S.entry_moments(mats[cut:]))
+        assert merged.sample_size == 1000
+        np.testing.assert_allclose(merged.estimate, whole.estimate, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(merged.std_error, whole.std_error, rtol=1e-15, atol=0.0)
+
+    def test_zero_spread_and_zero_statistics_stay_exact(self):
+        # identity entries: every spread is 0, every off-diagonal mean exactly 0
+        eye = np.broadcast_to(np.eye(3, dtype=np.complex128), (300, 3, 3))
+        whole = S.entry_moments(eye)
+        merged = S.merge(S.entry_moments(eye[:2]), S.entry_moments(eye[2:]))
+        assert np.array_equal(merged.estimate, whole.estimate)
+        assert np.array_equal(merged.std_error, np.zeros(len(whole)))
+        # SO traces are real: the imaginary parts of both halves and of the merge are 0
+        so3 = haar_batch(G.descriptor("SO", 3), np.random.default_rng(32), 400)
+        traces = S.merge(S.trace_moments(so3[:150], 3), S.trace_moments(so3[150:], 3))
+        assert np.all(traces.estimate.imag == 0.0)
+
+    def test_unequal_point_masses_gain_spread(self):
+        a = S.Estimates(np.array([1.0 + 0j]), np.zeros(1), 2)
+        b = S.Estimates(np.array([3.0 + 0j]), np.zeros(1), 2)
+        merged = S.merge(a, b)   # the sample 1, 1, 3, 3: mean 2, plug-in variance 1
+        assert merged.estimate[0] == 2.0
+        assert merged.std_error[0] == pytest.approx(np.sqrt(4 / 3) / 2)
+
+    def test_mismatched_lengths_raise(self):
+        a = S.Estimates(np.zeros(2, dtype=np.complex128), np.zeros(2), 5)
+        with pytest.raises(ValueError, match="equal length"):
+            S.merge(a, S.Estimates(np.zeros(3, dtype=np.complex128), np.zeros(3), 5))
+
+
 class TestVerdictRule:
     def test_pass_iff_abs_z_within_threshold(self):
         assert not E._row(1, "x", -6.0, 5.0).passed

@@ -126,6 +126,12 @@ class TestArrayBuiltDensity:
         with pytest.raises(ValueError, match="integers"):
             T.FourierDensity(1, [[0.0], [1.5], [-1.5]], [1.0, 0.1, 0.1])
 
+    @pytest.mark.parametrize("row", [{"p": [0], "re": True}, {"p": [0], "re": 1.0, "im": False}])
+    def test_from_json_rejects_boolean_parts(self, row):
+        # JSON true once read as 1.0, so {"p": [0], "re": true} built a_0 = 1
+        with pytest.raises(ValueError, match="booleans"):
+            T.FourierDensity.from_json({"rank": 1, "coeffs": [row]})
+
     @pytest.mark.parametrize("lattice, coeffs", [
         ([[0, 0]], [1.0]), ([[0], [1]], [1.0]), ([0], [1.0]), ([[0]], 1.0)])
     def test_rejects_misshapen_arrays(self, lattice, coeffs):
