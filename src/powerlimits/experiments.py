@@ -45,17 +45,17 @@ EXPERIMENT_KINDS = {
 # the config fields every kind reads, and those each kind adds
 _COMMON_FIELDS = {"experiment", "samples", "seed", "threshold", "negative_control"}
 _KIND_FIELDS = {
-    "eigen_convergence": {"family", "matrix_size", "law", "powers", "max_lattice_degree",
-                          "trace_k_max"},
-    "group_limit": {"family", "matrix_size", "law", "powers", "trace_k_max", "target"},
+    "eigen_convergence": {"family", "matrix_size", "law", "powers", "max_lattice_degree"},
+    "group_limit": {"family", "matrix_size", "law", "powers", "target"},
     "exact_threshold": {"family", "matrix_size", "law", "max_lattice_degree"},
     "preimage_invariance": {"family", "matrix_size", "law"},
     "torus_suite": {"powers", "grid_size", "density_count", "torus_rank"},
 }
 # integer config fields and their least allowed values
 _INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
-               "trace_k_max": 1, "grid_size": 0, "density_count": 0, "torus_rank": 1}
+               "grid_size": 0, "density_count": 0, "torus_rank": 1}
 CHUNK_ROWS = 8192   # rows per chunk of a streamed side; 4096 and 16384 timed the same
+TRACE_K_MAX = 3     # group_limit matches Tr(g^k) and |Tr(g^k)|^2 for k = 1..TRACE_K_MAX
 _TORUS_SUITE_DEGREE = 3   # degree of torus_suite's random densities and its lattice
 # law types and the keys each accepts besides "type"
 _LAW_KEYS = {"haar": set(), "perturbed_haar": {"strength"}, "mixture_u2": {"d1", "d2"},
@@ -83,7 +83,6 @@ class ExperimentConfig:
     samples: int = 10000
     seed: int | None = None
     max_lattice_degree: int = 3
-    trace_k_max: int = 3
     grid_size: int = 360
     threshold: float = 5.0
     target: str = "preimage_limit"
@@ -151,10 +150,11 @@ class ExperimentConfig:
         if kind == "haar":
             return samplers.PerturbedHaarLaw(desc, 0.0)
         if kind == "perturbed_haar":
-            if type(self.law.get("strength")) is bool:   # float(True) would read 1.0
+            strength = self.law.get("strength", 0.5)
+            if type(strength) not in (int, float):   # float(True) or float("0.3") would run
                 raise ConfigError("the perturbed_haar strength must be a number")
-            return samplers.PerturbedHaarLaw(desc, float(self.law.get("strength", 0.5)))
-        dens = lambda key: (torus.FourierDensity.from_json(self.law[key]) if self.law.get(key)
+            return samplers.PerturbedHaarLaw(desc, float(strength))
+        dens = lambda key: (torus.FourierDensity.from_json(self.law[key]) if key in self.law
                             else samplers.default_mixture_marginal())
         if kind == "mixture_u2":
             return samplers.MixtureU2Law(dens("d1"), dens("d2"), desc)
@@ -263,18 +263,13 @@ def _detection_need(threshold: float, value: complex, size: int) -> int:
     return int(np.ceil((threshold / abs(value)) ** 2 / size * (1.0 - 1e-9)))
 
 
-def _trace_expect(desc, k_max: int) -> np.ndarray:
-    """The exact fixed-law value of each trace moment, in :func:`stats.trace_labels` order."""
-    return np.tile(fixed_law_trace_moments(desc), k_max)
-
-
 def _angle_rows(law, m: int, r_samp, size: int) -> np.ndarray:
     """Eigenangle rows of U^m (m times those of U: no matrix is powered) over ``size``
     draws of ``law``.  The rows of U come from :class:`samplers.EigenangleLaw`:
     perturbed-Haar angles (Haar at strength 0) on U(N <= ``WEYL_MAX_N``) straight from
     the Weyl density, with no matrix, in counterclockwise rather than exchangeable
-    order; the trace moments and the Weyl-orbit means are symmetric in the row, and
-    the uniform-preimage coordinates permute it."""
+    order; the Weyl-orbit means are symmetric in the row, and the uniform-preimage
+    coordinates permute it."""
     return wrap_angles(m * samplers.EigenangleLaw(law).sample_batch(r_samp, size))
 
 
@@ -290,15 +285,16 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     U: the uniform-preimage torus law must look uniform, in one ``orbit[p]``
     bound row per Weyl orbit of the coefficient box (up to conjugation), read
     from the eigenangle rows with no Weyl draw; one uniform Weyl draw per row
-    gives the torus coordinates of a KS check per coordinate; and the trace
-    moments of the eigenangle multiset must match their exact values under
-    the fixed law.
+    gives the torus coordinates of a KS check per coordinate.  No trace row: on
+    U and SU, Tr(g^k) of g = U^m is N times the conjugate orbit mean at (k, 0, ...)
+    and |Tr(g^k)|^2 is N + N(N-1) times the one at (k, 0, ..., -k); on SO the
+    second needs orbits up to degree 2k (README).  ``notes["ks_rows_dropped"]``
+    counts, per power, the angle rows the KS coordinates drop (SO rows with an
+    angle within ``preimage.TAU_GAP`` of 0 or pi).
     """
     table = stats.orbit_table(desc, config.max_lattice_degree)
     labels = stats.fourier_labels(table.lattice, "orbit")
-    trace_ids = stats.trace_labels(config.trace_k_max)
-    expect = _trace_expect(desc, config.trace_k_max)
-    rows = []
+    rows, dropped = [], []
     rngs = _rngs(seq, 4 * len(config.powers))  # two of each four unused: fixed stream layout
     for i, m in enumerate(config.powers):
         r_samp, r_weyl = rngs[4 * i:4 * i + 2]
@@ -306,13 +302,11 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
         rows += _bound_rows(m, labels, stats.orbit_means(table, pre.weyl_rows(desc, angles)),
                             config.threshold, table.size)
         coords = pre.uniform_torus_rows(desc, angles, r_weyl)
+        dropped.append(angles.shape[0] - coords.shape[0])
         for j in range(desc.torus_rank):
             rows.append(_row(m, f"ks_uniform[{j}]", stats.ks_uniform(coords[:, j]),
                              stats.KS_THRESHOLD_1PCT))
-        rows += _matched_rows(m, trace_ids,
-                              stats.spectral_trace_moments(angles, config.trace_k_max), expect,
-                              config.threshold)
-    return rows, {}
+    return rows, {"ks_rows_dropped": dropped}
 
 
 def _streamed(samples: int, rngs, moments):
@@ -348,8 +342,8 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
     matched against its exact values.  Every side is streamed (:func:`_streamed`).
     """
     entry_ids = stats.entry_labels(desc.matrix_size)
-    trace_ids = stats.trace_labels(config.trace_k_max)
-    expect = _trace_expect(desc, config.trace_k_max)
+    trace_ids = stats.trace_labels(TRACE_K_MAX)
+    expect = np.tile(fixed_law_trace_moments(desc), TRACE_K_MAX)   # in trace_labels order
     rows = []
     rngs = _rngs(seq, 4 * len(config.powers))
     if config.target == "haar_power":
@@ -362,7 +356,7 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
     for i, m in enumerate(config.powers):
         def power_moments(size, rng):
             powered = power_batch(law.sample_batch(rng, size), m)
-            return stats.entry_moments(powered), stats.trace_moments(powered, config.trace_k_max)
+            return stats.entry_moments(powered), stats.trace_moments(powered, TRACE_K_MAX)
         entry, trace = _streamed(config.samples, [rngs[4 * i]], power_moments)
         rows += _two_sample_rows(m, entry_ids, entry, limit, config.threshold)
         rows += _matched_rows(m, trace_ids, trace, expect, config.threshold)

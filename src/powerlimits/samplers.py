@@ -75,8 +75,8 @@ class PerturbedHaarLaw:
     strength: float
 
     def __post_init__(self):
-        if abs(self.strength) > 1.0:
-            raise ValueError("|strength| must be at most 1")
+        if not abs(self.strength) <= 1.0:   # NaN fails here too
+            raise ValueError("strength must be a number in [-1, 1]")
 
     def density(self, mats: np.ndarray) -> np.ndarray:
         """Density against Haar of each matrix of a (S, N, N) stack."""

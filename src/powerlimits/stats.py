@@ -7,8 +7,9 @@ Weak convergence is checked through finite fingerprint families:
   the stored series coefficient a_p directly), and their means over the
   Weyl orbits of the lattice (the uniform-preimage coefficients of
   eigenangle rows, read with no Weyl draw),
-* trace moments Tr(g^k) and |Tr(g^k)|^2 (conjugation invariant, they
-  separate eigenvalue laws),
+* trace moments Tr(g^k) and |Tr(g^k)|^2 of matrix stacks (conjugation
+  invariant; on eigenangle rows they are affine images of the orbit means
+  above, up to degree 2k on SO, so no spectral route is kept),
 * entry moments E[g_jk] and E[g_jk conj(g_lm)] (full group-law
   fingerprints).
 
@@ -312,11 +313,6 @@ def trace_labels(k_max: int) -> list[str]:
     return [f"{name}[{k}]" for k in range(1, k_max + 1) for name in ("trace", "trace_abs2")]
 
 
-def _trace_estimates(s: int, traces) -> Estimates:
-    """Tr(g^k) and |Tr(g^k)|^2 for each (S,) trace column in turn."""
-    return _column_estimates(s, (col for tr in traces for col in (tr, np.abs(tr) ** 2)))
-
-
 def trace_moments(mats: np.ndarray, k_max: int) -> Estimates:
     """Tr(g^k) and |Tr(g^k)|^2 for k = 1..k_max over a (S, N, N) stack; up to
     N = SMALL_N g^k accumulates on entry planes (einsum sums their diagonal in order)."""
@@ -324,14 +320,9 @@ def trace_moments(mats: np.ndarray, k_max: int) -> Estimates:
     mats = np.asfortranarray(mats) if small else mats
     powers = itertools.accumulate(itertools.repeat(mats, k_max - 1),
                                   _plane_matmul if small else np.matmul, initial=mats)
-    return _trace_estimates(mats.shape[0], (np.einsum("sii->s", acc) for acc in powers))
-
-
-def spectral_trace_moments(angle_rows: np.ndarray, k_max: int) -> Estimates:
-    """Same statistics computed from eigenangle rows: Tr(g^k) = sum_j e^{ik theta_j}."""
-    rows = np.asarray(getattr(angle_rows, "rows", angle_rows), dtype=np.float64)
-    return _trace_estimates(rows.shape[0], (np.exp(1j * k * rows).sum(axis=1)
-                                            for k in range(1, k_max + 1)))
+    traces = (np.einsum("sii->s", acc) for acc in powers)
+    return _column_estimates(mats.shape[0],
+                             (col for tr in traces for col in (tr, np.abs(tr) ** 2)))
 
 
 def entry_moment_schedule(n: int) -> list[tuple]:

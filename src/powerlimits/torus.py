@@ -142,9 +142,12 @@ class FourierDensity:
     @classmethod
     def from_json(cls, text: str) -> "FourierDensity":
         """A config's density, JSON text or parsed: {"rank": n, "coeffs": [{"p", "re", "im"}]},
-        "im" optional.  Any other key, a rank or coordinate that is not a JSON integer, a
-        boolean coefficient part and a point listed twice are refused."""
+        "im" optional.  Anything else (an empty object, null, a number), any other key, a
+        rank or coordinate that is not a JSON integer, a boolean coefficient part and a
+        point listed twice are refused."""
         data = json.loads(text) if isinstance(text, str) else text
+        if not (isinstance(data, dict) and {"rank", "coeffs"} <= set(data)):
+            raise ValueError("a density is a JSON object with a rank and coeffs")
         rows = data["coeffs"]
         for obj, known in [(data, {"rank", "coeffs"}), *((row, {"p", "re", "im"}) for row in rows)]:
             if set(obj) - known:

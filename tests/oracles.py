@@ -7,8 +7,8 @@ import numpy as np
 
 from powerlimits.experiments import VerdictRow
 from powerlimits.groups import GroupDescriptor
-from powerlimits.stats import (_std_error, empirical_fourier_many, entry_moment_schedule,
-                               fourier_labels, lattice_ball)
+from powerlimits.stats import (Estimates, _column_estimates, _std_error, empirical_fourier_many,
+                               entry_moment_schedule, fourier_labels, lattice_ball)
 from powerlimits.torus import AngleSample, FourierDensity, GridDensity
 from powerlimits._kernels import TAU, _factors, _layout, _power_table, _split, wrap_angles
 
@@ -18,6 +18,15 @@ def rains_limit_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int
     the monomial table evaluated at iid uniform torus angles."""
     y = rng.uniform(0.0, TAU, size=(size, desc.torus_rank))
     return wrap_angles(y @ desc.monomials.T.astype(np.float64))
+
+
+def spectral_trace_moments(angle_rows, k_max: int) -> Estimates:
+    """Tr(g^k) = sum_j exp(i k theta_j) and |Tr(g^k)|^2 from eigenangle rows, in
+    ``stats.trace_labels`` order: the matrix trace moments without a matrix."""
+    rows = np.asarray(getattr(angle_rows, "rows", angle_rows), dtype=np.float64)
+    traces = [np.exp(1j * k * rows).sum(axis=1) for k in range(1, k_max + 1)]
+    return _column_estimates(rows.shape[0],
+                             (col for tr in traces for col in (tr, np.abs(tr) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind, key, value", [
         ("exact_threshold", "powers", [7]),
-        ("preimage_invariance", "trace_k_max", 3),
         ("preimage_invariance", "target", "haar_power"),
         ("torus_suite", "family", "U"),
     ])
@@ -132,6 +131,12 @@ class TestConfig:
             ExperimentConfig.from_json({"experiment": kind, "seed": 1, key: value})
         # a config built in Python keeps every field
         assert small_config(experiment=kind, **{key: value}).validate().experiment == kind
+
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_no_kind_reads_trace_k_max(self, kind):
+        # group_limit reads Tr(g^k) for k up to the constant TRACE_K_MAX
+        with pytest.raises(ConfigError, match="trace_k_max"):
+            ExperimentConfig.from_json({"experiment": kind, "seed": 1, "trace_k_max": 3})
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig.from_json(json.dumps(
@@ -163,6 +168,20 @@ class TestRunners:
     def test_eigen_convergence_haar_passes(self):
         rep = run_experiment(small_config(samples=20000))
         assert rep.raw_pass and rep.summary_pass
+
+    def test_ks_rows_dropped_counts_so_rows_at_pi(self, monkeypatch):
+        # an SO(3) row with its angle at pi has no torus coordinate: the KS rows drop
+        # it, the orbit rows keep it, and the notes count it per power
+        cfg = small_config(family="SO", matrix_size=3, powers=[1, 3], samples=2000)
+        assert run_experiment(cfg).notes == {"ks_rows_dropped": [0, 0]}
+        angle_rows = experiments._angle_rows
+
+        def at_pi(law, m, rng, size):
+            angles = angle_rows(law, m, rng, size)
+            angles[:10 * m] = [0.0, np.pi, np.pi]
+            return angles
+        monkeypatch.setattr(experiments, "_angle_rows", at_pi)
+        assert run_experiment(cfg).notes == {"ks_rows_dropped": [10, 30]}
 
     def test_eigen_point_mass_negative_control(self):
         rep = run_experiment(small_config(law={"type": "point_mass"}, powers=[10],
@@ -639,7 +658,7 @@ class TestFourierRowsBitIdentity:
             powered = groups.power_batch(cfg.build_law().sample_batch(rngs[4 * i], cfg.samples), m)
             want = [_match_row(m, r.statistic, r, abs2 if r.statistic.startswith("trace_abs2")
                                else mean, cfg.threshold)
-                    for r in scalar_trace_moments(_matrix_traces(powered, cfg.trace_k_max))]
+                    for r in scalar_trace_moments(_matrix_traces(powered, experiments.TRACE_K_MAX))]
             got = [r for r in built if r.m == m and r.statistic.startswith("trace")]
             assert _bits(got) == _bits(want)
             if law["type"] == "point_mass":
@@ -671,11 +690,10 @@ class TestFourierRowsBitIdentity:
             assert _bits([r for r in rep.rows if r.m == m][:2]) == _bits(want)
 
     @pytest.mark.parametrize("family, n", [("U", 3), ("SU", 3), ("SO", 5)])
-    def test_ks_and_spectral_trace_rows_equal_the_scalar_formulas(self, family, n):
+    def test_ks_rows_equal_the_scalar_formula(self, family, n):
         cfg = small_config(family=family, matrix_size=n, powers=[1, 4], samples=2000,
                            law={"type": "perturbed_haar", "strength": 0.5})
         rep, desc = run_experiment(cfg), cfg.descriptor()
-        mean, abs2 = groups.fixed_law_trace_moments(desc)
         rngs = experiments._rngs(np.random.SeedSequence(cfg.seed), 4 * len(cfg.powers))
         for i, m in enumerate(cfg.powers):
             r_samp, r_weyl = rngs[4 * i:4 * i + 2]
@@ -683,9 +701,6 @@ class TestFourierRowsBitIdentity:
             coords = preimage.uniform_torus_rows(desc, angles, r_weyl)
             want = [scalar_row(m, f"ks_uniform[{j}]", scalar_ks_uniform(coords[:, j]),
                                stats.KS_THRESHOLD_1PCT) for j in range(desc.torus_rank)]
-            traces = [np.exp(1j * k * angles).sum(axis=1) for k in range(1, cfg.trace_k_max + 1)]
-            want += [_match_row(m, r.statistic, r, abs2 if r.statistic.startswith("trace_abs2")
-                                else mean, cfg.threshold) for r in scalar_trace_moments(traces)]
             got = [r for r in rep.rows if r.m == m and not r.statistic.startswith("orbit[")]
             assert _bits(got) == _bits(want)
 
@@ -796,6 +811,11 @@ class TestCli:
         dict(experiment="eigen_convergence", law={"type": "wat"}, seed=1),
         dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strength": 3},
              seed=1),
+        # a string strength once ran as its number, and NaN aborted at sampling (exit 3)
+        dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strength": "0.3"},
+             seed=1),
+        dict(experiment="eigen_convergence",
+             law={"type": "perturbed_haar", "strength": float("nan")}, seed=1),
         dict(experiment="torus_suite", powers=[7], grid_size=360, seed=1),
         dict(experiment="eigen_convergence", law={"type": "point_mass"}, powers=[], seed=1),
         dict(experiment="eigen_convergence", powers=[2.7], seed=1),
@@ -807,7 +827,6 @@ class TestCli:
         dict(experiment="torus_suite", powers=[2], torus_rank=0, seed=1),
         dict(experiment="torus_suite", powers=[2], grid_size=4, seed=1),
         dict(experiment="eigen_convergence", max_lattice_degree=0, seed=1),
-        dict(experiment="eigen_convergence", trace_k_max=0, seed=1),
         dict(experiment="eigen_convergence", negative_control="yes", seed=1),
         dict(experiment="eigen_convergence", threshold=float("inf"), seed=1),
         dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strenght": 0.9},
@@ -815,11 +834,15 @@ class TestCli:
         dict(experiment="eigen_convergence", law={"type": "haar", "strength": 0.5}, seed=1),
         dict(experiment=["eigen_convergence"], seed=1),
         dict(experiment="exact_threshold", powers=[7], seed=1),
-        dict(experiment="preimage_invariance", trace_k_max=3, target="haar_power", powers=[2],
-             seed=1),
+        dict(experiment="preimage_invariance", target="haar_power", powers=[2], seed=1),
+        dict(experiment="group_limit", trace_k_max=3, seed=1),
         # no preimage of a degenerate spectrum: refused before any draw
         dict(experiment="group_limit", law={"type": "point_mass"}, samples=200, seed=1),
         dict(experiment="preimage_invariance", law={"type": "point_mass"}, seed=1),
+        # a present but empty density once ran the default marginal, as an absent key does
+        *(dict(experiment="eigen_convergence", law={"type": law, key: value}, seed=1)
+          for law, key in (("torus_density", "density"), ("mixture_u2", "d1"))
+          for value in ({}, None, 0, "")),
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "config.json"

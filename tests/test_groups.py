@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from powerlimits import groups as G
-from oracles import rains_limit_batch
+from oracles import rains_limit_batch, spectral_trace_moments
 
 ALL_DESCRIPTORS = [G.unitary(2), G.unitary(3), G.special_unitary(2),
                    G.special_unitary(3), G.special_orthogonal_odd(3),
@@ -268,7 +268,7 @@ class TestRainsLimit:
                                                    (G.special_orthogonal_odd(5), 1, 5)],
                              ids=repr)
     def test_exact_trace_moments(self, desc, mean, abs2):
-        from powerlimits.stats import spectral_trace_moments, trace_labels
+        from powerlimits.stats import trace_labels
         assert G.fixed_law_trace_moments(desc) == (mean, abs2)
         rng = np.random.default_rng(14)
         est = spectral_trace_moments(rains_limit_batch(desc, rng, 100_000), 3)
@@ -280,7 +280,7 @@ class TestRainsLimit:
     @pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=repr)
     def test_haar_power_at_the_exponent_has_the_fixed_trace_moments(self, desc):
         # the stationarity exponent D is where Haar eigenvalue laws freeze
-        from powerlimits.stats import spectral_trace_moments, trace_labels
+        from powerlimits.stats import trace_labels
         rng = np.random.default_rng(15)
         mats = G.power_batch(G.haar_batch(desc, rng, 20000), desc.stationarity_exponent)
         mean, abs2 = G.fixed_law_trace_moments(desc)

@@ -9,7 +9,7 @@ import pytest
 from powerlimits import groups as G
 from powerlimits import preimage as P
 from powerlimits.samplers import MIXTURE_A, PerturbedHaarLaw
-from oracles import rains_limit_batch
+from oracles import rains_limit_batch, spectral_trace_moments
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)  # the coordinate swap
 
@@ -369,7 +369,7 @@ class TestLimitLawSample:
         # two-sample check between eigenangles of limit draws and the
         # monomial limit sampler
         from powerlimits.preimage import limit_law_batch, preimages_batch
-        from powerlimits.stats import spectral_trace_moments, two_sample_test
+        from powerlimits.stats import two_sample_test
 
         rng = np.random.default_rng(38)
         desc = G.unitary(2)

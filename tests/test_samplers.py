@@ -26,11 +26,11 @@ from powerlimits.stats import (
     empirical_fourier_many,
     entry_moments,
     lattice_ball,
-    spectral_trace_moments,
     trace_moments,
     two_sample_test,
 )
-from oracles import dict_density, dict_eigen_density, dict_symmetrize, fourier_coefficient
+from oracles import (dict_density, dict_eigen_density, dict_symmetrize, fourier_coefficient,
+                     spectral_trace_moments)
 
 TAU = 2 * np.pi
 # eigenangle rows of a law: from its matrices, or from the Weyl density where it applies

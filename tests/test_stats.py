@@ -12,7 +12,7 @@ from powerlimits import samplers as L
 from powerlimits import stats as S
 from powerlimits.groups import haar_batch, unitary
 from powerlimits.torus import AngleSample
-from oracles import MomentReport, empirical_fourier, rains_limit_batch
+from oracles import MomentReport, empirical_fourier, rains_limit_batch, spectral_trace_moments
 
 TAU = 2 * np.pi
 
@@ -282,9 +282,61 @@ class TestTraceMoments:
         rng = np.random.default_rng(7)
         mats = haar_batch(unitary(3), rng, 500)
         a = S.trace_moments(mats, 3)
-        b = S.spectral_trace_moments(eigenangles_batch(mats), 3)
+        b = spectral_trace_moments(eigenangles_batch(mats), 3)
         assert len(a) == len(b) == len(S.trace_labels(3))
         assert np.all(np.abs(a.estimate - b.estimate) <= 1e-9)
+
+
+def _orbit_value(desc, table, est, vector):
+    """The mean at the orbit of the Weyl vector ``vector`` (least entry 0 on SU): its
+    row of ``est``, conjugated where the table keeps the conjugate orbit."""
+    vector = np.array(vector)
+    point = vector[:-1] - vector[-1] if desc.family is G.Family.SPECIAL_UNITARY else vector
+    orb = S.orbit(desc, point)
+    value = est.estimate[table.lattice.tolist().index(list(orb.label))]
+    return value if np.all(orb.members == vector, axis=1).any() else value.conjugate()
+
+
+class TestTracesFromOrbits:
+    """Traces of eigenangle rows are power sums, and power sums are affine in the
+    Weyl-orbit means (monomial symmetric functions): so eigen_convergence, which
+    reports every orbit of its box, reports no trace row."""
+
+    @pytest.mark.parametrize("desc", [G.unitary(2), G.unitary(3), G.unitary(4),
+                                      G.special_unitary(3), G.special_unitary(4)], ids=repr)
+    def test_unitary_traces_are_orbit_rows_rescaled(self, desc):
+        # Tr(g^k) = N conj(orbit[k, 0, ...]), |Tr(g^k)|^2 = N + N(N-1) orbit[k, 0, ..., -k]
+        n, rng = desc.matrix_size, np.random.default_rng(70)
+        angles = E._angle_rows(L.PerturbedHaarLaw(desc, 0.5), 2, rng, 3000)
+        table = S.orbit_table(desc, 3)
+        est = S.orbit_means(table, P.weyl_rows(desc, angles))
+        want = []
+        for k in range(1, 4):
+            single, pair = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            single[0], pair[0], pair[-1] = k, k, -k
+            if desc.family is G.Family.SPECIAL_UNITARY:
+                pair += k
+            want += [n * np.conj(_orbit_value(desc, table, est, single)),
+                     n + n * (n - 1) * _orbit_value(desc, table, est, pair)]
+        got = spectral_trace_moments(angles, 3).estimate
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_so_traces_read_orbits_up_to_degree_2k(self, n):
+        # r the torus rank: Tr(g^k) = 1 + 2r orbit[k, 0, ...], and |Tr(g^k)|^2 = 1 + 2r
+        # + 4r orbit[k, 0, ...] + 2r orbit[2k, 0, ...] + 4r(r-1) orbit[k, k, 0, ...]
+        desc = G.special_orthogonal_odd(n)
+        r, rng = desc.torus_rank, np.random.default_rng(71)
+        angles = E._angle_rows(L.PerturbedHaarLaw(desc, 0.5), 2, rng, 3000)
+        table = S.orbit_table(desc, 6)
+        est = S.orbit_means(table, P.weyl_rows(desc, angles))
+        at = lambda *head: _orbit_value(desc, table, est, list(head) + [0] * (r - len(head)))
+        want = []
+        for k in range(1, 4):
+            both = 4 * r * (r - 1) * at(k, k) if r > 1 else 0.0
+            want += [1 + 2 * r * at(k), 1 + 2 * r + 4 * r * at(k) + 2 * r * at(2 * k) + both]
+        got = spectral_trace_moments(angles, 3).estimate
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 class TestEntryMoments:
