@@ -12,12 +12,17 @@ are meant to demonstrate test power, not just absence of alarms).
 Reproducibility: all randomness flows from ``numpy.random.SeedSequence``
 children of the config seed, spawned per pipeline stage in a fixed order,
 so a config and seed pin the entire report (wall-clock aside); streamed
-chunks (:func:`_streamed`) draw one after another from those streams.
+chunks (:func:`_streamed`) draw one after another from those streams.  The
+independent stages of ``group_limit`` and ``preimage_invariance`` may run on
+two threads (:func:`_in_parallel`); each draws only from its own streams, so
+the report is the same on one core or two.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -54,7 +59,7 @@ _KIND_FIELDS = {
 # integer config fields and their least allowed values
 _INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
                "grid_size": 0, "density_count": 0, "torus_rank": 1}
-CHUNK_ROWS = 8192   # rows per chunk of a streamed side; 4096 and 16384 timed the same
+CHUNK_ROWS = 4096   # rows per chunk of a streamed side: two stages in flight hold 8192
 TRACE_K_MAX = 3     # group_limit matches Tr(g^k) and |Tr(g^k)|^2 for k = 1..TRACE_K_MAX
 _TORUS_SUITE_DEGREE = 3   # degree of torus_suite's random densities and its lattice
 # law types and the keys each accepts besides "type"
@@ -154,8 +159,14 @@ class ExperimentConfig:
             if type(strength) not in (int, float):   # float(True) or float("0.3") would run
                 raise ConfigError("the perturbed_haar strength must be a number")
             return samplers.PerturbedHaarLaw(desc, float(strength))
-        dens = lambda key: (torus.FourierDensity.from_json(self.law[key]) if key in self.law
-                            else samplers.default_mixture_marginal())
+
+        def dens(key):
+            if key not in self.law:
+                return samplers.default_mixture_marginal()
+            if not isinstance(self.law[key], dict):   # from_json would parse a string as JSON
+                raise ConfigError("a density is a JSON object with a rank and coeffs")
+            return torus.FourierDensity.from_json(self.law[key])
+
         if kind == "mixture_u2":
             return samplers.MixtureU2Law(dens("d1"), dens("d2"), desc)
         if kind == "torus_density":
@@ -309,10 +320,55 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     return rows, {"ks_rows_dropped": dropped}
 
 
+def _in_parallel(stages) -> list:
+    """The results of the zero-argument callables ``stages``, in list order.
+
+    The calling thread and, when the process may run on two or more CPUs, one worker
+    thread take the next stage index from one shared iterator (stages start in list
+    order); each stops taking once a stage has failed, and after the worker is joined
+    the error of the lowest failing index is raised: the one a serial run raises.  The
+    result does not depend on the schedule so long as each stage draws only from its
+    own generators and writes no shared state.  numpy's matrix and elementwise kernels
+    release the GIL, so two stages overlap.  The caller works beside one worker rather
+    than wait on a pool: one thread fewer, for the same speed.
+    """
+    results, failed = [None] * len(stages), {}
+    order, take, stop = iter(range(len(stages))), threading.Lock(), threading.Event()
+
+    def work():
+        while not stop.is_set():
+            with take:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = stages[i]()
+            except Exception as exc:   # raised by the calling thread, below
+                failed[i] = exc
+                stop.set()
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    worker = threading.Thread(target=work) if len(stages) > 1 and cpus >= 2 else None
+    if worker is not None:
+        worker.start()
+    try:
+        work()
+    finally:
+        stop.set()   # the iterator is spent, a stage failed, or this thread was interrupted
+        if worker is not None:
+            worker.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def _streamed(samples: int, rngs, moments):
     """The moment records (one, or a tuple) that ``moments(size, *rngs)`` returns, over
     ceil(samples / CHUNK_ROWS) near-equal chunks drawn in turn from ``rngs`` and merged
-    in order: one chunk's matrices at most are alive, and every check runs per chunk."""
+    in order: one chunk's matrices at most are alive, and every check runs per chunk.
+    A stage of :func:`_in_parallel` owns its ``rngs``, so two stages streamed at once
+    hold two chunks, and draw what they would draw one after the other."""
     count = -(-samples // CHUNK_ROWS)
     size, extra = divmod(samples, count)
     merged = moments(size + (extra > 0), *rngs)
@@ -339,25 +395,31 @@ def _group_limit(config: ExperimentConfig, desc, law, seq):
     first power and shared by every power: Haar^D, or psi(flag, Y) over uniform
     preimages of an independent run of ``law``.  Each power draws and powers its
     own U.  Both limit sides have the fixed eigenvalue law, so trace moments are
-    matched against its exact values.  Every side is streamed (:func:`_streamed`).
+    matched against its exact values.  Every side is streamed (:func:`_streamed`),
+    and the sides run as independent stages (:func:`_in_parallel`).
     """
     entry_ids = stats.entry_labels(desc.matrix_size)
     trace_ids = stats.trace_labels(TRACE_K_MAX)
     expect = np.tile(fixed_law_trace_moments(desc), TRACE_K_MAX)   # in trace_labels order
-    rows = []
     rngs = _rngs(seq, 4 * len(config.powers))
     if config.target == "haar_power":
         def haar_moments(size, rng):
             return stats.entry_moments(power_batch(haar_batch(desc, rng, size),
                                                    desc.stationarity_exponent))
-        limit = _streamed(config.samples, rngs[1:2], haar_moments)
+        limit_side = lambda: _streamed(config.samples, rngs[1:2], haar_moments)
     else:
-        limit = _preimage_limit_moments(desc, law, config.samples, *rngs[1:4])
-    for i, m in enumerate(config.powers):
+        limit_side = lambda: _preimage_limit_moments(desc, law, config.samples, *rngs[1:4])
+
+    def power_side(m, rng):
         def power_moments(size, rng):
             powered = power_batch(law.sample_batch(rng, size), m)
             return stats.entry_moments(powered), stats.trace_moments(powered, TRACE_K_MAX)
-        entry, trace = _streamed(config.samples, [rngs[4 * i]], power_moments)
+        return lambda: _streamed(config.samples, [rng], power_moments)
+
+    limit, *sides = _in_parallel([limit_side] + [power_side(m, rngs[4 * i])
+                                                 for i, m in enumerate(config.powers)])
+    rows = []
+    for m, (entry, trace) in zip(config.powers, sides):
         rows += _two_sample_rows(m, entry_ids, entry, limit, config.threshold)
         rows += _matched_rows(m, trace_ids, trace, expect, config.threshold)
     return rows, {}
@@ -443,8 +505,9 @@ def _preimage_invariance(config: ExperimentConfig, desc, law, seq):
     same law must agree in entry moments (Tr psi(V, Y)^k does not depend
     on the flag V, so trace moments would test nothing)."""
     r_a, r_b, r_w, r_y1, r_y2 = _rngs(seq, 5)
-    side_a = _preimage_limit_moments(desc, law, config.samples, r_a, None, r_y1)
-    side_b = _preimage_limit_moments(desc, law, config.samples, r_b, r_w, r_y2)
+    side_a, side_b = _in_parallel([
+        lambda: _preimage_limit_moments(desc, law, config.samples, r_a, None, r_y1),
+        lambda: _preimage_limit_moments(desc, law, config.samples, r_b, r_w, r_y2)])
     return _two_sample_rows(0, stats.entry_labels(desc.matrix_size), side_a, side_b,
                             config.threshold), {}
 

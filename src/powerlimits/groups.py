@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import SMALL_N, _plane_matmul, det, eigvals_2x2, positive_qr_q, wrap_angles
+from ._kernels import (SMALL_N, _plane_matmul, det, eigvals_2x2, positive_qr_q, unit_phases,
+                       wrap_angles)
 
 TAU_UNIT = 1e-10   # construction tolerance for M M* = I and det checks
 TAU_DRIFT = 1e-8   # allowed unitarity defect after repeated squaring
@@ -201,7 +202,7 @@ def embed_phases(desc: GroupDescriptor, rows: np.ndarray) -> np.ndarray:
     the monomial values exp(i m.t)."""
     if desc.is_real:
         raise ValueError("the SO torus embedding is not diagonal")
-    return np.exp(1j * (_torus_rows(desc, rows) @ desc.monomials.T.astype(np.float64)))
+    return unit_phases(_torus_rows(desc, rows) @ desc.monomials.T.astype(np.float64))
 
 
 def rotate_pairs(desc: GroupDescriptor, mats: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TAU
+from ._kernels import TAU, unit_phases
 from .groups import (
     Family,
     GroupDescriptor,
@@ -119,8 +119,8 @@ class MixtureU2Law:
 def _mixture_rows(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """embed(t1) in the rows where ``x`` holds, a embed(t2) a* in the others."""
     out = np.empty((x.size, 4), dtype=np.complex128)
-    out[x] = np.exp(1j * t1) @ _BRANCH_OUTER[0]
-    out[~x] = np.exp(1j * t2) @ _BRANCH_OUTER[1]
+    out[x] = unit_phases(t1) @ _BRANCH_OUTER[0]
+    out[~x] = unit_phases(t2) @ _BRANCH_OUTER[1]
     return out.reshape(-1, 2, 2)
 
 

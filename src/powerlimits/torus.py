@@ -186,7 +186,9 @@ class FourierDensity:
         [2 pi k_j / G, 2 pi (k_j + 1) / G) of the torus, at most the envelope.
 
         Built on first use and kept on the density.  G is the
-        largest grid with at most ``_CELLS`` cells.
+        largest grid with at most ``_CELLS`` cells.  Two threads sampling one density
+        (concurrent stages of an experiment) may both build it, with no lock: the table
+        is a pure function of the density's read-only arrays, so either copy serves.
         """
         cached = self.__dict__.get("_cells")
         if cached is not None:

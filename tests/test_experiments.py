@@ -3,9 +3,11 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -452,17 +454,28 @@ class TestStreaming:
         assert {**first, "wall_clock": 0} == {**again, "wall_clock": 0}
 
     def test_chunks_are_near_equal(self, monkeypatch):
-        sizes, law_batch = [], samplers.PerturbedHaarLaw.sample_batch
+        sizes, law_batch = {}, samplers.PerturbedHaarLaw.sample_batch
 
         def counted(law, rng, size):
-            sizes.append(size)
+            sizes.setdefault(id(rng), []).append(size)
             return law_batch(law, rng, size)
 
         monkeypatch.setattr(samplers.PerturbedHaarLaw, "sample_batch", counted)
         half = experiments.CHUNK_ROWS // 2
         run_experiment(small_config(samples=experiments.CHUNK_ROWS + 1,
                                     **STREAMED_CONFIGS["invariance"]))
-        assert sizes == [half + 1, half] * 2   # two chunks per side, the first one row more
+        # two chunks per side, the first one row more; the two sides may interleave
+        assert list(sizes.values()) == [[half + 1, half]] * 2
+
+    @pytest.mark.parametrize("name", sorted(STREAMED_CONFIGS))
+    def test_reports_do_not_depend_on_the_core_count(self, name, monkeypatch):
+        cfg = small_config(samples=2 * experiments.CHUNK_ROWS + 1, seed=5,
+                           **STREAMED_CONFIGS[name])
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            reports.append(dict(run_experiment(cfg).to_json_dict(), wall_clock=0))
+        assert reports[0] == reports[1]
 
     def test_peak_memory_does_not_grow_with_samples(self):
         import powerlimits
@@ -478,6 +491,55 @@ class TestStreaming:
                                capture_output=True, text=True, check=True) for k in (2, 16)]
         small_kb, large_kb = (int(done.stdout) for done in runs)
         assert abs(large_kb - small_kb) < 8 * 1024
+
+
+class TestInParallel:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_results_come_in_list_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        ran = []
+        stages = [lambda i=i: ran.append(threading.current_thread()) or i for i in range(5)]
+        assert experiments._in_parallel(stages) == list(range(5))
+        if len(cpus) == 1:   # one CPU: no worker, every stage on the calling thread
+            assert ran == [threading.current_thread()] * 5
+
+    def test_every_stage_runs_once_under_fast_thread_switching(self, monkeypatch):
+        # a stage taken twice or never breaks the invariant; an index read and then
+        # written back without the lock failed this in about half of the runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                runs = [[] for _ in range(200)]
+                results = experiments._in_parallel(
+                    [lambda i=i: runs[i].append(threading.get_ident()) or i for i in range(200)])
+                assert results == list(range(200))
+                assert [len(r) for r in runs] == [1] * 200
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_lowest_failing_stage_is_raised_after_the_join(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # stages 0 and 1 wait for each other, so each runs on its own thread; stage 1
+        # fails first, stage 0 after it, and neither thread takes stage 2
+        both, first_failed, ran = threading.Barrier(2, timeout=10), threading.Event(), []
+
+        def stage_0():
+            both.wait()
+            assert first_failed.wait(timeout=10)
+            raise ValueError("stage 0")
+
+        def stage_1():
+            both.wait()
+            first_failed.set()
+            raise ValueError("stage 1")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="stage 0"):
+            experiments._in_parallel([stage_0, stage_1, lambda: ran.append(2)])
+        assert ran == []
+        assert threading.active_count() == threads
 
 
 SHAPE_CONFIGS = dict(FILE_CONFIGS)
@@ -866,6 +928,23 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out)]) == 3
         assert out.read_text() == "kept"
 
+    def test_a_failing_concurrent_stage_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        power = experiments.power_batch
+
+        def drifting(mats, m):
+            if m == 64:
+                raise groups.PowerDriftError(1.0)
+            return power(mats, m)
+
+        monkeypatch.setattr(experiments, "power_batch", drifting)
+        path = self._write_config(tmp_path, experiment="group_limit", powers=[3, 64, 5],
+                                  law={"type": "perturbed_haar", "strength": 0.5})
+        threads = threading.active_count()
+        assert cli.main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("family, n", [("SU", 2), ("U", 3)])
     def test_mixture_law_is_refused_off_u2(self, tmp_path, capsys, family, n):
         path = self._write_config(tmp_path, family=family, matrix_size=n,
@@ -895,8 +974,11 @@ class TestCli:
         ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}], "degree": 1}, "unknown density keys"),
         ({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}, {"p": [1], "re": 0.2, "imag": 0.1},
                                 {"p": [-1], "re": 0.2, "imag": -0.1}]}, "unknown density keys"),
+        # a string once ran as the density its JSON text spells, or failed as bad JSON
+        (json.dumps({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}]}), "a density is a JSON object"),
+        ("", "a density is a JSON object"),
     ], ids=["repeated-point", "fractional-coordinate", "fractional-rank", "boolean-part",
-            "unknown-density-key", "unknown-row-key"])
+            "unknown-density-key", "unknown-row-key", "json-text", "empty-string"])
     def test_malformed_density_exits_2(self, tmp_path, capsys, density, message):
         path = self._write_config(tmp_path, matrix_size=1, law={"type": "torus_density",
                                                                 "density": density})

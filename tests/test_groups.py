@@ -134,6 +134,13 @@ class TestTorusEmbed:
         assert np.array_equal(G.rotate_pairs(desc, np.asfortranarray(mats), t),
                               G.rotate_pairs(desc, mats, t))
 
+    @pytest.mark.parametrize("desc", [G.unitary(3), G.special_unitary(3)], ids=["U3", "SU3"])
+    def test_embed_phases_equal_the_complex_exp(self, desc):
+        t = np.random.default_rng(5).uniform(0.0, 2 * np.pi, (4096, desc.torus_rank))
+        np.testing.assert_allclose(G.embed_phases(desc, t),
+                                   np.exp(1j * (t @ desc.monomials.T.astype(np.float64))),
+                                   rtol=0.0, atol=1e-15)
+
     def test_embed_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="expected 2 angles per row"):
             G.embed_batch(G.unitary(2), np.zeros((5, 1)))

@@ -54,6 +54,15 @@ def test_wrap_angles_half_open_range():
     assert np.isclose(w[2], np.pi)
 
 
+def test_unit_phases_equal_the_complex_exp():
+    # bit-equal where numpy's float64 cos and sin are scalar; a SIMD cos or sin may round
+    # by an ulp, hence the tolerance
+    x = np.random.default_rng(2).uniform(-50.0, 50.0, size=(8192, 2))
+    phases = K.unit_phases(x)
+    assert phases.shape == x.shape and phases.dtype == np.complex128
+    np.testing.assert_allclose(phases, np.exp(1j * x), rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("rank,degree", [(1, 6), (2, 3), (3, 3), (4, 2)])
 def test_fourier_sums_full_ball(rank, degree):
     angles = rng.uniform(0, 2 * np.pi, size=(700, rank))

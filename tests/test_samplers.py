@@ -133,6 +133,17 @@ class TestMixtureU2:
         for mats in (law.sample_batch(rng, 1), law.sample_limit_batch(rng, 1)):
             assert mats.shape == (1, 2, 2) and unitarity_defect(mats) <= TAU_UNIT
 
+    def test_branch_rows_equal_the_complex_exp(self):
+        rng = np.random.default_rng(49)
+        x = rng.integers(0, 2, size=4096).astype(bool)
+        t1 = rng.uniform(0.0, TAU, (int(x.sum()), 2))
+        t2 = rng.uniform(0.0, TAU, (x.size - len(t1), 2))
+        old = np.empty((x.size, 4), dtype=np.complex128)
+        old[x] = np.exp(1j * t1) @ L._BRANCH_OUTER[0]
+        old[~x] = np.exp(1j * t2) @ L._BRANCH_OUTER[1]
+        np.testing.assert_allclose(L._mixture_rows(x, t1, t2), old.reshape(-1, 2, 2),
+                                   rtol=0.0, atol=1e-15)
+
     def test_rank_one_table_is_the_conjugation(self):
         z = np.exp(1j * np.random.default_rng(48).uniform(0.0, TAU, size=(100, 2)))
         conj = L.MIXTURE_A @ (z[:, :, None] * np.eye(2)) @ L.MIXTURE_A.conj().T
