@@ -317,11 +317,6 @@ def fourier_sums(angles, lattice):
     lattice = np.ascontiguousarray(lattice, dtype=np.int64)
     if angles.ndim != 2 or lattice.ndim != 2 or angles.shape[1] != lattice.shape[1]:
         raise ValueError("angles must be (S, n) and lattice (K, n)")
-    # drop the coordinates that are 0 at every lattice point (their power tables are
-    # all ones), keeping one for an all-zero lattice
-    keep = lattice.any(axis=0)
-    keep[np.argmax(keep)] = True
-    angles, lattice = angles[:, keep], lattice[:, keep]
     lo, shape, flat = _layout(lattice)
     box = np.zeros(_split(shape), dtype=np.complex128)
     for left, right in _factors(angles, lo, shape, -1.0):

@@ -111,6 +111,8 @@ class ExperimentConfig:
         if not (isinstance(self.powers, list) and self.powers
                 and all(type(m) is int and m >= 1 for m in self.powers)):
             raise ConfigError("powers must be a non-empty list of integers >= 1")
+        if len(set(self.powers)) < len(self.powers):
+            raise ConfigError(f"powers must be distinct (got {self.powers})")
         if self.experiment == "torus_suite" and (self.grid_size <= 2 * _TORUS_SUITE_DEGREE or any(
                 self.grid_size % m for m in self.powers)):
             raise ConfigError(f"torus_suite needs grid_size > {2 * _TORUS_SUITE_DEGREE}, "

@@ -156,7 +156,7 @@ def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
 def _min_circular_gap(sorted_angles: np.ndarray) -> np.ndarray:
     gaps = np.diff(sorted_angles, axis=-1)
     wrap = TAU - (sorted_angles[..., -1] - sorted_angles[..., 0])
-    return np.minimum(gaps.min(axis=-1), wrap)
+    return np.minimum(gaps.min(axis=-1, initial=np.inf), wrap)   # one angle: no gap
 
 
 def _reject_degenerate(bad: np.ndarray, why: str):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import SMALL_N, _plane_matmul, fourier_sums
+from ._kernels import SMALL_N, _plane_matmul, fourier_sums, unit_phases
 from .groups import Family, GroupDescriptor
 
 KS_THRESHOLD_1PCT = 1.63  # sqrt(S) * D_S acceptance point at the 1% level
@@ -256,7 +256,6 @@ class Orbit:
     """One Weyl orbit: its ``label`` (the key as a torus point), its distinct
     Weyl vectors ``members`` (|O|, L) and whether it is its own conjugate."""
 
-    family: Family
     label: tuple
     members: np.ndarray
     real: bool
@@ -271,36 +270,22 @@ def orbit(desc: GroupDescriptor, p) -> Orbit:
     p = np.asarray(p, dtype=np.int64)
     mine, conj = _keys(desc.family, np.stack([p, -p])).tolist()
     key = np.array([max(mine, conj)])
-    return Orbit(desc.family, tuple(_torus_points(desc.family, key)[0].tolist()),
+    return Orbit(tuple(_torus_points(desc.family, key)[0].tolist()),
                  np.unique(_weyl_images(desc.family, key)[0], axis=0), mine == conj)
 
 
 def orbit_report(orb: Orbit, rows) -> Estimates:
     """The mean over ``orb`` of the plain coefficients of the Weyl rows, as in
-    :func:`orbit_means`, as a one-row record with the plug-in standard error of the per-row mean
-    y = mean_q exp(-i q.theta).  E|y|^2 is the mean over member pairs (q, q') of the
-    coefficient at q - q', so one ``fourier_sums`` call at the members and their
-    distinct differences gives both moments, and no (S, |O|) table is built.
-
-    On U and SU, q.theta = sum_{j<N} q_j (theta_j - theta_N) + (sum_j q_j) theta_N,
-    and the members of an orbit share their sum: so the call reads the N - 1 angle
-    differences and theta_N, and every difference q - q' has a 0 in that last place.
-    """
+    :func:`orbit_means`, as a one-row record with the plug-in standard error of the
+    per-row mean y = mean_q exp(-i q.theta), read by :func:`_column_estimates`.  y
+    adds one member's phases at a time, so no (S, |O|) table is built; the members
+    are Weyl vectors of the rows' length, so on SU q.theta reads all N angles."""
     rows = np.asarray(rows, dtype=np.float64)
-    s, size, members = rows.shape[0], orb.size, orb.members
-    if s < 2:
-        raise ValueError("need at least two samples")
-    if orb.family is not Family.SPECIAL_ORTHOGONAL_ODD:
-        rows = np.concatenate([rows[:, :-1] - rows[:, -1:], rows[:, -1:]], axis=1)
-        members = np.concatenate([members[:, :-1], members.sum(axis=1, keepdims=True)], axis=1)
-    diffs = (members[:, None] - members[None]).reshape(size * size, -1)
-    lattice, where = np.unique(np.concatenate([members, diffs]), axis=0, return_inverse=True)
-    sums = fourier_sums(rows, lattice)[where.ravel()] / s
-    mean = complex(sums[:size].sum() / size)
-    if orb.real:
-        mean = complex(mean.real, 0.0)
-    spread = max(float(sums[size:].sum().real) / (size * size) - abs(mean) ** 2, 0.0)
-    return Estimates(np.array([mean]), _std_error(np.array([spread]), s), s)
+    y = np.zeros(rows.shape[0], dtype=np.complex128)
+    for q in orb.members.astype(np.float64):
+        y += unit_phases(-(rows @ q))
+    y /= orb.size
+    return _column_estimates(rows.shape[0], [y.real if orb.real else y])
 
 
 # ---------------------------------------------------------------------------

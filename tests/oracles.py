@@ -10,7 +10,7 @@ from powerlimits.groups import GroupDescriptor
 from powerlimits.stats import (Estimates, _column_estimates, _std_error, empirical_fourier_many,
                                entry_moment_schedule, fourier_labels, lattice_ball)
 from powerlimits.torus import AngleSample, FourierDensity, GridDensity
-from powerlimits._kernels import TAU, _factors, _layout, _power_table, _split, wrap_angles
+from powerlimits._kernels import TAU, _power_table, wrap_angles
 
 
 def rains_limit_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -189,16 +189,6 @@ def loop_pushforward(d: FourierDensity, m: int) -> dict:
     """Coefficients of the density of m X, kept and reindexed one point at a time."""
     return {tuple(x // m for x in p): a for p, a in d.coefficients.items()
             if all(x % m == 0 for x in p)}
-
-
-def unfolded_fourier_sums(angles, lattice) -> np.ndarray:
-    """``fourier_sums`` over the whole bounding box, with a power table for every
-    coordinate, also one that is 0 at every lattice point."""
-    lo, shape, flat = _layout(np.asarray(lattice, dtype=np.int64))
-    box = np.zeros(_split(shape), dtype=np.complex128)
-    for left, right in _factors(np.asarray(angles, dtype=np.float64), lo, shape, -1.0):
-        box += left @ right.T
-    return box.ravel()[flat]
 
 
 def ones_first_khatri_rao(angles, lo, shape, sign):

@@ -94,6 +94,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("eigen_convergence", {}), ("group_limit", {}),
+        ("torus_suite", {"density_count": 1, "grid_size": 360})])
+    def test_repeated_powers_are_refused(self, kind, extra):
+        # a repeated power once repeated every (m, statistic_id) row of that power
+        with pytest.raises(ConfigError, match="distinct"):
+            ExperimentConfig.from_json({"experiment": kind, "seed": 1, "powers": [2, 3, 2],
+                                        **extra})
+
     def test_empty_run_is_an_error(self):
         with pytest.raises(ConfigError, match="no verdict rows"):
             run_experiment(small_config(experiment="torus_suite", density_count=0))
@@ -898,6 +907,10 @@ class TestCli:
         dict(experiment="exact_threshold", powers=[7], seed=1),
         dict(experiment="preimage_invariance", target="haar_power", powers=[2], seed=1),
         dict(experiment="group_limit", trace_k_max=3, seed=1),
+        # a repeated power once repeated its rows' (m, statistic_id) pairs
+        dict(experiment="eigen_convergence", powers=[2, 2], seed=1),
+        dict(experiment="group_limit", powers=[3, 3], seed=1),
+        dict(experiment="torus_suite", powers=[2, 2], density_count=1, seed=1),
         # no preimage of a degenerate spectrum: refused before any draw
         dict(experiment="group_limit", law={"type": "point_mass"}, samples=200, seed=1),
         dict(experiment="preimage_invariance", law={"type": "point_mass"}, seed=1),
@@ -911,6 +924,15 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["group_limit", "preimage_invariance"])
+    def test_u1_preimages_run(self, tmp_path, capsys, kind):
+        # an element of U(1) has one eigenvalue and no eigenangle gap; its minimum gap
+        # was once a reduction over an empty array, which raised an uncaught error
+        path = self._write_config(tmp_path, experiment=kind, matrix_size=1, samples=1000,
+                                  seed=1)
+        assert cli.main(["run", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["summary_pass"] is True
 
     @pytest.mark.parametrize("overrides", [
         dict(matrix_size=4, powers=[2 ** 30]),     # U^m drifts off U(4) by about 8e-7

@@ -1,6 +1,7 @@
 """Estimator and verdict machinery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,15 +182,16 @@ class TestOrbitMeans:
 
     def test_su_orbits_reach_past_the_box(self):
         # SU(3): (3, -3) sits in the box, and its orbit holds (6, 3) and (-3, -6)
-        orb = S.orbit(G.special_unitary(3), (3, -3))
-        points = {tuple(q) for q in S._torus_points(orb.family, orb.members).tolist()}
+        desc = G.special_unitary(3)
+        orb = S.orbit(desc, (3, -3))
+        points = {tuple(q) for q in S._torus_points(desc.family, orb.members).tolist()}
         assert orb.label == (6, 3) and orb.real and orb.size == 6
         assert points == {(6, 3), (3, 6), (3, -3), (-3, 3), (-3, -6), (-6, -3)}
-        table = S.orbit_table(G.special_unitary(3), 3)
+        table = S.orbit_table(desc, 3)
         assert (6, 3) in {tuple(q) for q in table.lattice.tolist()}
 
-    @pytest.mark.parametrize("desc", ORBIT_GROUPS + [G.unitary(1), G.special_unitary(2)],
-                             ids=repr)
+    @pytest.mark.parametrize("desc", ORBIT_GROUPS + [
+        G.unitary(1), G.special_unitary(2), G.unitary(4)], ids=repr)
     def test_report_matches_the_per_row_plug_in(self, desc):
         weyl = _perturbed_weyl_rows(desc, 500, 2)
         table = S.orbit_table(desc, 2)
@@ -205,6 +207,21 @@ class TestOrbitMeans:
             assert not orb.real or est.imag == 0.0
             se = S._std_error(np.mean(np.abs(y - y.mean()) ** 2), 500)
             assert std_error == pytest.approx(se, rel=1e-9, abs=1e-15)
+
+    def test_report_builds_no_member_table(self):
+        # y adds one member's phases at a time: at S = 1e5 the 24 members of the U(4)
+        # orbit of (3, 2, 1, 0) would take 16 S bytes each as an (S, |O|) table
+        desc, s = G.unitary(4), 100_000
+        weyl = P.weyl_rows(desc, np.random.default_rng(5).uniform(0.0, TAU, (s, 4)))
+        orb = S.orbit(desc, (3, 2, 1, 0))
+        assert orb.size == 24
+        tracemalloc.start()
+        try:
+            S.orbit_report(orb, weyl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * s
 
     @pytest.mark.parametrize("desc", ORBIT_GROUPS, ids=repr)
     def test_null_scale_under_the_fixed_law(self, desc):
