@@ -278,14 +278,16 @@ def orbit_report(orb: Orbit, rows) -> Estimates:
     """The mean over ``orb`` of the plain coefficients of the Weyl rows, as in
     :func:`orbit_means`, as a one-row record with the plug-in standard error of the
     per-row mean y = mean_q exp(-i q.theta), read by :func:`_column_estimates`.  y
-    adds one member's phases at a time, so no (S, |O|) table is built; the members
-    are Weyl vectors of the rows' length, so on SU q.theta reads all N angles."""
+    adds one member's phases at a time, so no (S, |O|) table is built; on SU q.theta
+    reads all N angles.  A self-conjugate orbit pairs q with -q: its y is real, the
+    mean of cos q.theta, and takes no sines (trig is most of the time)."""
     rows = np.asarray(rows, dtype=np.float64)
-    y = np.zeros(rows.shape[0], dtype=np.complex128)
+    phases = np.cos if orb.real else unit_phases
+    y = np.zeros(rows.shape[0], dtype=np.float64 if orb.real else np.complex128)
     for q in orb.members.astype(np.float64):
-        y += unit_phases(-(rows @ q))
+        y += phases(-(rows @ q))
     y /= orb.size
-    return _column_estimates(rows.shape[0], [y.real if orb.real else y])
+    return _column_estimates(rows.shape[0], [y])
 
 
 # ---------------------------------------------------------------------------
