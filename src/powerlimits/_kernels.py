@@ -67,6 +67,10 @@ STACK_ROWS = 2048
 # bounds the kernels' working memory independently of the sample count.
 CHUNK_ENTRIES = 1 << 18
 
+# OpenBLAS runs a product of fewer multiply-adds on the calling thread; a larger
+# one wakes a second thread, which then spins on the other core for a while.
+SERIAL_MACS = 1 << 19
+
 
 def wrap_angles(x):
     """Reduce angles to [0, 2*pi).
@@ -354,8 +358,10 @@ def trig_poly_grid(lattice, coeffs, grid_size):
     """Real part of sum_p a_p exp(+i p.theta) on the uniform (G,)*n grid
     theta = 2*pi*k/G, as a C-contiguous (G,)*n array.
 
-    Each axis of the coefficient box is contracted with its power table in
-    turn, about G**n * width multiply-adds, exact at any grid size.
+    Each box axis but the last is contracted with its power table in turn, and
+    the last by one real product, Re(X @ T) = [Re X, -Im X] @ [Re T; Im T]: no
+    complex (G,)*n grid.  It runs in row blocks of under ``SERIAL_MACS``
+    multiply-adds each, about G**n * width in all, exact at any G.
     """
     lattice = np.ascontiguousarray(lattice, dtype=np.int64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
@@ -363,10 +369,18 @@ def trig_poly_grid(lattice, coeffs, grid_size):
     box = np.zeros(shape, dtype=np.complex128)
     np.add.at(box.reshape(-1), flat, coeffs)
     theta = np.arange(grid_size) * (TAU / grid_size)
-    for j, width in enumerate(shape):
+    for j, width in enumerate(shape[:-1]):
         # Contracting the leading box axis appends this axis's grid axis last.
         box = np.tensordot(box, _power_table(theta, lo[j], width, 1.0), axes=(0, 0))
-    return np.ascontiguousarray(box.real)
+    x = np.moveaxis(box, 0, -1).reshape(-1, shape[-1])
+    x = np.concatenate([x.real, -x.imag], axis=1)
+    table = _power_table(theta, lo[-1], shape[-1], 1.0)
+    table = np.concatenate([table.real, table.imag])
+    out = np.empty((x.shape[0], grid_size))
+    rows = max(1, (SERIAL_MACS - 1) // table.size)
+    for start in range(0, x.shape[0], rows):
+        np.matmul(x[start:start + rows], table, out=out[start:start + rows])
+    return out.reshape((grid_size,) * len(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,10 @@ class ExperimentConfig:
         if self.law.get("type") == "point_mass" and (self.experiment == "preimage_invariance" or (
                 self.experiment == "group_limit" and self.target == "preimage_limit")):
             raise ConfigError(f"{self.experiment} needs preimages, undefined for a point mass")
+        if self.experiment == "group_limit" and self.target == "haar_power" and self.law.get(
+                "type") in ("torus_density", "mixture_u2"):
+            raise ConfigError(f"a {self.law['type']} law is not conjugation invariant, so its "
+                              f"limit is not Haar^D: use target preimage_limit")
         if self.law.get("type") == "point_mass" and self.experiment == "eigen_convergence" and (
                 self.descriptor().is_real):
             raise ConfigError("eigen_convergence on SO needs eigenangles strictly inside (0, pi), "

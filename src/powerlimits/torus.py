@@ -13,7 +13,8 @@ that each can serve as an oracle for the other:
   interpolation.
 
 :func:`to_grid` synthesizes the grid directly from the coefficient box
-(no FFT); its grid_size > 2 * max_degree precondition is a resolution one.
+(no FFT), the last axis as one real matrix product, so no complex grid is
+built; its grid_size > 2 * max_degree precondition is a resolution one.
 
 :meth:`FourierDensity.sample` draws exactly by rejection from the uniform
 proposal.  A piecewise-constant bound on a table of cells, built once per
@@ -305,7 +306,7 @@ class GridDensity:
         expected = (self.grid_size,) * self.rank
         if v.shape != expected:
             raise ValueError(f"values must have shape {expected}")
-        if not np.all(v >= 0.0):   # written to fail on NaN, as v < 0 would not
+        if not v.min() >= 0.0:   # written to fail on NaN, as v.min() < 0 would not
             raise DensityError("grid density values must be nonnegative")
         riemann = float(v.sum()) * (TAU / self.grid_size) ** self.rank
         if not abs(riemann - 1.0) <= _RIEMANN_TOL:
@@ -367,7 +368,8 @@ def sample_grid(d: GridDensity, rng: np.random.Generator, size: int) -> AngleSam
     (the uniforms and cells of ``rng.choice(p=...)``, less its p >= 0 and sum-to-1
     checks, which :class:`GridDensity` holds), plus uniform jitter inside the cell."""
     flat = d.values.ravel()
-    cdf = np.cumsum(flat / flat.sum())
+    cdf = flat / flat.sum()
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     u = rng.random(size)
     order = np.argsort(u)

@@ -715,13 +715,15 @@ class TestFourierRowsBitIdentity:
         assert _bits(built) == _bits(scalar_row(3, r.statistic, zz, 5.0, r)
                                      for r, zz in zip(ref_a, z))
 
-    @pytest.mark.parametrize("family, n, law", [
-        ("U", 3, {"type": "point_mass"}), ("SO", 3, {"type": "perturbed_haar", "strength": 0.5}),
-        ("U", 2, {"type": "mixture_u2"})])
-    def test_trace_match_rows_equal_the_scalar_formula(self, family, n, law):
-        # a point mass has zero spread: its unequal estimates read z = inf, the two-sample rule
+    @pytest.mark.parametrize("family, n, law, target", [
+        ("U", 3, {"type": "point_mass"}, "haar_power"),
+        ("SO", 3, {"type": "perturbed_haar", "strength": 0.5}, "haar_power"),
+        ("U", 2, {"type": "mixture_u2"}, "preimage_limit")])
+    def test_trace_match_rows_equal_the_scalar_formula(self, family, n, law, target):
+        # a point mass has zero spread: its unequal estimates read z = inf, the two-sample rule.
+        # The trace rows come from the power side's stream, whatever the target.
         cfg = small_config(experiment="group_limit", family=family, matrix_size=n, law=law,
-                           powers=[2, 5], target="haar_power", samples=2000)
+                           powers=[2, 5], target=target, samples=2000)
         desc, built = cfg.descriptor(), run_experiment(cfg).rows
         mean, abs2 = groups.fixed_law_trace_moments(desc)
         rngs = experiments._rngs(np.random.SeedSequence(cfg.seed), 4 * len(cfg.powers))
@@ -924,6 +926,24 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("law, refused", [
+        ("torus_density", True), ("mixture_u2", True),
+        ("haar", False), ("perturbed_haar", False), ("point_mass", False)])
+    def test_haar_power_needs_a_conjugation_invariant_law(self, tmp_path, capsys, law, refused):
+        # U^m of a law that is not conjugation invariant tends to psi(flag, Y), not Haar^D:
+        # mixture_u2 at m = 64 read a false FAIL at z 61 against Haar^D
+        data = dict(experiment="group_limit", law={"type": law}, powers=[64], samples=1000,
+                    seed=1, target="haar_power")
+        if not refused:
+            assert ExperimentConfig.from_json(data).target == "haar_power"
+            return
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "preimage_limit" in err
+        assert ExperimentConfig.from_json({**data, "target": "preimage_limit"})
 
     @pytest.mark.parametrize("kind", ["group_limit", "preimage_invariance"])
     def test_u1_preimages_run(self, tmp_path, capsys, kind):

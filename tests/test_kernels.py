@@ -175,6 +175,8 @@ def test_trig_poly_values_sums_repeated_points():
     (full_box(2, 3), 60),
     (full_box(2, 3), 360),
     (full_box(3, 2), 12),
+    (full_box(4, 2), 8),
+    (full_box(4, 2), 16),   # the size of the U(4) symbolic density's validation grid
     ([[1, 4], [2, 5], [3, 6], [1, 4]], 16),   # one-sided: the box is not centred on 0
     ([[-2, 0, 3]], 9),
     ([[0]], 5),
@@ -191,6 +193,22 @@ def test_trig_poly_grid(lattice, g):
     np.testing.assert_allclose(out.ravel()[at],
                                oracle_trig_poly(lattice, coeffs, grid_points(lattice.shape[1], g)[at]),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rank, degree, g", [(2, 3, 360), (4, 2, 16)])
+def test_trig_poly_grid_products_stay_on_one_thread(monkeypatch, rank, degree, g):
+    # one (360, 14) @ (14, 360) product woke a second OpenBLAS thread, which then spun
+    sizes, matmul = [], np.matmul
+
+    def counted(a, b, out=None):
+        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(K.np, "matmul", counted)
+    lattice = full_box(rank, degree)
+    K.trig_poly_grid(lattice, rng.normal(size=len(lattice)) + 0j, g)
+    assert len(sizes) > 1 and max(sizes) < K.SERIAL_MACS and sum(sizes) == g ** rank * 2 * (
+        2 * degree + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

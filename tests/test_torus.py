@@ -1,6 +1,7 @@
 """Fourier and grid density dynamics under the power map."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,25 @@ class TestToGrid:
             rep = empirical_fourier(sample, p)
             expect = fourier_coefficient(d, p)
             assert abs(rep.estimate - expect) <= 5 * max(rep.std_error, 1e-12) + 1e-3
+
+    def test_peak_memory_holds_no_complex_grid(self):
+        # Traced peaks in grid sizes (G**2 float64 bytes): a complex (G, G) synthesis
+        # copied to its real part read 3.0 for to_grid, and a second CDF array 2.0 for
+        # sample_grid.  A first untraced call of each keeps one-time allocations out.
+        d = T.random_fourier_density(np.random.default_rng(2), 2, 3)
+        g = T.to_grid(d, 360)
+        T.sample_grid(g, np.random.default_rng(1), 5000)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1] / g.values.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: T.to_grid(d, 360)) < 1.5
+        assert peak(lambda: T.sample_grid(g, np.random.default_rng(1), 5000)) < 1.6
 
 
 class TestGridPushforward:
