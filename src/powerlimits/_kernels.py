@@ -273,12 +273,14 @@ def _split(shape):
 def _power_table(theta, lo, width, sign):
     """exp(sign*i*k*theta) for k = lo .. lo+width-1, one row per power.
 
-    One ``exp`` gives the step z = exp(sign*i*theta); the first row is
-    z**lo by repeated squaring and each later row is the one before times z.
+    One ``exp`` gives the step z = exp(sign*i*theta); the first row z**lo is a product of
+    |lo| factors z, or conj(z) = 1/z if lo < 0, and each later row the one before times z.
     """
     z = np.exp(sign * 1j * theta)
     table = np.empty((width, theta.shape[0]), dtype=np.complex128)
-    np.power(z, lo, out=table[0])
+    table[0], step = 1.0, (z if lo >= 0 else z.conj())
+    for _ in range(abs(lo)):
+        table[0] *= step
     for k in range(1, width):
         np.multiply(table[k - 1], z, out=table[k])
     return table

@@ -532,8 +532,8 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
     rank, g = config.torus_rank, config.grid_size
     r_dens, r_samp, r_sign = _rngs(seq, 3)
     lattice = stats.lattice_ball(rank, _TORUS_SUITE_DEGREE)
-    # m = 1 rows match the density's own series, but the grid sampler jitters
-    # uniformly inside the cell it draws, so coefficient p carries the extra
+    # m = 1 rows match the density's own series, but the grid sampler's law is
+    # uniform inside each cell, so coefficient p carries the extra
     # factor prod_j exp(-i pi p_j / G) sinc(p_j / G), the same for every density.
     pf = lattice.astype(float)
     jitter = np.prod(np.exp(-1j * np.pi * pf / g) * np.sinc(pf / g), axis=1)

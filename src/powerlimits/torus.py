@@ -20,8 +20,8 @@ built; its grid_size > 2 * max_degree precondition is a resolution one.
 proposal.  A piecewise-constant bound on a table of cells, built once per
 density, is a squeeze: it turns most proposals away before the series is
 evaluated, and keeps the same draws as rejection against the flat bound.
-:func:`sample_grid` draws cells by inverting the cell CDF at sorted
-uniforms, the same uniforms and cells as ``Generator.choice``.
+:func:`sample_grid` draws by the same rejection against its largest cell, in
+chunks of ``CHUNK_ENTRIES`` proposals: one ``max``, no CDF, flat memory.
 
 Conventions: the density series is rho(theta) = sum_p a_p exp(+i p.theta);
 the transform hat(nu)(p) = E exp(-i p.theta) then equals a_p, which makes
@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TAU, fold_grid, trig_poly_grid, trig_poly_values, wrap_angles
+from ._kernels import CHUNK_ENTRIES, TAU, fold_grid, trig_poly_grid, trig_poly_values, wrap_angles
 from .stats import lattice_ball
 
 TAU_NEG = 1e-9          # validation slack for "nonnegative" trig polynomials
@@ -56,6 +57,13 @@ class DensityError(ValueError):
 class RejectionError(RuntimeError):
     """A rejection fill that cannot give exact draws: its bound is below 1, a density
     value exceeds the bound or the squeeze (a wrong envelope), or its rounds ran out."""
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +141,7 @@ class FourierDensity:
         the support's frequencies apart (p and p - grid_size agree on it), so
         its values do not determine the density.
         """
-        g = int(grid_size)
+        g = _count(grid_size, "grid_size", 1)
         if g <= 2 * self.max_degree:
             raise ValueError(f"grid size {g} must exceed twice the degree {self.max_degree}")
         return trig_poly_grid(self.lattice, self.coeffs, g)
@@ -229,7 +237,8 @@ def _cell_values(g: int, table: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, density,
                     upper=None):
     """``size`` exact draws by rejection, keeping x with probability density(x)/bound: each of
-    at most ``_REJECTION_ROUNDS`` rounds proposes the mean count still needed + 4 sd + 64.
+    at most ``_REJECTION_ROUNDS`` rounds proposes the mean count still needed + 4 sd + 64,
+    in chunks of ``CHUNK_ENTRIES`` (memory stays flat at any bound) up to the one that fills.
 
     ``upper``, if given, is a cheap squeeze with density <= upper: a proposal whose uniform
     u ~ U(0, bound) is not below upper(x) is turned away unevaluated, and ``density`` is
@@ -238,29 +247,32 @@ def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, 
     on a bound below 1 (no density against a probability proposal stays under it), on a
     density value above the bound or above ``upper`` where evaluated, and when the rounds
     run out."""
+    size = _count(size, "size", 0)
     if not bound >= 1.0:
         raise RejectionError(f"rejection bound {bound} is below 1, so it bounds no density")
     parts, got = [], 0
     for _ in range(_REJECTION_ROUNDS):
         need = (size - got) * bound   # mean proposals for the rest; variance need (bound - 1)
         draw = int(need + 4.0 * np.sqrt(need * (bound - 1.0))) + 64
-        props = propose(draw)
-        u = rng.uniform(0.0, bound, size=draw)
-        cap = bound
-        if upper is not None:
-            cap = np.minimum(upper(props), bound)
-            live = np.flatnonzero(u < cap)
-            props, u, cap = props.take(live, axis=0), u[live], cap[live]
-        values = density(props)
-        fits = values <= cap * (1.0 + _BOUND_RTOL)
-        if not fits.all():
-            bad = np.argmin(fits)
-            raise RejectionError(f"density value {values[bad]} exceeds the rejection bound "
-                                 f"{np.broadcast_to(cap, values.shape)[bad]}")
-        parts.append(props[u < values][:size - got])
-        got += parts[-1].shape[0]
-        if got >= size:
-            return np.concatenate(parts)
+        for start in range(0, draw, CHUNK_ENTRIES):
+            chunk = min(CHUNK_ENTRIES, draw - start)
+            props = propose(chunk)
+            u = rng.uniform(0.0, bound, size=chunk)
+            cap = bound
+            if upper is not None:
+                cap = np.minimum(upper(props), bound)
+                live = np.flatnonzero(u < cap)
+                props, u, cap = props.take(live, axis=0), u[live], cap[live]
+            values = density(props)
+            fits = values <= cap * (1.0 + _BOUND_RTOL)
+            if not fits.all():
+                bad = np.argmin(fits)
+                raise RejectionError(f"density value {values[bad]} exceeds the rejection bound "
+                                     f"{np.broadcast_to(cap, values.shape)[bad]}")
+            parts.append(props[u < values][:size - got])
+            got += parts[-1].shape[0]
+            if got >= size:
+                return np.concatenate(parts)
     raise RejectionError(f"rejection sampler failed to fill the batch in "
                          f"{_REJECTION_ROUNDS} rounds ({got} of {size} draws)")
 
@@ -271,9 +283,7 @@ def fourier_pushforward(d: FourierDensity, m: int) -> FourierDensity:
     Keeps the coefficients a_p with m | p_j for every component and
     reindexes them to p/m; everything else is annihilated.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if m == 1:
+    if _count(m, "m", 1) == 1:
         return d
     kept = ~(d.lattice % m).any(axis=1)
     return FourierDensity(d.rank, d.lattice[kept] // m, d.coeffs[kept])
@@ -328,7 +338,7 @@ def to_grid(d: FourierDensity, grid_size: int) -> GridDensity:
         raise DensityError(f"density reaches {low:.3e}; not a probability density")
     np.maximum(vals, 0.0, out=vals)
     vals /= TAU ** d.rank
-    return GridDensity(d.rank, int(grid_size), vals)
+    return GridDensity(d.rank, vals.shape[0], vals)
 
 
 def grid_pushforward(d: GridDensity, m: int) -> GridDensity:
@@ -364,27 +374,21 @@ class AngleSample:
 
 
 def sample_grid(d: GridDensity, rng: np.random.Generator, size: int) -> AngleSample:
-    """Draws from the grid density: a cell by inverting the cell CDF at sorted uniforms
-    (the uniforms and cells of ``rng.choice(p=...)``, less its p >= 0 and sum-to-1
-    checks, which :class:`GridDensity` holds), plus uniform jitter inside the cell."""
+    """Exact draws from the grid density, constant on each cell [2 pi k / G, 2 pi (k + 1) / G):
+    uniform proposals kept with probability value/max(values), about max/mean per draw.
+    The bound max(values) (2 pi)**n is raised to 1 where rounding leaves a flat grid's a
+    hair below it (its Riemann sum is 1 only to 1e-9)."""
     flat = d.values.ravel()
-    cdf = flat / flat.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    u = rng.random(size)
-    order = np.argsort(u)
-    idx = np.empty(size, dtype=np.int64)
-    idx[order] = cdf.searchsorted(u[order], side="right")
-    coords = np.stack(np.unravel_index(idx, d.values.shape), axis=1).astype(np.float64)
-    coords += rng.uniform(0.0, 1.0, size=coords.shape)
-    return AngleSample(d.rank, wrap_angles(coords * (TAU / d.grid_size)))
+    scale = TAU ** d.rank
+    return AngleSample(d.rank, _rejection_fill(
+        rng, size, max(float(flat.max()) * scale, 1.0),
+        lambda draw: rng.uniform(0.0, TAU, size=(draw, d.rank)),
+        lambda theta: _cell_values(d.grid_size, flat, theta) * scale))
 
 
 def power_angles(a: AngleSample, m: int) -> AngleSample:
-    """Entrywise m * theta mod 2*pi."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if m == 1:
+    """Entrywise m * theta mod 2*pi, for an integer m >= 1 (the maps of the torus)."""
+    if _count(m, "m", 1) == 1:
         return a
     return AngleSample(a.rank, wrap_angles(m * a.rows))
 
@@ -398,6 +402,7 @@ def random_fourier_density(rng: np.random.Generator, rank: int, max_degree: int,
     pointwise positivity (rho >= 1 - mass).  At least one coefficient sits
     at the maximal degree so the degree is attained exactly.
     """
+    max_degree = _count(max_degree, "max_degree", 1)
     if mass is None:
         mass = float(rng.uniform(0.3, 0.9))
     if not 0.0 < mass < 1.0:

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests read."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ from powerlimits.groups import GroupDescriptor
 from powerlimits.stats import (Estimates, _column_estimates, _std_error, empirical_fourier_many,
                                entry_moment_schedule, fourier_labels, lattice_ball)
 from powerlimits.torus import AngleSample, FourierDensity, GridDensity
-from powerlimits._kernels import TAU, _power_table, wrap_angles
+from powerlimits._kernels import CHUNK_ENTRIES, TAU, _power_table, wrap_angles
 
 
 def rains_limit_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -200,14 +201,29 @@ def ones_first_khatri_rao(angles, lo, shape, sign):
     return out
 
 
-def choice_sample_grid(d: GridDensity, rng: np.random.Generator, size: int) -> AngleSample:
-    """``torus.sample_grid`` with the cell drawn by ``rng.choice``, then the uniform
-    jitter inside the cell."""
-    flat = d.values.ravel()
-    idx = rng.choice(flat.size, size=size, p=flat / flat.sum())
-    coords = np.stack(np.unravel_index(idx, d.values.shape), axis=1).astype(np.float64)
-    coords += rng.uniform(0.0, 1.0, size=coords.shape)
-    return AngleSample(d.rank, wrap_angles(coords * (TAU / d.grid_size)))
+def scalar_rejection_sample_grid(d: GridDensity, rng: np.random.Generator,
+                                 size: int) -> AngleSample:
+    """``torus.sample_grid`` one proposal at a time.  It makes the same generator calls:
+    rounds of the mean need + 4 sd + 64 proposals, ``CHUNK_ENTRIES`` at a time, each
+    chunk's points and then its uniforms on [0, bound), bound = max(values) (2 pi)**n.
+    A point's cell is min(int(theta_j (G / 2 pi)), G - 1) per coordinate, and the point
+    is kept while its uniform lies below the cell's value times (2 pi)**n.  It has no
+    round cap: the tests' grids fill in one round."""
+    g, scale = d.grid_size, TAU ** d.rank
+    bound = max(float(d.values.max()) * scale, 1.0)
+    rows = []
+    while True:
+        need = (size - len(rows)) * bound
+        draw = int(need + 4.0 * math.sqrt(need * (bound - 1.0))) + 64
+        for start in range(0, draw, CHUNK_ENTRIES):
+            chunk = min(CHUNK_ENTRIES, draw - start)
+            points = rng.uniform(0.0, TAU, size=(chunk, d.rank)).tolist()
+            for theta, u in zip(points, rng.uniform(0.0, bound, size=chunk).tolist()):
+                cell = tuple(min(int(t * (g / TAU)), g - 1) for t in theta)
+                if u < float(d.values[cell]) * scale:
+                    rows.append(theta)
+                    if len(rows) == size:
+                        return AngleSample(d.rank, np.array(rows))
 
 
 def scalar_random_fourier_density(rng: np.random.Generator, rank: int, max_degree: int,

@@ -125,6 +125,17 @@ def test_fourier_sums_all_zero_lattice(rank):
     np.testing.assert_array_equal(got, np.full(3, 70.0 + 0.0j))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("lo,width", [(-40, 81), (-3, 7), (0, 4), (2, 1), (7, 1), (-5, 1)])
+def test_power_table_against_the_complex_exp(lo, width, sign):
+    """Row k - lo is exp(sign i k theta): the first row from products of z or conj(z)
+    keeps every row at rounding level, 40 products deep included."""
+    theta = rng.uniform(0, 2 * np.pi, size=500)
+    k = np.arange(lo, lo + width)[:, None]
+    np.testing.assert_allclose(K._power_table(theta, lo, width, sign),
+                               np.exp(sign * 1j * k * theta), rtol=0, atol=1e-13)
+
+
 def test_khatri_rao_of_one_coordinate_is_its_power_table():
     angles = rng.uniform(0, 2 * np.pi, size=(90, 1))
     for lo, width, sign in [(-3, 7, -1.0), (2, 1, 1.0), (0, 4, 1.0)]:

@@ -11,8 +11,8 @@ from powerlimits.groups import special_orthogonal_odd, unitary
 from powerlimits.samplers import PerturbedHaarLaw, default_mixture_marginal, symbolic_eigen_density
 from powerlimits._kernels import trig_poly_values
 from powerlimits.stats import KS_THRESHOLD_1PCT, empirical_fourier_many, ks_uniform, lattice_ball
-from oracles import (choice_sample_grid, dict_density, empirical_fourier, fourier_coefficient,
-                     loop_pushforward, scalar_random_fourier_density)
+from oracles import (dict_density, empirical_fourier, fourier_coefficient, loop_pushforward,
+                     scalar_rejection_sample_grid, scalar_random_fourier_density)
 
 TAU = 2 * np.pi
 
@@ -181,6 +181,10 @@ class TestRandomFourierDensity:
         assert repr(list(got.coefficients.items())) == repr(list(ref.coefficients.items()))
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_degree_zero_is_refused(self):
+        with pytest.raises(ValueError, match="max_degree must be an integer >= 1"):
+            T.random_fourier_density(np.random.default_rng(0), 2, 0)
+
 
 class TestFourierPushforward:
     def test_m1_is_identity(self):
@@ -315,7 +319,26 @@ class TestToGrid:
                 tracemalloc.stop()
 
         assert peak(lambda: T.to_grid(d, 360)) < 1.5
-        assert peak(lambda: T.sample_grid(g, np.random.default_rng(1), 5000)) < 1.6
+        assert peak(lambda: T.sample_grid(g, np.random.default_rng(1), 5000)) < 0.6
+
+    def test_grid_peaked_on_one_cell_costs_time_not_memory(self):
+        # bound 3600: about 1.8e6 proposals for 500 draws, which unchunked held 102 MB
+        vals = np.zeros((60, 60))
+        vals[17, 42] = (60 / TAU) ** 2
+        g = T.GridDensity(2, 60, vals)
+        tracemalloc.start()
+        try:
+            rows = T.sample_grid(g, np.random.default_rng(4), 500).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (500, 2) and peak < 16e6
+        assert np.all(np.floor(rows * (60 / TAU)) == [17, 42])
+
+    def test_fractional_grid_size_is_refused(self):
+        # int() once truncated 60.5 to a 60-grid
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            T.to_grid(cosine_density(), 60.5)
 
 
 class TestGridPushforward:
@@ -444,12 +467,13 @@ class TestSampleGrid:
 
     @pytest.mark.parametrize("name,size", [
         ("rank1", 3000), ("rank2", 3000), ("half", 2000), ("cell1", 500), ("cell2", 500),
-        ("rank2", 1), ("cell1", 1),
+        ("rank2", 1), ("cell1", 1), ("cell2", 2000),
     ])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_draws_what_choice_draws(self, name, size, seed):
-        """Same rows, bit for bit, and the same generator state afterwards, as the cell
-        draw by ``rng.choice``."""
+    def test_draws_what_the_scalar_oracle_draws(self, name, size, seed):
+        """Same rows, bit for bit, and the same generator state afterwards, as rejection
+        one proposal at a time.  ("cell2", 2000) needs about 290000 proposals, so its
+        round runs over two chunks."""
         grids = {
             "rank1": lambda: T.to_grid(T.random_fourier_density(np.random.default_rng(1), 1, 3), 96),
             "rank2": lambda: T.to_grid(T.random_fourier_density(np.random.default_rng(2), 2, 3), 60),
@@ -459,9 +483,37 @@ class TestSampleGrid:
         }
         g = grids[name]()
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, ref = T.sample_grid(g, rng, size), choice_sample_grid(g, twin, size)
+        got, ref = T.sample_grid(g, rng, size), scalar_rejection_sample_grid(g, twin, size)
         np.testing.assert_array_equal(got.rows, ref.rows)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("rank,grid_size", [(1, 96), (2, 12)])
+    def test_cell_counts_follow_the_grid(self, rank, grid_size):
+        """Each cell k is drawn S p_k times within 5 sd, p_k = values_k / sum(values),
+        whatever the stream."""
+        d = T.random_fourier_density(np.random.default_rng(rank), rank, 3)
+        g = T.to_grid(d, grid_size)
+        s = 20000
+        rows = T.sample_grid(g, np.random.default_rng(11), s).rows
+        cells = np.ravel_multi_index(tuple(np.floor(rows.T * (grid_size / TAU)).astype(int)),
+                                     g.values.shape)
+        counts = np.bincount(cells, minlength=g.values.size)
+        p = g.values.ravel() / g.values.sum()
+        assert np.all(np.abs(counts - s * p) <= 5.0 * np.sqrt(s * p * (1.0 - p)))
+
+    def test_flat_grid_a_hair_under_its_mass_draws(self):
+        # Riemann sum 1 - 5e-10 passes GridDensity; its max (2 pi) is below 1, the bound 1
+        g = T.GridDensity(2, 8, np.full((8, 8), (1.0 - 5e-10) / TAU ** 2))
+        assert T.sample_grid(g, np.random.default_rng(0), 100).rows.shape == (100, 2)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: T.sample_grid(T.GridDensity(1, 8, np.full(8, 1.0 / TAU)),
+                              np.random.default_rng(0), -1),
+        lambda: cosine_density().sample(np.random.default_rng(0), -1),
+    ], ids=["sample_grid", "FourierDensity.sample"])
+    def test_negative_size_is_refused(self, draw):
+        with pytest.raises(ValueError, match="size must be an integer >= 0"):
+            draw()
 
 
 class TestAngleSample:
@@ -491,6 +543,12 @@ class TestPowerAngles:
         for m in (0, -2):
             with pytest.raises(ValueError):
                 T.power_angles(a, m)
+
+    def test_rejects_fractional_power(self):
+        # wrap(2.5 theta) is no map of the torus
+        a = T.AngleSample(1, np.array([[0.5], [1.5]]))
+        with pytest.raises(ValueError, match="m must be an integer"):
+            T.power_angles(a, 2.5)
 
     def test_pi_doubles_to_zero(self):
         a = T.AngleSample(1, np.array([[np.pi]]))
