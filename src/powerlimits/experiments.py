@@ -130,10 +130,6 @@ class ExperimentConfig:
                 "type") in ("torus_density", "mixture_u2"):
             raise ConfigError(f"a {self.law['type']} law is not conjugation invariant, so its "
                               f"limit is not Haar^D: use target preimage_limit")
-        if self.law.get("type") == "point_mass" and self.experiment == "eigen_convergence" and (
-                self.descriptor().is_real):
-            raise ConfigError("eigen_convergence on SO needs eigenangles strictly inside (0, pi), "
-                              "and a point mass at the identity has none")
         return self
 
     @classmethod
@@ -301,17 +297,15 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
     Per power m, from a fresh U, with the eigenangles of U^m m times those of
     U: the uniform-preimage torus law must look uniform, in one ``orbit[p]``
     bound row per Weyl orbit of the coefficient box (up to conjugation), read
-    from the eigenangle rows with no Weyl draw; one uniform Weyl draw per row
+    from the Weyl rows with no Weyl draw; one uniform Weyl draw on each Weyl row
     gives the torus coordinates of a KS check per coordinate.  No trace row: on
     U and SU, Tr(g^k) of g = U^m is N times the conjugate orbit mean at (k, 0, ...)
     and |Tr(g^k)|^2 is N + N(N-1) times the one at (k, 0, ..., -k); on SO the
-    second needs orbits up to degree 2k (README).  ``notes["ks_rows_dropped"]``
-    counts, per power, the angle rows the KS coordinates drop (SO rows with an
-    angle within ``preimage.TAU_GAP`` of 0 or pi).
+    second needs orbits up to degree 2k (README).
     """
     table = stats.orbit_table(desc, config.max_lattice_degree)
     labels = stats.fourier_labels(table.lattice, "orbit")
-    rows, dropped = [], []
+    rows = []
     rngs = _rngs(seq, 4 * len(config.powers))  # two of each four unused: fixed stream layout
     for i, m in enumerate(config.powers):
         r_samp, r_weyl = rngs[4 * i:4 * i + 2]
@@ -319,11 +313,10 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
         rows += _bound_rows(m, labels, stats.orbit_means(table, pre.weyl_rows(desc, angles)),
                             config.threshold, table.size)
         coords = pre.uniform_torus_rows(desc, angles, r_weyl)
-        dropped.append(angles.shape[0] - coords.shape[0])
         for j in range(desc.torus_rank):
             rows.append(_row(m, f"ks_uniform[{j}]", stats.ks_uniform(coords[:, j]),
                              stats.KS_THRESHOLD_1PCT))
-    return rows, {"ks_rows_dropped": dropped}
+    return rows, {}
 
 
 def _in_parallel(stages) -> list:

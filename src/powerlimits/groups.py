@@ -141,13 +141,13 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     m = np.asarray(matrix)
     n = m.shape[-1]
     if n > SMALL_N:
-        return float(np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(n))))
+        return float(np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(n)), initial=0.0))
     m, worst = np.asfortranarray(m), 0.0
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         gram = m[..., i, 0] * m[..., j, 0].conj()
         for k in range(1, n):
             gram += m[..., i, k] * m[..., j, k].conj()
-        worst = max(worst, float(np.max(np.abs(gram - float(i == j)))))
+        worst = max(worst, float(np.max(np.abs(gram - float(i == j)), initial=0.0)))
     return worst
 
 

@@ -69,8 +69,7 @@ def weyl_rows(desc: GroupDescriptor, eigenangle_rows: np.ndarray) -> np.ndarray:
     as :func:`_full_angles` completes them); on SO(2k+1) the k rotation angles in
     [0, pi], one per conjugate pair.  Folded to [0, pi] and sorted, an SO row is
     0, then each angle twice, so the odd places hold the k angles; a pair near 0
-    or pi folds to nearly equal values and is kept, where a signed Weyl draw on
-    the angles in (0, pi) would have to drop it."""
+    or pi folds to nearly equal values and is kept."""
     rows = np.asarray(eigenangle_rows, dtype=np.float64)
     if desc.family is not Family.SPECIAL_ORTHOGONAL_ODD:
         return rows
@@ -283,21 +282,10 @@ def limit_law_batch(flags: np.ndarray, desc: GroupDescriptor,
 
 def uniform_torus_rows(desc: GroupDescriptor, eigenangle_rows: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
-    """Uniform-preimage torus coordinates from eigenangle rows alone.
-
-    This is the eigenvalue-level marginal of :func:`preimages_batch` with a
-    uniform Weyl draw: no eigenvectors needed.  U(N): a uniformly permuted
-    copy of the N angles; SU(N): same, dropping the last; SO(2k+1): the k
-    angles in (0, pi) under a random signed permutation.  SO rows whose
-    spectrum sits too close to the degenerate set (an angle within 1e-8 of
-    0 or pi) are dropped rather than poisoning a statistical batch.
-    """
-    rows = np.asarray(eigenangle_rows, dtype=np.float64)
-    if desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-        k = desc.torus_rank
-        mask = (rows > TAU_GAP) & (rows < np.pi - TAU_GAP)
-        good = mask.sum(axis=1) == k
-        if not np.any(good):
-            raise DegenerateSpectrumError("no rows carry k angles strictly inside (0, pi)")
-        rows = rows[good][mask[good]].reshape(-1, k)
-    return _act_angles(desc, rows, *_weyl_draw(desc, rows.shape[0], rng))
+    """Uniform-preimage torus coordinates from eigenangle rows alone: a uniform
+    Weyl draw per row on its :func:`weyl_rows`, so no eigenvector is needed and
+    no row is dropped.  U(N): a uniformly permuted copy of the N angles; SU(N):
+    the same less the last; SO(2k+1): the k folded angles under a random signed
+    permutation."""
+    return _act_angles(desc, weyl_rows(desc, eigenangle_rows),
+                       *_weyl_draw(desc, len(eigenangle_rows), rng))

@@ -253,7 +253,7 @@ class EigenangleLaw:
         density = lambda x: _spacing_ratio(desc, x, strength)
         x = np.concatenate([_rejection_fill(rng, min(_WEYL_CHUNK, size - start), bound,
                                             propose, density)
-                            for start in range(0, size, _WEYL_CHUNK)])
+                            for start in range(0, max(size, 1), _WEYL_CHUNK)])
         return x - TAU * (x >= TAU)   # x lies in [0, 4 pi), where subtracting 2 pi is exact
 
 

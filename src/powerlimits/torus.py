@@ -250,6 +250,8 @@ def _rejection_fill(rng: np.random.Generator, size: int, bound: float, propose, 
     size = _count(size, "size", 0)
     if not bound >= 1.0:
         raise RejectionError(f"rejection bound {bound} is below 1, so it bounds no density")
+    if size == 0:
+        return propose(0)   # a size-0 numpy draw consumes nothing: the shape, no state change
     parts, got = [], 0
     for _ in range(_REJECTION_ROUNDS):
         need = (size - got) * bound   # mean proposals for the rest; variance need (bound - 1)
@@ -349,7 +351,7 @@ def grid_pushforward(d: GridDensity, m: int) -> GridDensity:
     theta -> m*theta; their average is the branch-sum operator applied at
     that point.  Requires m | G; the Riemann sum is preserved exactly.
     """
-    return GridDensity(d.rank, d.grid_size // m, fold_grid(d.values, m))
+    return GridDensity(d.rank, d.grid_size // _count(m, "m", 1), fold_grid(d.values, m))
 
 
 @dataclass(frozen=True)

@@ -180,19 +180,24 @@ class TestRunners:
         rep = run_experiment(small_config(samples=20000))
         assert rep.raw_pass and rep.summary_pass
 
-    def test_ks_rows_dropped_counts_so_rows_at_pi(self, monkeypatch):
-        # an SO(3) row with its angle at pi has no torus coordinate: the KS rows drop
-        # it, the orbit rows keep it, and the notes count it per power
+    def test_so_rows_at_pi_keep_their_ks_coordinates(self, monkeypatch):
+        # an SO(3) row with its angle at pi folds to pi, and the signed Weyl draw keeps
+        # it there: the KS rows read every row, and no note counts a drop
         cfg = small_config(family="SO", matrix_size=3, powers=[1, 3], samples=2000)
-        assert run_experiment(cfg).notes == {"ks_rows_dropped": [0, 0]}
-        angle_rows = experiments._angle_rows
+        angle_rows, ks_uniform, seen = experiments._angle_rows, stats.ks_uniform, []
 
         def at_pi(law, m, rng, size):
             angles = angle_rows(law, m, rng, size)
             angles[:10 * m] = [0.0, np.pi, np.pi]
             return angles
+
+        def ks(coords):
+            seen.append(np.count_nonzero(coords == np.pi))
+            return ks_uniform(coords)
         monkeypatch.setattr(experiments, "_angle_rows", at_pi)
-        assert run_experiment(cfg).notes == {"ks_rows_dropped": [10, 30]}
+        monkeypatch.setattr(stats, "ks_uniform", ks)
+        assert run_experiment(cfg).notes == {}
+        assert seen == [10, 30]
 
     def test_eigen_point_mass_negative_control(self):
         rep = run_experiment(small_config(law={"type": "point_mass"}, powers=[10],
@@ -1027,18 +1032,18 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_so_point_mass_eigen_convergence_is_refused_before_sampling(self, tmp_path, capsys,
-                                                                        monkeypatch):
-        # the identity atom of SO has no angle inside (0, pi), so it has no torus coordinates
-        monkeypatch.setattr(samplers.PointMassLaw, "sample_batch",
-                            lambda *args: pytest.fail("sampled"))
+    def test_so_point_mass_eigen_convergence_is_a_negative_control(self, tmp_path):
+        # the identity atom of SO folds every angle to 0: each orbit mean reads 1 and
+        # every coordinate 0, so every row fails and the KS row reads z = sqrt(S)
         path = self._write_config(tmp_path, family="SO", matrix_size=3, powers=[10],
                                   law={"type": "point_mass"}, samples=1000, seed=7,
                                   negative_control=True)
         out = tmp_path / "report.json"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 2
-        assert "strictly inside (0, pi)" in capsys.readouterr().err
-        assert not out.exists()
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert rows and not any(r["passed"] for r in rows)
+        assert [r["z"] for r in rows if r["statistic"] == "ks_uniform[0]"] == [
+            pytest.approx(np.sqrt(1000))]
 
     def test_failed_rejection_fill_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(torus, "_REJECTION_ROUNDS", 0)

@@ -313,6 +313,28 @@ class TestUniformPreimage:
         err = np.max(np.abs(P.psi_batch(flags, torus, desc) - mats))
         assert err <= 1e-8
 
+    @pytest.mark.parametrize("desc", [G.unitary(3), G.special_unitary(3),
+                                      G.special_orthogonal_odd(3),
+                                      G.special_orthogonal_odd(5)], ids=repr)
+    def test_uniform_torus_rows_are_a_weyl_image_of_each_row(self, desc):
+        # every row keeps its coordinates, an angle at 0 or pi too: on U a
+        # permutation of the row, on SU N-1 of its N angles, on SO its folded angles
+        rng = np.random.default_rng(34)
+        torus = rng.uniform(0.0, 2 * np.pi, (200, desc.torus_rank))
+        torus[:20, 0], torus[20:40, -1] = 0.0, np.pi
+        angles = rng.permuted(G.wrap_angles(torus @ desc.monomials.T), axis=1)
+        coords = P.uniform_torus_rows(desc, angles, rng)
+        assert coords.shape == torus.shape
+        if desc.family is G.Family.UNITARY:
+            np.testing.assert_array_equal(np.sort(coords, axis=1), np.sort(angles, axis=1))
+        elif desc.family is G.Family.SPECIAL_UNITARY:
+            for row, coord in zip(angles.tolist(), coords.tolist()):
+                assert len(coord) == len(row) - 1
+                assert all(coord.count(x) <= row.count(x) for x in coord)
+        else:
+            folded = np.sort(np.minimum(coords, 2 * np.pi - coords), axis=1)
+            np.testing.assert_allclose(folded, P.weyl_rows(desc, angles), rtol=0, atol=1e-15)
+
     def test_postcondition_single(self):
         rng = np.random.default_rng(32)
         u = G.haar_batch(G.unitary(3), rng, 1)

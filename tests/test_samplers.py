@@ -443,6 +443,29 @@ class TestSU2SharpStationarity:
             assert abs(estimate) <= 5.0 / np.sqrt(s)
 
 
+class TestEmptyBatches:
+    @pytest.mark.parametrize("draw", [
+        lambda rng: L.PerturbedHaarLaw(unitary(3), 0.0).sample_batch(rng, 0),
+        lambda rng: L.PerturbedHaarLaw(special_orthogonal_odd(5), 0.5).sample_batch(rng, 0),
+        lambda rng: L.MixtureU2Law().sample_batch(rng, 0),
+        lambda rng: L.MixtureU2Law().sample_limit_batch(rng, 0),
+        lambda rng: L.TorusLaw(unitary(2), L.default_mixture_marginal()).sample_batch(rng, 0),
+        lambda rng: L.PointMassLaw(np.eye(3, dtype=np.complex128)).sample_batch(rng, 0),
+        lambda rng: L.EigenangleLaw(L.PerturbedHaarLaw(unitary(3), 0.5)).sample_batch(rng, 0),
+        lambda rng: L.EigenangleLaw(L.PerturbedHaarLaw(special_unitary(3), 0.5)).sample_batch(
+            rng, 0),
+        lambda rng: L.default_mixture_marginal().sample(rng, 0).rows,
+        lambda rng: T.sample_grid(T.to_grid(L.default_mixture_marginal(), 12), rng, 0).rows,
+    ], ids=["haar", "perturbed-SO5", "mixture", "mixture-limit", "torus", "point-mass",
+            "eigenangle-weyl", "eigenangle-matrix", "fourier-density", "grid"])
+    def test_size_zero_is_an_empty_batch_that_draws_nothing(self, draw):
+        rng = np.random.default_rng(70)
+        state = rng.bit_generator.state
+        out = draw(rng)
+        assert out.shape[0] == 0 and out.ndim >= 2
+        assert rng.bit_generator.state == state
+
+
 class TestOtherLaws:
     def test_torus_law_spectrum_is_prescribed(self):
         rng = np.random.default_rng(51)

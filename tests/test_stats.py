@@ -251,8 +251,8 @@ class TestOrbitMeans:
         folded = np.minimum(theta, TAU - theta)
         np.testing.assert_allclose(np.sort(weyl, axis=1), np.sort(folded, axis=1), atol=1e-15)
         assert S.orbit_means(S.orbit_table(desc, 2), weyl).sample_size == 200
-        # the uniform preimage's signed Weyl draw drops every such row
-        assert P.uniform_torus_rows(desc, eig, rng).shape == (100, 2)
+        # the uniform preimage's signed Weyl draw acts on these rows, so it keeps them all
+        assert P.uniform_torus_rows(desc, eig, rng).shape == (200, 2)
 
 
 class TestTraceMoments:

@@ -374,6 +374,14 @@ class TestGridPushforward:
         with pytest.raises(ValueError):
             T.grid_pushforward(g, 3)
 
+    @pytest.mark.parametrize("m", [2.5, 4.0, 0])
+    def test_rejects_a_power_that_is_no_positive_integer(self, m):
+        # a fractional power is no map of the torus, and 4.0 is a float even though
+        # 4 divides the grid: each fails as power_angles does, before any arithmetic
+        g = T.GridDensity(1, 12, np.full(12, 1.0 / TAU))
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            T.grid_pushforward(g, m)
+
     def test_riemann_sum_preserved(self):
         rng = np.random.default_rng(5)
         d = T.random_fourier_density(rng, 2, 3)
