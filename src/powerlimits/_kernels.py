@@ -36,10 +36,9 @@ form one ufunc call over it.
   benchmark workloads all draw N <= 4.
 * :func:`det`: cofactor expansion for N = 2 and 3, ``np.linalg.det``
   otherwise.
-* :func:`eigvals_2x2`, :func:`eig_normal_2x2` and :func:`so3_axis_angle`
-  solve one size each (callers take ``np.linalg.eig`` at any other): the
-  2x2 eigenproblem in ``np.linalg.eigvals`` order, and the angle and axis
-  of a 3D rotation.
+* :func:`eig_normal_2x2` and :func:`so3_axis_angle` solve one size each
+  (callers take ``np.linalg.eig`` at any other): the 2x2 eigenproblem in
+  ``np.linalg.eigvals`` order, and the angle and axis of a 3D rotation.
 """
 
 from __future__ import annotations
@@ -172,41 +171,25 @@ def det(a):
             + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
 
 
-def _eig_2x2_parts(mats):
-    """mu, s and h + s of [[a, b], [c, d]], whose eigenvalues are mu +- s.
+def eig_normal_2x2(mats):
+    """Eigenvalues (S, 2), in the order ``np.linalg.eigvals`` gives them, and unitary
+    eigenvectors (S, 2, 2) of a stack of normal complex 2x2 matrices [[a, b], [c, d]].
 
-    s**2 = h**2 + bc with h = (a - d)/2: near a double eigenvalue h, b and c
-    are all small, so this keeps the relative accuracy that tr**2/4 - det
-    (terms of size 1) loses.  s takes the sign with Re(s conj(h)) >= 0, so
-    h + s has no cancellation and mu - s is the eigenvalue nearer d, which
-    LAPACK returns second (when a == d exactly the order is the square
-    root's, not necessarily LAPACK's).
+    The eigenvalues are mu +- s with mu = (a + d)/2 and s**2 = h**2 + bc, h = (a - d)/2:
+    near a double eigenvalue h, b and c are all small, so this keeps the relative
+    accuracy that tr**2/4 - det (terms of size 1) loses.  s takes the sign with
+    Re(s conj(h)) >= 0, so h + s has no cancellation and mu - s is the eigenvalue nearer
+    d, which LAPACK returns second (when a == d exactly the order is the square root's,
+    not necessarily LAPACK's).  (h + s, c) is an eigenvector of mu + s, and for a normal
+    matrix the orthogonal complement (-conj(c), conj(h + s)) is one of mu - s; a row
+    where both entries vanish is a multiple of the identity, for which e_1 serves.
+    Non-normal rows keep their eigenvalues but get vectors that do not diagonalize them.
     """
     a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
     h = 0.5 * (a - d)
     s = np.sqrt(h * h + b * c)
     s = np.where(s.real * h.real + s.imag * h.imag < 0.0, -s, s)
-    return 0.5 * (a + d), s, h + s
-
-
-def eigvals_2x2(mats):
-    """Eigenvalues (S, 2) of a complex (S, 2, 2) stack, in the order
-    ``np.linalg.eigvals`` gives them."""
-    mu, s, _ = _eig_2x2_parts(mats)
-    return np.stack([mu + s, mu - s], axis=-1)
-
-
-def eig_normal_2x2(mats):
-    """Eigenvalues (S, 2) and unitary eigenvectors (S, 2, 2) of a stack of
-    normal complex 2x2 matrices.
-
-    (h + s, c) is an eigenvector of mu + s, and for a normal matrix the
-    orthogonal complement (-conj(c), conj(h + s)) is one of mu - s; a row
-    where both entries vanish is a multiple of the identity, for which e_1
-    serves.  Non-normal rows get vectors that do not diagonalize them.
-    """
-    mu, s, x = _eig_2x2_parts(mats)
-    y = mats[..., 1, 0].copy()
+    mu, x, y = 0.5 * (a + d), h + s, c.copy()
     norm = np.sqrt(x.real ** 2 + x.imag ** 2 + y.real ** 2 + y.imag ** 2)
     scalar = norm == 0.0
     x[scalar], norm[scalar] = 1.0, 1.0

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (SMALL_N, _plane_matmul, det, eigvals_2x2, positive_qr_q, unit_phases,
+from ._kernels import (SMALL_N, _plane_matmul, det, eig_normal_2x2, positive_qr_q, unit_phases,
                        wrap_angles)
 
 TAU_UNIT = 1e-10   # construction tolerance for M M* = I and det checks
 TAU_DRIFT = 1e-8   # allowed unitarity defect after repeated squaring
-_HAAR_RETRIES = 3
 
 
 class UnitarityError(ValueError):
@@ -136,19 +135,20 @@ def descriptor(family: str | Family, n: int) -> GroupDescriptor:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of M M* - I over one matrix or a stack: up to N = SMALL_N the max
-    over the N(N+1)/2 Gram entries |sum_k M_ik conj(M_jk) - delta_ij| on planes."""
+    """Max-norm of M M* - I over one matrix or a stack, NaN if any entry is NaN: up to
+    N = SMALL_N the max over the N(N+1)/2 Gram entries |sum_k M_ik conj(M_jk) - delta_ij|
+    on planes."""
     m = np.asarray(matrix)
     n = m.shape[-1]
     if n > SMALL_N:
         return float(np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(n)), initial=0.0))
-    m, worst = np.asfortranarray(m), 0.0
+    m, worst = np.asfortranarray(m), []
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         gram = m[..., i, 0] * m[..., j, 0].conj()
         for k in range(1, n):
             gram += m[..., i, k] * m[..., j, k].conj()
-        worst = max(worst, float(np.max(np.abs(gram - float(i == j)), initial=0.0)))
-    return worst
+        worst.append(np.max(np.abs(gram - float(i == j)), initial=0.0))
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +164,25 @@ def haar_batch(desc: GroupDescriptor, rng: np.random.Generator, size: int) -> np
     freedom and makes the law exactly Haar.  SU projects U(N) draws by
     dividing the first column by det; SO negates the last column of O(N)
     draws with det -1: both, and the check, on Q's planes, transposed once.
+    A singular Gaussian draw, or a batch off the group by more than TAU_UNIT,
+    raises :class:`UnitarityError` at once, with no redraw.
     """
     n = desc.matrix_size
-    for _ in range(_HAAR_RETRIES):
-        if desc.is_real:
-            z = rng.normal(size=(size, n, n))
-        else:
-            z = (rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))) / np.sqrt(2.0)
-        q = positive_qr_q(z)
-        del z  # frees room for the unitarity check's temporaries
-        if q is None:
-            continue  # a singular Gaussian draw; resample the whole batch
-        if desc.family is Family.SPECIAL_UNITARY:
-            q[:, :, 0] /= det(q)[:, None]
-        elif desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
-            np.negative(q[:, :, -1], out=q[:, :, -1], where=det(q)[:, None] < 0)
-        if unitarity_defect(q) <= TAU_UNIT:
-            return np.ascontiguousarray(q)
-    raise UnitarityError("Haar sampling failed to produce a unitary batch")
+    if desc.is_real:
+        z = rng.normal(size=(size, n, n))
+    else:
+        z = (rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))) / np.sqrt(2.0)
+    q = positive_qr_q(z)
+    del z  # frees room for the unitarity check's temporaries
+    if q is None:
+        raise UnitarityError("Haar sampling drew a singular Gaussian matrix")
+    if desc.family is Family.SPECIAL_UNITARY:
+        q[:, :, 0] /= det(q)[:, None]
+    elif desc.family is Family.SPECIAL_ORTHOGONAL_ODD:
+        np.negative(q[:, :, -1], out=q[:, :, -1], where=det(q)[:, None] < 0)
+    if not unitarity_defect(q) <= TAU_UNIT:   # NaN fails here too
+        raise UnitarityError("Haar sampling produced a batch off the group")
+    return np.ascontiguousarray(q)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
     stays independent of the spectral code it is later used to test; up to
     N = SMALL_N it runs on entry planes, converted to and from once.  Raises
     :class:`PowerDriftError` with the worst row's defect when any result
-    leaves the group by more than ``TAU_DRIFT``.
+    leaves the group by more than ``TAU_DRIFT`` or holds a NaN.
     """
     if m < 1:
         raise ValueError("power requires m >= 1")
@@ -264,16 +265,17 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
             base = matmul(base, base)
     del base
     defect = unitarity_defect(result)
-    if defect > TAU_DRIFT:
+    if not defect <= TAU_DRIFT:   # NaN fails here too
         raise PowerDriftError(defect)
     return np.ascontiguousarray(result)
 
 
 def eigenangles_batch(mats: np.ndarray) -> np.ndarray:
     """Eigenvalue angles in [0, 2*pi) for a (S, N, N) stack; rows unsorted,
-    in ``np.linalg.eigvals`` order (closed form for complex 2x2 stacks)."""
+    in ``np.linalg.eigvals`` order (the eigenvalues of ``eig_normal_2x2`` for complex
+    2x2 stacks)."""
     if mats.shape[-1] == 2 and np.iscomplexobj(mats):
-        return wrap_angles(np.angle(eigvals_2x2(mats)))
+        return wrap_angles(np.angle(eig_normal_2x2(mats)[0]))
     return wrap_angles(np.angle(np.linalg.eigvals(mats)))
 
 

@@ -21,7 +21,8 @@ every other law draws matrices and takes their eigenangles.
 uniform random preimage of a perturbed-Haar law on U(N), SU(N) or SO(2k+1)
 with at most as many positive roots as U(``WEYL_MAX_N``): the Weyl density read
 from the descriptor's root pairs times 1 + (a/N) ReTr, multiplied out on a dense
-box of lattice coefficients.  The Weyl sampler reads the same root pairs.
+box of lattice coefficients.  The Weyl sampler reads the same root pairs.  For a
+torus law on any family the density is the mean of its own over the Weyl group.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .groups import (
     haar_batch,
     unitary,
 )
-from .torus import _COEFF_PRUNE, AngleSample, FourierDensity, _rejection_fill
+from .stats import _keys, _torus_points, _weyl_images
+from .torus import _COEFF_PRUNE, FourierDensity, _rejection_fill
 
 # the fixed U(2) mixture matrix a: a rotation by pi/4
 MIXTURE_A = np.array([[np.sqrt(2) / 2, -np.sqrt(2) / 2],
@@ -275,8 +277,8 @@ def symbolic_eigen_density(law) -> FourierDensity:
     """Exact Fourier coefficients of the uniform-preimage torus marginal.
 
     Supported for perturbed-Haar laws (Haar at strength 0) on any family
-    with no more positive roots than U(``WEYL_MAX_N``), and for torus laws on
-    U(N), whose marginal is the symmetrization of the defining density.  The
+    with no more positive roots than U(``WEYL_MAX_N``), and for torus laws on every
+    family, whose marginal is the Weyl symmetrization of the defining density.  The
     Haar density is the Weyl product over the descriptor's positive roots a of
     |1 - e^{i a.t}|^2, whose factors contribute {0: 2, a: -1, -a: -1}; the
     perturbation multiplies by 1 + (a/N) sum_j cos(M_j.t) over the monomial
@@ -285,9 +287,7 @@ def symbolic_eigen_density(law) -> FourierDensity:
     centred at 0, one :func:`_shift_sum` per factor: roots x box size in all.
     """
     if isinstance(law, TorusLaw):
-        if law.descriptor.family is not Family.UNITARY:
-            raise ValueError("symbolic marginals for torus laws are U(N)-only")
-        return _symmetrize(law.density)
+        return _symmetrize(law.descriptor, law.density)
     if not isinstance(law, PerturbedHaarLaw):
         raise ValueError(f"no symbolic eigenvalue density for {type(law).__name__}")
     desc, strength = law.descriptor, law.strength
@@ -308,16 +308,16 @@ def symbolic_eigen_density(law) -> FourierDensity:
     return FourierDensity(desc.torus_rank, np.argwhere(kept) - reach, box[kept] / box[centre])
 
 
-def _symmetrize(d: FourierDensity) -> FourierDensity:
-    """The mean over coordinate permutations sigma of the density: each a_p / n! goes to
-    p[sigma], added in lattice order (``bincount`` keeps it), so the sums do not depend
-    on the order the density was given in."""
-    perms, reach = np.array(list(itertools.permutations(range(d.rank)))), d.max_degree
-    shape = (2 * reach + 1,) * d.rank
-    images = d.lattice[:, perms].reshape(-1, d.rank) + reach
-    codes, where = np.unique(np.ravel_multi_index(images.T, shape), return_inverse=True)
-    share = np.repeat(d.coeffs, len(perms))
-    coeffs = (np.bincount(where, share.real / len(perms))
-              + 1j * np.bincount(where, share.imag / len(perms)))
-    points = np.stack(np.unravel_index(codes, shape), axis=1) - reach
-    return FourierDensity(d.rank, points, coeffs)
+def _symmetrize(desc: GroupDescriptor, d: FourierDensity) -> FourierDensity:
+    """The mean over the Weyl group W of ``desc`` of the density: each a_p / |W| goes to
+    the torus point of w(k) for every w, k the key of p's orbit (``stats._keys``), itself
+    an image of p's Weyl vector, so the w(k) are the w(p) in another order.  The shares
+    are added in lattice order (``bincount`` keeps it), so the sums do not depend on the
+    order the density was given in."""
+    images = _weyl_images(desc.family, _keys(desc.family, d.lattice))
+    order = images.shape[1]
+    points, where = np.unique(_torus_points(desc.family, images.reshape(-1, images.shape[2])),
+                              axis=0, return_inverse=True)
+    share = np.repeat(d.coeffs, order)
+    return FourierDensity(d.rank, points, np.bincount(where, share.real / order)
+                          + 1j * np.bincount(where, share.imag / order))

@@ -169,12 +169,6 @@ def _weyl_images(family: Family, keys: np.ndarray) -> np.ndarray:
     return images
 
 
-def _codes(vectors: np.ndarray, reach: int) -> np.ndarray:
-    """One integer per row of entries in [-reach, reach], in the rows' lexicographic order."""
-    base = 2 * reach + 1
-    return (vectors + reach) @ base ** np.arange(vectors.shape[1] - 1, -1, -1, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class OrbitTable:
     """The Weyl orbits of the nonzero points of a box [-d, d]^n on a group's torus,
@@ -217,9 +211,11 @@ def orbit_table(desc: GroupDescriptor, max_degree: int) -> OrbitTable:
             -1, keys.shape[1])), axis=0)
     keys = _keys(family, points)
     reach = int(np.abs(keys).max())
-    codes, first, orbit = np.unique(_codes(keys, reach), return_index=True, return_inverse=True)
+    # one integer per key in [-reach, reach]^L, in the keys' lexicographic order
+    code = lambda v: np.ravel_multi_index(tuple((v + reach).T), (2 * reach + 1,) * v.shape[1])
+    codes, first, orbit = np.unique(code(keys), return_index=True, return_inverse=True)
     lattice = _torus_points(family, keys[first])
-    conj = np.searchsorted(codes, _codes(_keys(family, -lattice), reach))
+    conj = np.searchsorted(codes, code(_keys(family, -lattice)))
     kept = codes >= codes[conj]
     row = np.where(kept, np.cumsum(kept) - 1, np.count_nonzero(kept))
     size = np.bincount(orbit, minlength=codes.shape[0])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from powerlimits.experiments import VerdictRow
-from powerlimits.groups import GroupDescriptor
+from powerlimits.groups import Family, GroupDescriptor
 from powerlimits.stats import (Estimates, _column_estimates, _std_error, empirical_fourier_many,
                                entry_moment_schedule, fourier_labels, lattice_ball)
 from powerlimits.torus import AngleSample, FourierDensity, GridDensity
@@ -173,15 +173,21 @@ def dict_eigen_density(desc: GroupDescriptor, strength: float) -> dict:
     return {p: c / norm for p, c in weyl.items()}
 
 
-def dict_symmetrize(d: FourierDensity) -> dict:
-    """Coefficients of the mean over coordinate permutations of the density, each share
-    a_p / n! added to its image one permutation at a time."""
-    perms = list(itertools.permutations(range(d.rank)))
+def dict_symmetrize(desc: GroupDescriptor, d: FourierDensity) -> dict:
+    """Coefficients of the mean over the Weyl group of ``desc`` of the density, each share
+    a_p / |W| added to its image one group element at a time: p permuted on U, permuted
+    with every choice of signs on SO, and on SU the permuted q of (p, 0) read back as the
+    torus point (q_1 - q_N, ..., q_{N-1} - q_N)."""
+    su = desc.family is Family.SPECIAL_UNITARY
+    width = d.rank + su
+    signs = list(itertools.product((1, -1), repeat=width)) if desc.is_real else [(1,) * width]
+    group = [(sigma, eps) for sigma in itertools.permutations(range(width)) for eps in signs]
     out: dict[tuple, complex] = {}
     for p, a in d.coefficients.items():
-        share = a / len(perms)
-        for sigma in perms:
-            key = tuple(p[sigma[i]] for i in range(d.rank))
+        share, vector = a / len(group), p + (0,) * su
+        for sigma, eps in group:
+            q = [vector[sigma[i]] * eps[i] for i in range(width)]
+            key = tuple(x - q[-1] for x in q[:-1]) if su else tuple(q)
             out[key] = out.get(key, 0.0) + share
     return out
 

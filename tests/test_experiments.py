@@ -206,7 +206,7 @@ class TestRunners:
         assert rep.summary_pass
 
     def test_point_mass_keeps_the_family_dtype_and_fails_every_row(self):
-        # the dtype picks the spectral path: complex 2x2 stacks take eigvals_2x2
+        # the dtype picks the spectral path: complex 2x2 stacks take eig_normal_2x2
         for family, n, dtype in (("U", 2, np.complex128), ("SO", 3, np.float64)):
             law = small_config(family=family, matrix_size=n, law={"type": "point_mass"}).build_law()
             draws = law.sample_batch(np.random.default_rng(0), 3)
@@ -374,6 +374,23 @@ class TestRunners:
                                           samples=20000))
         assert rep.notes["threshold"] == 2
         assert rep.summary_pass
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family, n, terms, threshold", [
+        ("SU", 3, [([1, 0], 0.25, 0.0), ([0, 2], 0.0, 0.15)], 3),
+        ("SO", 5, [([1, 0], 0.2, 0.0), ([1, 2], 0.1, 0.1), ([0, 2], 0.15, 0.0)], 3)],
+        ids=["SU3", "SO5"])
+    def test_exact_threshold_torus_law_off_unitary(self, family, n, terms, threshold, seed):
+        # densities with no Weyl symmetry of their own; the symbolic side is their mean
+        # over the Weyl group, the matrix side eigenvalues of embedded torus draws
+        coeffs = [{"p": [0, 0], "re": 1.0}] + [
+            {"p": [sign * x for x in p], "re": re, "im": sign * im}
+            for p, re, im in terms for sign in (1, -1)]
+        rep = run_experiment(small_config(
+            experiment="exact_threshold", family=family, matrix_size=n, samples=20000,
+            seed=seed, law={"type": "torus_density", "density": {"rank": 2, "coeffs": coeffs}}))
+        assert rep.notes["threshold"] == threshold and rep.notes["detection_powered"]
+        assert rep.summary_pass and all(r.passed for r in rep.rows)
 
     def test_exact_threshold_where_the_designated_coefficient_vanishes(self):
         # support (+-2, 0), (0, +-2): threshold 3 and (1, 0) designated at m = 2,

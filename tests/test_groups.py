@@ -82,6 +82,17 @@ class TestHaar:
         g = haar_element(G.special_unitary(3), rng)
         assert abs(np.linalg.det(g[0]) - 1.0) <= 1e-10
 
+    # a singular Gaussian draw, and one left unorthogonalized, far from unitary
+    @pytest.mark.parametrize("qr, message", [(lambda z: None, "singular"),
+                                             (lambda z: np.array(z, order="F"), "off the group")],
+                             ids=["singular", "off-group"])
+    def test_a_bad_draw_raises_after_one_draw(self, monkeypatch, qr, message):
+        seen = []
+        monkeypatch.setattr(G, "positive_qr_q", lambda z: seen.append(z.shape) or qr(z))
+        with pytest.raises(G.UnitarityError, match=message):
+            G.haar_batch(G.unitary(3), np.random.default_rng(0), 10)
+        assert seen == [(10, 3, 3)]
+
     def test_mean_trace_vanishes(self):
         # E Tr = 0 by translation invariance; CLT bound 5 sqrt(2/S)
         rng = np.random.default_rng(5)
@@ -188,6 +199,18 @@ class TestPower:
         with pytest.raises(G.PowerDriftError) as info:
             G.power_batch(g, 4096)
         assert info.value.defect > G.TAU_DRIFT
+
+    @pytest.mark.parametrize("desc", [G.unitary(3), G.unitary(5), G.special_orthogonal_odd(3)],
+                             ids=repr)
+    def test_a_nan_entry_is_a_nan_defect_and_a_drift_error(self, desc):
+        # Python's max(0.0, nan) is 0.0, so the max over Gram entries must be numpy's
+        mats = G.haar_batch(desc, np.random.default_rng(10), 8)
+        mats[3, 1, 0] = np.nan
+        assert np.isnan(G.unitarity_defect(mats))
+        assert np.isnan(G.unitarity_defect(mats[3]))
+        with pytest.raises(G.PowerDriftError) as info:
+            G.power_batch(mats, 3)
+        assert np.isnan(info.value.defect)
 
     def test_batched_power_checks_drift(self):
         # U(4) Haar at m = 2^30 drifts to a defect of order 1e-7

@@ -375,16 +375,11 @@ def test_det(n, is_complex):
 
 
 @pytest.mark.parametrize("family", ["U", "SU"])
-def test_eigvals_2x2_in_lapack_order(family):
-    mats = _draws(family, 2, 3000, 11)
+def test_eig_normal_2x2_against_lapack(family):
+    # the cubed draws too: powered stacks must keep LAPACK's eigenvalue order
+    mats = _draws(family, 2, 3000, 12)
     mats = np.concatenate([mats, mats @ mats @ mats])
     assert np.all(mats[:, 0, 0] != mats[:, 1, 1])
-    np.testing.assert_allclose(K.eigvals_2x2(mats), np.linalg.eigvals(mats), rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("family", ["U", "SU"])
-def test_eig_normal_2x2_against_lapack(family):
-    mats = _draws(family, 2, 3000, 12)
     vals, vecs = K.eig_normal_2x2(mats)
     ref_vals, ref_vecs = np.linalg.eig(mats)
     np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13)
@@ -395,6 +390,11 @@ def test_eig_normal_2x2_against_lapack(family):
     assert np.max(np.abs(vecs @ vecs.conj().swapaxes(-1, -2) - np.eye(2))) <= 1e-15
     rec = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     assert np.max(np.abs(rec - mats)) <= 1e-14
+    # eigenangles_batch reads these eigenvalues, so its angles come in LAPACK order too
+    angles = G.eigenangles_batch(mats)
+    assert np.array_equal(angles, K.wrap_angles(np.angle(vals)))
+    delta = np.abs(angles - K.wrap_angles(np.angle(np.linalg.eigvals(mats))))
+    assert np.max(np.minimum(delta, 2 * np.pi - delta)) <= 1e-13
 
 
 @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])

@@ -276,7 +276,18 @@ class TestSymbolicEigenDensity:
         for degree in (1, 3):
             d = T.random_fourier_density(rng, n, degree)
             got = L.symbolic_eigen_density(L.TorusLaw(unitary(n), d)).coefficients
-            assert got == dict_density(n, dict_symmetrize(d)).coefficients
+            assert got == dict_density(n, dict_symmetrize(unitary(n), d)).coefficients
+
+    @pytest.mark.parametrize("desc", [special_unitary(2), special_unitary(3),
+                                      special_orthogonal_odd(3), special_orthogonal_odd(5)],
+                             ids=repr)
+    def test_torus_law_weyl_symmetrization_matches_the_dict_reference(self, desc):
+        # on SU the images of (p, 0) reach out to twice the degree; on SO the signs flip
+        rng = np.random.default_rng(desc.matrix_size)
+        for degree in (1, 3):
+            d = T.random_fourier_density(rng, desc.torus_rank, degree)
+            got = L.symbolic_eigen_density(L.TorusLaw(desc, d)).coefficients
+            assert got == dict_density(desc.torus_rank, dict_symmetrize(desc, d)).coefficients
 
     @staticmethod
     def _assert_matches_symbolic(route, law, seed):
@@ -317,6 +328,15 @@ class TestSymbolicEigenDensity:
     def test_empirical_perturbed_matches_symbolic(self, route, family, n, strength, seed):
         self._assert_matches_symbolic(route, L.PerturbedHaarLaw(descriptor(family, n), strength),
                                       seed)
+
+    # A random degree-2 density has no Weyl symmetry of its own, so the matrix route
+    # (torus embedding, eigvals, a uniform Weyl element per row) checks the images.
+    @pytest.mark.parametrize("family, n, seed", [("SU", 3, 81), ("SO", 5, 82)],
+                             ids=["matrix-SU3-torus", "matrix-SO5-torus"])
+    def test_empirical_torus_law_matches_symbolic(self, family, n, seed):
+        desc = descriptor(family, n)
+        d = T.random_fourier_density(np.random.default_rng(seed), desc.torus_rank, 2)
+        self._assert_matches_symbolic("matrix", L.TorusLaw(desc, d), seed)
 
 
 class TestEigenangleLaw:
