@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import numbers
 
 import numpy as np
 
@@ -69,6 +70,13 @@ CHUNK_ENTRIES = 1 << 18
 # OpenBLAS runs a product of fewer multiply-adds on the calling thread; a larger
 # one wakes a second thread, which then spins on the other core for a while.
 SERIAL_MACS = 1 << 19
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+    return int(value)
 
 
 def wrap_angles(x):
@@ -171,25 +179,30 @@ def det(a):
             + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
 
 
-def eig_normal_2x2(mats):
-    """Eigenvalues (S, 2), in the order ``np.linalg.eigvals`` gives them, and unitary
-    eigenvectors (S, 2, 2) of a stack of normal complex 2x2 matrices [[a, b], [c, d]].
-
-    The eigenvalues are mu +- s with mu = (a + d)/2 and s**2 = h**2 + bc, h = (a - d)/2:
-    near a double eigenvalue h, b and c are all small, so this keeps the relative
-    accuracy that tr**2/4 - det (terms of size 1) loses.  s takes the sign with
-    Re(s conj(h)) >= 0, so h + s has no cancellation and mu - s is the eigenvalue nearer
-    d, which LAPACK returns second (when a == d exactly the order is the square root's,
-    not necessarily LAPACK's).  (h + s, c) is an eigenvector of mu + s, and for a normal
-    matrix the orthogonal complement (-conj(c), conj(h + s)) is one of mu - s; a row
-    where both entries vanish is a multiple of the identity, for which e_1 serves.
-    Non-normal rows keep their eigenvalues but get vectors that do not diagonalize them.
-    """
+def _eig_2x2(mats):
+    """Eigenvalues (S, 2) of a complex 2x2 stack [[a, b], [c, d]] in ``np.linalg.eigvals``
+    order, and the h and s they are built from: mu +- s with mu = (a + d)/2 and
+    s**2 = h**2 + bc, h = (a - d)/2.  Near a double eigenvalue h, b and c are all small, so
+    this keeps the relative accuracy that tr**2/4 - det (terms of size 1) loses.  s takes
+    the sign with Re(s conj(h)) >= 0, so h + s has no cancellation and mu - s is the
+    eigenvalue nearer d, which LAPACK returns second (when a == d exactly the order is the
+    square root's, not necessarily LAPACK's)."""
     a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
     h = 0.5 * (a - d)
     s = np.sqrt(h * h + b * c)
     s = np.where(s.real * h.real + s.imag * h.imag < 0.0, -s, s)
-    mu, x, y = 0.5 * (a + d), h + s, c.copy()
+    mu = 0.5 * (a + d)
+    return np.stack([mu + s, mu - s], axis=-1), h, s
+
+
+def eig_normal_2x2(mats):
+    """The eigenvalues (S, 2) of :func:`_eig_2x2` and unitary eigenvectors (S, 2, 2) of a
+    stack of normal complex 2x2 matrices [[a, b], [c, d]]: (h + s, c) is one of mu + s,
+    and for a normal matrix its orthogonal complement (-conj(c), conj(h + s)) one of
+    mu - s.  A row where both entries vanish is a multiple of the identity, for which e_1
+    serves; non-normal rows get vectors that do not diagonalize them."""
+    values, h, s = _eig_2x2(mats)
+    x, y = h + s, mats[..., 1, 0].copy()
     norm = np.sqrt(x.real ** 2 + x.imag ** 2 + y.real ** 2 + y.imag ** 2)
     scalar = norm == 0.0
     x[scalar], norm[scalar] = 1.0, 1.0
@@ -198,7 +211,7 @@ def eig_normal_2x2(mats):
     vecs = np.empty(mats.shape, dtype=np.complex128)
     vecs[..., 0, 0], vecs[..., 1, 0] = x, y
     vecs[..., 0, 1], vecs[..., 1, 1] = -y.conj(), x.conj()
-    return np.stack([mu + s, mu - s], axis=-1), vecs
+    return values, vecs
 
 
 def so3_axis_angle(mats):
@@ -382,8 +395,7 @@ def fold_grid(values, m):
     contraction property is tested on signed inputs, not just densities).
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _count(m, "m", 1)
     g = values.shape[0]
     if any(s != g for s in values.shape):
         raise ValueError("grid must have equal extent on every axis")

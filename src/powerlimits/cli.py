@@ -46,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name in sorted(EXPERIMENT_KINDS):
-            print(f"{name:22s} {EXPERIMENT_KINDS[name]}")
+        for name, (runner, _) in sorted(EXPERIMENT_KINDS.items()):
+            print(f"{name:22s} {runner.__doc__.splitlines()[0]}")
         return 0
     created, report = False, None   # created: the --out check below made the file
     try:

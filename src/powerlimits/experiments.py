@@ -39,23 +39,8 @@ from .groups import (
     power_batch,
 )
 
-EXPERIMENT_KINDS = {
-    "eigen_convergence": "eigenangles of U^m against the fixed high-power law",
-    "group_limit": "U^m against psi(flag, Y) (or Haar^D) in entry/trace moments",
-    "exact_threshold": "symbolic stationarity threshold, matched statistically",
-    "preimage_invariance": "limit law from sorted vs uniform preimages",
-    "torus_suite": "exact and statistical torus pushforward checks",
-}
-
-# the config fields every kind reads, and those each kind adds
+# the config fields every kind reads (EXPERIMENT_KINDS, below the runners, adds each kind's)
 _COMMON_FIELDS = {"experiment", "samples", "seed", "threshold", "negative_control"}
-_KIND_FIELDS = {
-    "eigen_convergence": {"family", "matrix_size", "law", "powers", "max_lattice_degree"},
-    "group_limit": {"family", "matrix_size", "law", "powers", "target"},
-    "exact_threshold": {"family", "matrix_size", "law", "max_lattice_degree"},
-    "preimage_invariance": {"family", "matrix_size", "law"},
-    "torus_suite": {"powers", "grid_size", "density_count", "torus_rank"},
-}
 # integer config fields and their least allowed values
 _INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
                "grid_size": 0, "density_count": 0, "torus_rank": 1}
@@ -73,9 +58,9 @@ class ConfigError(ValueError):
 
 def _kind_fields(kind) -> set:
     """The config fields experiment ``kind`` reads."""
-    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
-        raise ConfigError(f"unknown experiment {kind!r}; choose from {sorted(_KIND_FIELDS)}")
-    return _COMMON_FIELDS | _KIND_FIELDS[kind]
+    if not isinstance(kind, str) or kind not in EXPERIMENT_KINDS:
+        raise ConfigError(f"unknown experiment {kind!r}; choose from {sorted(EXPERIMENT_KINDS)}")
+    return _COMMON_FIELDS | EXPERIMENT_KINDS[kind][1]
 
 
 @dataclass
@@ -500,9 +485,9 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
 
 
 def _preimage_invariance(config: ExperimentConfig, desc, law, seq):
-    """limit draws psi(flag, Y) from sorted vs uniform preimages of the
-    same law must agree in entry moments (Tr psi(V, Y)^k does not depend
-    on the flag V, so trace moments would test nothing)."""
+    """Limit draws psi(flag, Y) from sorted and uniform preimages agree in entry moments.
+
+    Tr psi(V, Y)^k does not depend on the flag V, so trace moments would test nothing."""
     r_a, r_b, r_w, r_y1, r_y2 = _rngs(seq, 5)
     side_a, side_b = _in_parallel([
         lambda: _preimage_limit_moments(desc, law, config.samples, r_a, None, r_y1),
@@ -565,12 +550,14 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
     return rows, {}
 
 
-RUNNERS = {
-    "eigen_convergence": _eigen_convergence,
-    "group_limit": _group_limit,
-    "exact_threshold": _exact_threshold,
-    "preimage_invariance": _preimage_invariance,
-    "torus_suite": _torus_suite,
+# experiment kind -> (its runner, the config fields it reads besides _COMMON_FIELDS)
+EXPERIMENT_KINDS = {
+    "eigen_convergence": (_eigen_convergence,
+                          {"family", "matrix_size", "law", "powers", "max_lattice_degree"}),
+    "group_limit": (_group_limit, {"family", "matrix_size", "law", "powers", "target"}),
+    "exact_threshold": (_exact_threshold, {"family", "matrix_size", "law", "max_lattice_degree"}),
+    "preimage_invariance": (_preimage_invariance, {"family", "matrix_size", "law"}),
+    "torus_suite": (_torus_suite, {"powers", "grid_size", "density_count", "torus_rank"}),
 }
 
 
@@ -578,8 +565,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Validate ``config``, run its experiment kind, and assemble the report."""
     config.validate()
     t0 = time.perf_counter()
-    rows, notes = RUNNERS[config.experiment](config, config.descriptor(), config.build_law(),
-                                             np.random.SeedSequence(config.seed))
+    rows, notes = EXPERIMENT_KINDS[config.experiment][0](
+        config, config.descriptor(), config.build_law(), np.random.SeedSequence(config.seed))
     if not rows:
         raise ConfigError("the config yields no verdict rows")
     raw = all(r.passed for r in rows)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (SMALL_N, _plane_matmul, det, eig_normal_2x2, positive_qr_q, unit_phases,
+from ._kernels import (SMALL_N, _count, _eig_2x2, _plane_matmul, det, positive_qr_q, unit_phases,
                        wrap_angles)
 
 TAU_UNIT = 1e-10   # construction tolerance for M M* = I and det checks
@@ -249,13 +249,11 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
     :class:`PowerDriftError` with the worst row's defect when any result
     leaves the group by more than ``TAU_DRIFT`` or holds a NaN.
     """
-    if m < 1:
-        raise ValueError("power requires m >= 1")
+    e = _count(m, "m", 1)
     small = mats.shape[-1] <= SMALL_N
     matmul = _plane_matmul if small else np.matmul
     result, base = None, np.array(mats, order="F" if small else "C")
     del mats  # the caller's temporary stack goes once it is copied
-    e = int(m)
     while e:
         if e & 1:
             # the first set bit starts the product: no multiplication by the identity
@@ -272,10 +270,10 @@ def power_batch(mats: np.ndarray, m: int) -> np.ndarray:
 
 def eigenangles_batch(mats: np.ndarray) -> np.ndarray:
     """Eigenvalue angles in [0, 2*pi) for a (S, N, N) stack; rows unsorted,
-    in ``np.linalg.eigvals`` order (the eigenvalues of ``eig_normal_2x2`` for complex
-    2x2 stacks)."""
+    in ``np.linalg.eigvals`` order (the closed-form eigenvalues of ``_kernels._eig_2x2``,
+    with no eigenvector, for complex 2x2 stacks)."""
     if mats.shape[-1] == 2 and np.iscomplexobj(mats):
-        return wrap_angles(np.angle(eig_normal_2x2(mats)[0]))
+        return wrap_angles(np.angle(_eig_2x2(mats)[0]))
     return wrap_angles(np.angle(np.linalg.eigvals(mats)))
 
 

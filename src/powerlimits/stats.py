@@ -309,17 +309,15 @@ def trace_moments(mats: np.ndarray, k_max: int) -> Estimates:
 
 
 def entry_moment_schedule(n: int) -> list[tuple]:
-    """The documented second-moment index schedule.
-
-    All |g_jk|^2 always; every distinct cross pair E[g_jk conj(g_lm)] as
-    well when the matrix has at most 4 entries (n <= 2), where the full
-    list stays small.
-    """
+    """The pairs (jk, lm) of the second moments E[g_jk conj(g_lm)] read: every |g_jk|^2
+    for n != 2; for n = 2 (00|00), (00|01), (00|10), (00|11) and (01|10).  Unitarity
+    (g g* = g* g = I) makes the other five affine images of these, whose rows would repeat
+    their verdicts: |g_01|^2 = |g_10|^2 = 1 - |g_00|^2, |g_11|^2 = |g_00|^2,
+    g_10 conj(g_11) = -g_00 conj(g_01) and g_01 conj(g_11) = -g_00 conj(g_10)."""
     flat = [(j, k) for j in range(n) for k in range(n)]
-    pairs = [(a, a) for a in flat]
-    if n <= 2:
-        pairs += [(a, b) for i, a in enumerate(flat) for b in flat[i + 1:]]
-    return pairs
+    if n == 2:
+        return [((0, 0), b) for b in flat] + [((0, 1), (1, 0))]
+    return [(a, a) for a in flat]
 
 
 def entry_labels(n: int) -> list[str]:

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import CHUNK_ENTRIES, TAU, fold_grid, trig_poly_grid, trig_poly_values, wrap_angles
+from ._kernels import (CHUNK_ENTRIES, TAU, _count, fold_grid, trig_poly_grid, trig_poly_values,
+                       wrap_angles)
 from .stats import lattice_ball
 
 TAU_NEG = 1e-9          # validation slack for "nonnegative" trig polynomials
@@ -57,13 +57,6 @@ class DensityError(ValueError):
 class RejectionError(RuntimeError):
     """A rejection fill that cannot give exact draws: its bound is below 1, a density
     value exceeds the bound or the squeeze (a wrong envelope), or its rounds ran out."""
-
-
-def _count(value, name: str, low: int) -> int:
-    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= low."""
-    if not (isinstance(value, numbers.Integral) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -312,6 +312,23 @@ def test_unitarity_defect_is_the_max_of_m_mstar_minus_i(family, n):
     assert G.unitarity_defect(mats) <= 1e-14
 
 
+@pytest.mark.parametrize("m", [2.5, 4.0, 0])
+def test_powers_must_be_positive_integers(m):
+    # int(2.5) would square silently; numpy would refuse 4.0 with a TypeError
+    mats = _draws("U", 2, 10, 19)
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        G.power_batch(mats, m)
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        K.fold_grid(np.ones((8, 8)), m)
+
+
+def test_numpy_integer_powers_pass():
+    mats = _draws("U", 2, 10, 19)
+    np.testing.assert_array_equal(G.power_batch(mats, np.int64(64)), G.power_batch(mats, 64))
+    v = rng.normal(size=(8, 8))
+    np.testing.assert_array_equal(K.fold_grid(v, np.int64(4)), K.fold_grid(v, 4))
+
+
 def test_fold_grid_requires_divisor():
     with pytest.raises(ValueError):
         K.fold_grid(np.ones(10), 3)
@@ -390,9 +407,16 @@ def test_eig_normal_2x2_against_lapack(family):
     assert np.max(np.abs(vecs @ vecs.conj().swapaxes(-1, -2) - np.eye(2))) <= 1e-15
     rec = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     assert np.max(np.abs(rec - mats)) <= 1e-14
-    # eigenangles_batch reads these eigenvalues, so its angles come in LAPACK order too
+
+
+@pytest.mark.parametrize("family", ["U", "SU"])
+def test_eigenangles_batch_reads_the_closed_form_eigenvalues(family):
+    # on complex 2x2 stacks, bit for bit the angles of eig_normal_2x2's eigenvalues,
+    # so they come in LAPACK order too
+    mats = _draws(family, 2, 3000, 12)
+    mats = np.concatenate([mats, mats @ mats @ mats, np.eye(2, dtype=np.complex128)[None]])
     angles = G.eigenangles_batch(mats)
-    assert np.array_equal(angles, K.wrap_angles(np.angle(vals)))
+    assert np.array_equal(angles, K.wrap_angles(np.angle(K.eig_normal_2x2(mats)[0])))
     delta = np.abs(angles - K.wrap_angles(np.angle(np.linalg.eigvals(mats))))
     assert np.max(np.minimum(delta, 2 * np.pi - delta)) <= 1e-13
 

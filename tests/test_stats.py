@@ -384,9 +384,35 @@ class TestEntryMoments:
         assert abs(oracle - 0.5) < 0.01
         assert abs(rep.estimate - 0.5) <= 5 * rep.std_error
 
-    def test_schedule_covers_all_pairs_for_u2(self):
-        assert len(S.entry_moment_schedule(2)) == 4 + 6
-        assert len(S.entry_moment_schedule(3)) == 9
+    def test_schedule_keeps_five_pairs_for_u2(self):
+        assert S.entry_moment_schedule(1) == [((0, 0), (0, 0))]
+        assert S.entry_moment_schedule(2) == [((0, 0), (0, 0)), ((0, 0), (0, 1)),
+                                              ((0, 0), (1, 0)), ((0, 0), (1, 1)),
+                                              ((0, 1), (1, 0))]
+        for n in (3, 4):
+            flat = [(j, k) for j in range(n) for k in range(n)]
+            assert S.entry_moment_schedule(n) == [(a, a) for a in flat]
+
+    @pytest.mark.parametrize("source", ["U", "SU", "mixture", "limit"])
+    def test_dropped_u2_pairs_are_affine_images_of_kept_ones(self, source):
+        """Each of the five second moments the 2x2 schedule leaves out equals, row by
+        row, its unitarity image of a kept one: so would its verdict."""
+        rng = np.random.default_rng(41)
+        if source in ("U", "SU"):
+            mats = haar_batch(G.descriptor(source, 2), rng, 2000)
+        else:
+            mats = L.MixtureU2Law().sample_batch(rng, 2000)
+        if source == "limit":
+            flags, _ = P.preimages_batch(mats, unitary(2), rng)
+            mats = P.limit_law_batch(flags, unitary(2), rng)
+        for g in (mats, G.power_batch(mats, 64)):
+            e = lambda j, k, l, m: g[:, j, k] * g[:, l, m].conj()
+            for dropped, image in [(e(0, 1, 0, 1), 1.0 - e(0, 0, 0, 0)),
+                                   (e(1, 0, 1, 0), 1.0 - e(0, 0, 0, 0)),
+                                   (e(1, 1, 1, 1), e(0, 0, 0, 0)),
+                                   (e(0, 1, 1, 1), -e(0, 0, 1, 0)),
+                                   (e(1, 0, 1, 1), -e(0, 0, 0, 1))]:
+                np.testing.assert_allclose(dropped, image, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_label_per_statistic(self, n):
@@ -463,15 +489,15 @@ class TestTwoSample:
         with pytest.raises(ValueError):
             S.two_sample_test(a, b)
 
-    def test_haar_vs_haar_forty_statistics(self):
+    def test_haar_vs_haar_thirteen_statistics(self):
         rng = np.random.default_rng(11)
         s = 20000
         a = haar_batch(unitary(2), rng, s)
         b = haar_batch(unitary(2), rng, s)
         z = np.concatenate([S.two_sample_test(S.entry_moments(a), S.entry_moments(b)),
                             S.two_sample_test(S.trace_moments(a, 2), S.trace_moments(b, 2))])
-        # 14 entry statistics and 2 x 2 trace statistics, one z each
-        assert len(z) == len(S.entry_labels(2) + S.trace_labels(2)) == 18
+        # 4 first and 5 second entry moments, and 2 x 2 trace statistics, one z each
+        assert len(z) == len(S.entry_labels(2) + S.trace_labels(2)) == 13
         assert np.all(z <= 5.0)
 
     def test_symmetry_up_to_sign(self):
