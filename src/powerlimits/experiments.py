@@ -13,16 +13,15 @@ Reproducibility: all randomness flows from ``numpy.random.SeedSequence``
 children of the config seed, spawned per pipeline stage in a fixed order,
 so a config and seed pin the entire report (wall-clock aside); streamed
 chunks (:func:`_streamed`) draw one after another from those streams.  The
-independent stages of ``group_limit`` and ``preimage_invariance`` may run on
-two threads (:func:`_in_parallel`); each draws only from its own streams, so
-the report is the same on one core or two.
+independent stages of ``group_limit`` and ``preimage_invariance`` run on a
+pool of two threads when two CPUs are allowed (:func:`_in_parallel`); each
+draws only from its own streams, so the report is the same on one core or two.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -307,44 +306,38 @@ def _eigen_convergence(config: ExperimentConfig, desc, law, seq):
 def _in_parallel(stages) -> list:
     """The results of the zero-argument callables ``stages``, in list order.
 
-    The calling thread and, when the process may run on two or more CPUs, one worker
-    thread take the next stage index from one shared iterator (stages start in list
-    order); each stops taking once a stage has failed, and after the worker is joined
-    the error of the lowest failing index is raised: the one a serial run raises.  The
-    result does not depend on the schedule so long as each stage draws only from its
-    own generators and writes no shared state.  numpy's matrix and elementwise kernels
-    release the GIL, so two stages overlap.  The caller works beside one worker rather
-    than wait on a pool: one thread fewer, for the same speed.
+    When the process may run on two or more CPUs, a pool of two threads takes the
+    stages in list order; otherwise the calling thread runs them one by one.  Once a
+    stage has failed, or the caller is interrupted, no further stage starts; both
+    threads are joined, and then the error of the lowest failing index is raised: the
+    one a serial run raises.  The result does not depend on the schedule so long as
+    each stage draws only from its own generators and writes no shared state.
+    numpy's matrix and elementwise kernels release the GIL, so two stages overlap.
     """
-    results, failed = [None] * len(stages), {}
-    order, take, stop = iter(range(len(stages))), threading.Lock(), threading.Event()
-
-    def work():
-        while not stop.is_set():
-            with take:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = stages[i]()
-            except Exception as exc:   # raised by the calling thread, below
-                failed[i] = exc
-                stop.set()
-
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    worker = threading.Thread(target=work) if len(stages) > 1 and cpus >= 2 else None
-    if worker is not None:
-        worker.start()
-    try:
-        work()
-    finally:
-        stop.set()   # the iterator is spent, a stage failed, or this thread was interrupted
-        if worker is not None:
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
-    return results
+    if len(stages) < 2 or cpus < 2:
+        return [stage() for stage in stages]
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    stop = []   # non-empty once a stage has failed or the caller is leaving
+
+    def run(stage):
+        if stop:
+            return None
+        try:
+            return stage()
+        except BaseException:
+            stop.append(stage)
+            raise
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        try:
+            futures = [pool.submit(run, stage) for stage in stages]
+            wait(futures)
+        finally:
+            stop.append(None)   # an interrupt reaches this thread only: start nothing more
+    return [future.result() for future in futures]
 
 
 def _streamed(samples: int, rngs, moments):
@@ -466,7 +459,7 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     for m in range(1, thr + 1):
         angles = _angle_rows(law, m, rngs[2 * (m - 1)], config.samples)
         weyl = pre.weyl_rows(desc, angles)
-        if m == thr or not pushed[m]:
+        if m not in tested:
             # the oracle says uniform: every orbit of the coefficient box must vanish
             rows += _bound_rows(m, labels, stats.orbit_means(table, weyl), config.threshold,
                                 table.size)

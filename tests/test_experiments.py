@@ -5,9 +5,11 @@ import importlib.util
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +570,46 @@ class TestInParallel:
 
         threads = threading.active_count()
         with pytest.raises(ValueError, match="stage 0"):
+            experiments._in_parallel([stage_0, stage_1, lambda: ran.append(2)])
+        assert ran == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2, 3}])
+    def test_at_most_two_stages_run_at_once(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        count, lock, running, peak = [0], threading.Lock(), [0], [0]
+
+        def stage():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)
+            with lock:
+                running[0] -= 1
+                count[0] += 1
+
+        experiments._in_parallel([stage] * 6)
+        assert count[0] == 6
+        assert peak[0] == min(2, len(cpus))
+
+    def test_an_interrupt_starts_no_later_stage_and_joins_every_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # stages 0 and 1 run at once, and stage 2 is queued by the time the interrupt
+        # arrives; both are still sleeping then, so neither thread may take stage 2
+        both, ran = threading.Barrier(2, timeout=10), []
+
+        def stage_0():
+            both.wait()
+            time.sleep(0.3)
+
+        def stage_1():
+            both.wait()
+            time.sleep(0.05)
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.2)
+
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
             experiments._in_parallel([stage_0, stage_1, lambda: ran.append(2)])
         assert ran == []
         assert threading.active_count() == threads
