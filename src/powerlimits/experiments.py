@@ -13,8 +13,8 @@ Reproducibility: all randomness flows from ``numpy.random.SeedSequence``
 children of the config seed, spawned per pipeline stage in a fixed order,
 so a config and seed pin the entire report (wall-clock aside); streamed
 chunks (:func:`_streamed`) draw one after another from those streams.  The
-independent stages of ``group_limit`` and ``preimage_invariance`` run on a
-pool of two threads when two CPUs are allowed (:func:`_in_parallel`); each
+independent stages of ``group_limit``, ``preimage_invariance`` and ``torus_suite``
+run on a pool of two threads when two CPUs are allowed (:func:`_in_parallel`); each
 draws only from its own streams, so the report is the same on one core or two.
 """
 
@@ -499,6 +499,8 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
     density's own.  The signed inputs are uniform on [-1, 1], a cheaper draw
     than Gaussian: a branch average never raises an L1 norm, and on random
     signs it lowers it far beyond rounding, so ``contraction[i]`` reads 0.
+    Two stages on their own streams (:func:`_in_parallel`): the density side builds
+    each grid once, for its exact and sampled rows; the other draws the signed grids.
     """
     rank, g = config.torus_rank, config.grid_size
     r_dens, r_samp, r_sign = _rngs(seq, 3)
@@ -510,37 +512,50 @@ def _torus_suite(config: ExperimentConfig, desc, law, seq):
     jitter = np.prod(np.exp(-1j * np.pi * pf / g) * np.sinc(pf / g), axis=1)
     labels = stats.fourier_labels(lattice)
     keys = [tuple(p) for p in lattice.tolist()]
-    rows = []
-    for i in range(config.density_count):
-        dens = torus.random_fourier_density(r_dens, rank, max_degree=_TORUS_SUITE_DEGREE)
-        grid = torus.to_grid(dens, g)
-        for m in config.powers:
-            via_coeff = torus.to_grid(torus.fourier_pushforward(dens, m), g // m)
-            via_grid = torus.grid_pushforward(grid, m)
-            err = np.max(np.abs(via_coeff.values - via_grid.values))
-            rows.append(_row(m, f"oracle_equiv[{i}]", err, 1e-9))
-            drift = abs(via_grid.values.sum() * (torus.TAU / via_grid.grid_size) ** rank - 1.0)
-            rows.append(_row(m, f"integral[{i}]", drift, 1e-12))
-        signed = r_sign.uniform(-1.0, 1.0, size=grid.values.shape)
-        before = float(np.abs(signed).sum()) * (torus.TAU / g) ** rank
-        for m in config.powers:
-            after_vals = torus.fold_grid(signed, m)
-            after = float(np.abs(after_vals).sum()) * (torus.TAU / (g // m)) ** rank
-            rows.append(_row(m, f"contraction[{i}]", max(after - before, 0.0), 1e-12))
-        sample = torus.sample_grid(grid, r_samp, config.samples)
-        spun = torus.power_angles(sample, 50)
-        rows += _bound_rows(50, [f"spun[{i}]@{lab}" for lab in labels],
-                            stats.empirical_fourier_many(spun, lattice), config.threshold)
-        # a_p * jitter in real and imaginary parts: bit-equal to the scalar product
-        coefficients = dens.coefficients
-        a = np.array([coefficients.get(k, 0.0) for k in keys], dtype=np.complex128)
-        expect = np.empty_like(a)
-        expect.real, expect.imag = (a.real * jitter.real - a.imag * jitter.imag,
-                                    a.real * jitter.imag + a.imag * jitter.real)
-        rows += _matched_rows(1, [f"match[{i}]@{lab}" for lab in labels],
-                              stats.empirical_fourier_many(sample, lattice), expect,
-                              config.threshold)
-    return rows, {}
+
+    def density_side():   # per density: (oracle_equiv and integral rows, spun and match rows)
+        sides = []
+        for i in range(config.density_count):
+            dens = torus.random_fourier_density(r_dens, rank, max_degree=_TORUS_SUITE_DEGREE)
+            grid = torus.to_grid(dens, g)
+            exact = []
+            for m in config.powers:
+                via_coeff = torus.to_grid(torus.fourier_pushforward(dens, m), g // m)
+                via_grid = torus.grid_pushforward(grid, m)
+                err = np.max(np.abs(via_coeff.values - via_grid.values))
+                exact.append(_row(m, f"oracle_equiv[{i}]", err, 1e-9))
+                drift = abs(via_grid.values.sum() * (torus.TAU / via_grid.grid_size) ** rank - 1.0)
+                exact.append(_row(m, f"integral[{i}]", drift, 1e-12))
+            sample = torus.sample_grid(grid, r_samp, config.samples)
+            spun = stats.empirical_fourier_many(torus.power_angles(sample, 50), lattice)
+            drawn = _bound_rows(50, [f"spun[{i}]@{lab}" for lab in labels], spun, config.threshold)
+            # a_p * jitter in real and imaginary parts: bit-equal to the scalar product
+            coefficients = dens.coefficients
+            a = np.array([coefficients.get(k, 0.0) for k in keys], dtype=np.complex128)
+            expect = np.empty_like(a)
+            expect.real, expect.imag = (a.real * jitter.real - a.imag * jitter.imag,
+                                        a.real * jitter.imag + a.imag * jitter.real)
+            drawn += _matched_rows(1, [f"match[{i}]@{lab}" for lab in labels],
+                                   stats.empirical_fourier_many(sample, lattice), expect,
+                                   config.threshold)
+            sides.append((exact, drawn))
+        return sides
+
+    def l1(values):   # its L1 norm on the torus, in place: the grid is read no more
+        return float(np.abs(values, out=values).sum()) * (torus.TAU / values.shape[0]) ** rank
+
+    def contraction_side():
+        sides = []
+        for i in range(config.density_count):
+            signed = r_sign.uniform(-1.0, 1.0, size=(g,) * rank)
+            after = [l1(torus.fold_grid(signed, m)) for m in config.powers]
+            before = l1(signed)   # after the folds, which read it
+            sides.append([_row(m, f"contraction[{i}]", max(a - before, 0.0), 1e-12)
+                          for m, a in zip(config.powers, after)])
+        return sides
+
+    return [row for (exact, drawn), contracted in zip(*_in_parallel(
+        [density_side, contraction_side])) for row in exact + contracted + drawn], {}
 
 
 # experiment kind -> (its runner, the config fields it reads besides _COMMON_FIELDS)

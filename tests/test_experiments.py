@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -614,6 +615,32 @@ class TestInParallel:
         assert ran == []
         assert threading.active_count() == threads
 
+    def test_torus_suite_stages_do_not_depend_on_the_core_count(self, monkeypatch):
+        cfg = small_config(experiment="torus_suite", powers=[2, 3], density_count=3,
+                           samples=2000)
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            reports.append(dict(run_experiment(cfg).to_json_dict(), wall_clock=0))
+        assert reports[0] == reports[1]
+        # density 0's rows come first, assembled from both stages in the serial order
+        heads = [(row["m"], *re.match(r"(\w+)\[(\d+)\]", row["statistic"]).groups())
+                 for row in reports[0]["rows"]]
+        first = list(itertools.takewhile(lambda head: head[2] == "0", heads))
+        assert len(first) == sum(head[2] == "0" for head in heads)
+        assert [(m, name) for (m, name, _), _ in itertools.groupby(first)] == [
+            (2, "oracle_equiv"), (2, "integral"), (3, "oracle_equiv"), (3, "integral"),
+            (2, "contraction"), (3, "contraction"), (50, "spun"), (1, "match")]
+
+    def test_torus_suite_builds_each_grid_once(self, monkeypatch):
+        # a density's grid serves its exact and sampled rows: one to_grid call for it,
+        # and one per power for the coefficient route
+        calls, to_grid = [], torus.to_grid
+        monkeypatch.setattr(torus, "to_grid", lambda d, g: calls.append(g) or to_grid(d, g))
+        run_experiment(small_config(experiment="torus_suite", powers=[2, 3], density_count=3,
+                                    samples=500))
+        assert len(calls) == 3 * (1 + 2)
+
 
 SHAPE_CONFIGS = dict(FILE_CONFIGS)
 SHAPE_CONFIGS["so3_group_limit"] = dict(
@@ -1049,6 +1076,23 @@ class TestCli:
         threads = threading.active_count()
         assert cli.main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+        assert threading.active_count() == threads
+
+    def test_a_failing_torus_suite_stage_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fold = torus.fold_grid
+
+        def failing(values, m):
+            if values.min() < 0:   # a signed grid: only the contraction stage folds one
+                raise torus.RejectionError("injected")
+            return fold(values, m)
+
+        monkeypatch.setattr(torus, "fold_grid", failing)
+        path = self._write_config(tmp_path, experiment="torus_suite", powers=[2, 3],
+                                  density_count=3, samples=500)
+        threads = threading.active_count()
+        assert cli.main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == "error: injected\n"
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("family, n", [("SU", 2), ("U", 3)])
