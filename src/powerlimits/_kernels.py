@@ -401,8 +401,6 @@ def fold_grid(values, m):
         raise ValueError("grid must have equal extent on every axis")
     if g % m != 0:
         raise ValueError(f"m={m} must divide the grid size {g}")
-    if m == 1:
-        return values.copy()
     n = values.ndim
     shaped = values.reshape(tuple(x for _ in range(n) for x in (m, g // m)))
     return shaped.mean(axis=tuple(range(0, 2 * n, 2)))

@@ -42,7 +42,7 @@ from .groups import (
 _COMMON_FIELDS = {"experiment", "samples", "seed", "threshold", "negative_control"}
 # integer config fields and their least allowed values
 _INT_FIELDS = {"matrix_size": 0, "samples": 100, "seed": 0, "max_lattice_degree": 1,
-               "grid_size": 0, "density_count": 0, "torus_rank": 1}
+               "grid_size": 0, "density_count": 1, "torus_rank": 1}
 CHUNK_ROWS = 4096   # rows per chunk of a streamed side: two stages in flight hold 8192
 TRACE_K_MAX = 3     # group_limit matches Tr(g^k) and |Tr(g^k)|^2 for k = 1..TRACE_K_MAX
 _TORUS_SUITE_DEGREE = 3   # degree of torus_suite's random densities and its lattice
@@ -80,8 +80,9 @@ class ExperimentConfig:
     torus_rank: int = 2
 
     def validate(self) -> "ExperimentConfig":
-        """Raise :class:`ConfigError` for anything the runners would trip
-        over; the law is built here, so its own checks count too."""
+        """The config, or :class:`ConfigError` for anything its run would refuse: the one
+        place a config is refused.  The law is built here, so its checks count too, and so
+        does :func:`samplers.check_symbolic_density` for ``exact_threshold``."""
         _kind_fields(self.experiment)
         if self.seed is None:
             raise ConfigError("an explicit seed is required")
@@ -104,16 +105,18 @@ class ExperimentConfig:
         if self.target not in ("preimage_limit", "haar_power"):
             raise ConfigError("target must be preimage_limit or haar_power")
         try:
-            self.build_law()
+            law = self.build_law()
+            if self.experiment == "exact_threshold":
+                samplers.check_symbolic_density(law)
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
-            raise ConfigError(f"cannot build the law: {exc}") from exc
+            raise ConfigError(f"{self.experiment} cannot take the law: {exc}") from exc
         if self.law.get("type") == "point_mass" and (self.experiment == "preimage_invariance" or (
                 self.experiment == "group_limit" and self.target == "preimage_limit")):
             raise ConfigError(f"{self.experiment} needs preimages, undefined for a point mass")
         if self.experiment == "group_limit" and self.target == "haar_power" and self.law.get(
-                "type") in ("torus_density", "mixture_u2"):
-            raise ConfigError(f"a {self.law['type']} law is not conjugation invariant, so its "
-                              f"limit is not Haar^D: use target preimage_limit")
+                "type", "haar") not in ("haar", "perturbed_haar", "point_mass"):
+            raise ConfigError(f"a {self.law['type']} law is not known to be conjugation "
+                              f"invariant, so its limit need not be Haar^D: use preimage_limit")
         return self
 
     @classmethod
@@ -146,12 +149,8 @@ class ExperimentConfig:
                 raise ConfigError("the perturbed_haar strength must be a number")
             return samplers.PerturbedHaarLaw(desc, float(strength))
 
-        def dens(key):
-            if key not in self.law:
-                return samplers.default_mixture_marginal()
-            if not isinstance(self.law[key], dict):   # from_json would parse a string as JSON
-                raise ConfigError("a density is a JSON object with a rank and coeffs")
-            return torus.FourierDensity.from_json(self.law[key])
+        dens = lambda key: (torus.FourierDensity.from_json(self.law[key]) if key in self.law
+                            else samplers.default_mixture_marginal())
 
         if kind == "mixture_u2":
             return samplers.MixtureU2Law(dens("d1"), dens("d2"), desc)
@@ -419,18 +418,15 @@ def _exact_threshold(config: ExperimentConfig, desc, law, seq):
     largest such power, or its own largest where that is 0.
     ``detection_min_samples`` is the largest S that any of these detections needs.
     """
-    try:
-        dens = samplers.symbolic_eigen_density(law)
-    except ValueError as exc:
-        raise ConfigError(f"exact_threshold needs a symbolic density: {exc}") from exc
+    dens = samplers.symbolic_eigen_density(law)
     thr = torus.stationarity_threshold(dens)
     table = stats.orbit_table(desc, config.max_lattice_degree)
     labels = ["uniform@" + label for label in stats.fourier_labels(table.lattice, "orbit")]
     notes = {"threshold": thr}
-    # the nonzero-frequency coefficients of each pushforward, in lattice (lexicographic)
-    # order, and the largest; a tie goes to the first point in that order
+    # the nonzero-frequency coefficients of each pushforward below thr, in lattice
+    # (lexicographic) order, and the largest; a tie goes to the first point in that order
     pushed = {m: {p: a for p, a in torus.fourier_pushforward(dens, m).coefficients.items()
-                  if any(p)} for m in range(1, thr + 1)}
+                  if any(p)} for m in range(1, thr)}
     largest = lambda m: max(pushed[m], key=lambda p: abs(pushed[m][p]))
 
     # the powers below thr whose symbolic pushforward is still non-uniform, each

@@ -126,7 +126,7 @@ def special_orthogonal_odd(n: int) -> GroupDescriptor:
 
 def descriptor(family: str | Family, n: int) -> GroupDescriptor:
     """Descriptor from a family tag ("U" | "SU" | "SO") and matrix size."""
-    fam = Family(family) if not isinstance(family, Family) else family
+    fam = Family(family)
     if fam is Family.UNITARY:
         return unitary(n)
     if fam is Family.SPECIAL_UNITARY:

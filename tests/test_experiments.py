@@ -54,6 +54,53 @@ def _workload_configs():
 SHIPPED_CONFIGS = {**FILE_CONFIGS, **_workload_configs()}
 
 
+# configs that are errors: each exits 2 from the CLI, and each dict is refused by
+# ExperimentConfig.from_json, so by validate(), before any run
+CONFIG_ERRORS = [
+    {"law": {"type": "wat"}},
+    [1, 2],
+    dict(experiment="eigen_convergence", law={"type": "wat"}, seed=1),
+    dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strength": 3},
+         seed=1),
+    # a string strength once ran as its number, and NaN aborted at sampling (exit 3)
+    dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strength": "0.3"},
+         seed=1),
+    dict(experiment="eigen_convergence",
+         law={"type": "perturbed_haar", "strength": float("nan")}, seed=1),
+    dict(experiment="torus_suite", powers=[7], grid_size=360, seed=1),
+    dict(experiment="eigen_convergence", law={"type": "point_mass"}, powers=[], seed=1),
+    dict(experiment="eigen_convergence", powers=[2.7], seed=1),
+    dict(experiment="torus_suite", powers=[2], density_count=0, seed=1),
+    dict(experiment="exact_threshold", law={"type": "mixture_u2"}, samples=100, seed=1),
+    dict(experiment="eigen_convergence", samples="2000", seed=1),
+    dict(experiment="eigen_convergence", threshold="5", seed=1),
+    dict(experiment="eigen_convergence", seed=-1),
+    dict(experiment="torus_suite", powers=[2], torus_rank=0, seed=1),
+    dict(experiment="torus_suite", powers=[2], grid_size=4, seed=1),
+    dict(experiment="eigen_convergence", max_lattice_degree=0, seed=1),
+    dict(experiment="eigen_convergence", negative_control="yes", seed=1),
+    dict(experiment="eigen_convergence", threshold=float("inf"), seed=1),
+    dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strenght": 0.9},
+         seed=1),
+    dict(experiment="eigen_convergence", law={"type": "haar", "strength": 0.5}, seed=1),
+    dict(experiment=["eigen_convergence"], seed=1),
+    dict(experiment="exact_threshold", powers=[7], seed=1),
+    dict(experiment="preimage_invariance", target="haar_power", powers=[2], seed=1),
+    dict(experiment="group_limit", trace_k_max=3, seed=1),
+    # a repeated power once repeated its rows' (m, statistic_id) pairs
+    dict(experiment="eigen_convergence", powers=[2, 2], seed=1),
+    dict(experiment="group_limit", powers=[3, 3], seed=1),
+    dict(experiment="torus_suite", powers=[2, 2], density_count=1, seed=1),
+    # no preimage of a degenerate spectrum: refused before any draw
+    dict(experiment="group_limit", law={"type": "point_mass"}, samples=200, seed=1),
+    dict(experiment="preimage_invariance", law={"type": "point_mass"}, seed=1),
+    # a present but empty density once ran the default marginal, as an absent key does
+    *(dict(experiment="eigen_convergence", law={"type": law, key: value}, seed=1)
+      for law, key in (("torus_density", "density"), ("mixture_u2", "d1"))
+      for value in ({}, None, 0, "")),
+]
+
+
 def small_config(**overrides):
     base = dict(experiment="eigen_convergence", family="U", matrix_size=2,
                 law={"type": "haar"}, powers=[2], samples=4000, seed=17)
@@ -106,9 +153,43 @@ class TestConfig:
             ExperimentConfig.from_json({"experiment": kind, "seed": 1, "powers": [2, 3, 2],
                                         **extra})
 
-    def test_empty_run_is_an_error(self):
+    def test_empty_run_is_an_error(self, monkeypatch):
+        # no valid config yields no rows; the guard still stands behind validate()
+        kinds = dict(EXPERIMENT_KINDS)
+        kinds["eigen_convergence"] = (lambda *args: ([], {}),
+                                      EXPERIMENT_KINDS["eigen_convergence"][1])
+        monkeypatch.setattr(experiments, "EXPERIMENT_KINDS", kinds)
         with pytest.raises(ConfigError, match="no verdict rows"):
-            run_experiment(small_config(experiment="torus_suite", density_count=0))
+            run_experiment(small_config())
+        # torus_suite with no densities once reached the guard; validate() refuses it now
+        with pytest.raises(ConfigError, match="density_count must be an integer >= 1"):
+            small_config(experiment="torus_suite", density_count=0).validate()
+
+    @pytest.mark.parametrize("data", [d for d in CONFIG_ERRORS if isinstance(d, dict)])
+    def test_config_errors_are_refused_by_from_json(self, data):
+        # validate() is the one place a config is refused: none of these reaches a runner
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("family, n, law", [
+        ("U", 5, {"type": "haar"}), ("SU", 5, {"type": "haar"}),
+        ("SO", 7, {"type": "perturbed_haar", "strength": 0.5}), ("U", 2, {"type": "point_mass"}),
+        ("U", 2, {"type": "mixture_u2"})])
+    def test_exact_threshold_needs_a_symbolic_density(self, family, n, law):
+        # U(5) and SU(5) have 10 positive roots and SO(7) 9, over U(4)'s 6
+        with pytest.raises(ConfigError, match="exact_threshold"):
+            ExperimentConfig.from_json({"experiment": "exact_threshold", "family": family,
+                                        "matrix_size": n, "law": law, "seed": 1})
+
+    @pytest.mark.parametrize("family, n, law", [
+        ("SU", 4, {"type": "haar"}), ("SO", 5, {"type": "haar"}),
+        ("U", 4, {"type": "perturbed_haar", "strength": 0.5}),
+        ("SO", 3, {"type": "torus_density", "density": {"rank": 1, "coeffs": [
+            {"p": [0], "re": 1.0}, {"p": [1], "re": 0.3}, {"p": [-1], "re": 0.3}]}})])
+    def test_exact_threshold_takes_a_law_with_a_symbolic_density(self, family, n, law):
+        cfg = ExperimentConfig.from_json({"experiment": "exact_threshold", "family": family,
+                                          "matrix_size": n, "law": law, "seed": 1})
+        assert samplers.symbolic_eigen_density(cfg.build_law()).rank == cfg.descriptor().torus_rank
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
     def test_shipped_configs_validate(self, name):
@@ -969,49 +1050,7 @@ class TestCli:
         path.write_text(json.dumps({"experiment": "eigen_convergence"}))
         assert cli.main(["run", str(path)]) == 2
 
-    @pytest.mark.parametrize("data", [
-        {"law": {"type": "wat"}},
-        [1, 2],
-        dict(experiment="eigen_convergence", law={"type": "wat"}, seed=1),
-        dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strength": 3},
-             seed=1),
-        # a string strength once ran as its number, and NaN aborted at sampling (exit 3)
-        dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strength": "0.3"},
-             seed=1),
-        dict(experiment="eigen_convergence",
-             law={"type": "perturbed_haar", "strength": float("nan")}, seed=1),
-        dict(experiment="torus_suite", powers=[7], grid_size=360, seed=1),
-        dict(experiment="eigen_convergence", law={"type": "point_mass"}, powers=[], seed=1),
-        dict(experiment="eigen_convergence", powers=[2.7], seed=1),
-        dict(experiment="torus_suite", powers=[2], density_count=0, seed=1),
-        dict(experiment="exact_threshold", law={"type": "mixture_u2"}, samples=100, seed=1),
-        dict(experiment="eigen_convergence", samples="2000", seed=1),
-        dict(experiment="eigen_convergence", threshold="5", seed=1),
-        dict(experiment="eigen_convergence", seed=-1),
-        dict(experiment="torus_suite", powers=[2], torus_rank=0, seed=1),
-        dict(experiment="torus_suite", powers=[2], grid_size=4, seed=1),
-        dict(experiment="eigen_convergence", max_lattice_degree=0, seed=1),
-        dict(experiment="eigen_convergence", negative_control="yes", seed=1),
-        dict(experiment="eigen_convergence", threshold=float("inf"), seed=1),
-        dict(experiment="eigen_convergence", law={"type": "perturbed_haar", "strenght": 0.9},
-             seed=1),
-        dict(experiment="eigen_convergence", law={"type": "haar", "strength": 0.5}, seed=1),
-        dict(experiment=["eigen_convergence"], seed=1),
-        dict(experiment="exact_threshold", powers=[7], seed=1),
-        dict(experiment="preimage_invariance", target="haar_power", powers=[2], seed=1),
-        dict(experiment="group_limit", trace_k_max=3, seed=1),
-        # a repeated power once repeated its rows' (m, statistic_id) pairs
-        dict(experiment="eigen_convergence", powers=[2, 2], seed=1),
-        dict(experiment="group_limit", powers=[3, 3], seed=1),
-        dict(experiment="torus_suite", powers=[2, 2], density_count=1, seed=1),
-        # no preimage of a degenerate spectrum: refused before any draw
-        dict(experiment="group_limit", law={"type": "point_mass"}, samples=200, seed=1),
-        dict(experiment="preimage_invariance", law={"type": "point_mass"}, seed=1),
-        # a present but empty density once ran the default marginal, as an absent key does
-        *(dict(experiment="eigen_convergence", law={"type": law, key: value}, seed=1)
-          for law, key in (("torus_density", "density"), ("mixture_u2", "d1"))
-          for value in ({}, None, 0, "")),
-    ])
+    @pytest.mark.parametrize("data", CONFIG_ERRORS)
     def test_config_errors_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
@@ -1020,12 +1059,13 @@ class TestCli:
 
     @pytest.mark.parametrize("law, refused", [
         ("torus_density", True), ("mixture_u2", True),
-        ("haar", False), ("perturbed_haar", False), ("point_mass", False)])
+        ("haar", False), ("perturbed_haar", False), ("point_mass", False), (None, False)])
     def test_haar_power_needs_a_conjugation_invariant_law(self, tmp_path, capsys, law, refused):
         # U^m of a law that is not conjugation invariant tends to psi(flag, Y), not Haar^D:
-        # mixture_u2 at m = 64 read a false FAIL at z 61 against Haar^D
-        data = dict(experiment="group_limit", law={"type": law}, powers=[64], samples=1000,
-                    seed=1, target="haar_power")
+        # mixture_u2 at m = 64 read a false FAIL at z 61 against Haar^D.  The law types
+        # are allowed by name, and a law with no type (None here) is Haar.
+        data = dict(experiment="group_limit", law={"type": law} if law else {}, powers=[64],
+                    samples=1000, seed=1, target="haar_power")
         if not refused:
             assert ExperimentConfig.from_json(data).target == "haar_power"
             return

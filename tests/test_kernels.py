@@ -337,6 +337,8 @@ def test_fold_grid_requires_divisor():
 def test_fold_grid_identity_for_m1():
     v = rng.normal(size=12)
     np.testing.assert_array_equal(K.fold_grid(v, 1), v)
+    # a new array: torus_suite takes L1 norms of the folds in place
+    assert not np.shares_memory(K.fold_grid(v, 1), v)
 
 
 # ---------------------------------------------------------------------------

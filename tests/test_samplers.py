@@ -229,6 +229,39 @@ class TestSymbolicEigenDensity:
             with pytest.raises(ValueError):
                 L.symbolic_eigen_density(law)
 
+    @staticmethod
+    def _assert_same_refusal(law):
+        """check_symbolic_density raises iff symbolic_eigen_density does; it returns
+        whether they refused."""
+        verdicts = []
+        for rule in (L.check_symbolic_density, L.symbolic_eigen_density):
+            try:
+                rule(law)
+            except ValueError:
+                verdicts.append(True)
+            else:
+                verdicts.append(False)
+        assert verdicts[0] == verdicts[1]
+        return verdicts[0]
+
+    @pytest.mark.parametrize("strength", [0.0, 0.5])
+    @pytest.mark.parametrize("desc", [*map(unitary, range(1, 7)),
+                                      *map(special_unitary, range(2, 6)),
+                                      *map(special_orthogonal_odd, (3, 5, 7))], ids=repr)
+    def test_support_rule_refuses_what_the_expansion_refuses(self, desc, strength):
+        # the cap is U(WEYL_MAX_N)'s positive roots: 6 on U(4)
+        refused = self._assert_same_refusal(L.PerturbedHaarLaw(desc, strength))
+        assert refused == (len(desc.root_pairs) > 6)
+
+    def test_support_rule_on_other_laws(self):
+        # a torus law passes on every family, U(5) above the root cap included
+        rng = np.random.default_rng(3)
+        for desc in (special_orthogonal_odd(3), unitary(5)):
+            law = L.TorusLaw(desc, T.random_fourier_density(rng, desc.torus_rank, 1))
+            assert not self._assert_same_refusal(law)
+        for law in (L.MixtureU2Law(), L.PointMassLaw(np.eye(2, dtype=np.complex128))):
+            assert self._assert_same_refusal(law)
+
     @pytest.mark.parametrize("desc", [unitary(2), unitary(3), unitary(4), special_unitary(2),
                                       special_unitary(3), special_unitary(4),
                                       special_orthogonal_odd(3), special_orthogonal_odd(5)],

@@ -133,6 +133,13 @@ class TestArrayBuiltDensity:
         with pytest.raises(ValueError, match="booleans"):
             T.FourierDensity.from_json({"rank": 1, "coeffs": [row]})
 
+    def test_from_json_refuses_json_text(self):
+        # a config's density is its parsed object; a string in its place is refused, not
+        # parsed, so text that would build a density is refused as well
+        with pytest.raises(ValueError, match="JSON object"):
+            T.FourierDensity.from_json(json.dumps({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}]}))
+        assert T.FourierDensity.from_json({"rank": 1, "coeffs": [{"p": [0], "re": 1.0}]})
+
     @pytest.mark.parametrize("lattice, coeffs", [
         ([[0, 0]], [1.0]), ([[0], [1]], [1.0]), ([0], [1.0]), ([[0]], 1.0)])
     def test_rejects_misshapen_arrays(self, lattice, coeffs):
@@ -163,7 +170,7 @@ class TestInputOrder:
             order = rng.permutation(len(rows))
             text = json.dumps({"rank": 3, "coeffs": [rows[i] for i in order]})
             got = samplers.symbolic_eigen_density(
-                samplers.TorusLaw(unitary(3), T.FourierDensity.from_json(text)))
+                samplers.TorusLaw(unitary(3), T.FourierDensity.from_json(json.loads(text))))
             assert _same_arrays(got, want)
 
 
